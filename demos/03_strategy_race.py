@@ -32,7 +32,6 @@ for nodes in (8, 24):
                 input_dim=16, class_count=10, hidden_dim=0, learning_rate=0.05, seed=201
             ),
             shard_plan=dg.ShardPlan(node_count=nodes, train_fraction=0.8, seed=301),
-            seed=1,
         )
         records = dg.run_simulation(config, data)
         rows = dg.aggregate_across_nodes(records)

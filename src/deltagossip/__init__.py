@@ -21,14 +21,12 @@ from .aggregation import (
 from .dataset import DatasetShard, ShardPlan, load_idx, shard_equal, synth_classification
 from .gossipsim import (
     Forwarding,
-    GossipMessage,
     NodeState,
     SimConfig,
     SimSchedule,
     convergence_round,
     disseminate,
     integration_step,
-    node_train_phase,
     run_simulation,
 )
 from .metrics import (
@@ -45,12 +43,10 @@ from .model import (
     centralized_reference_train,
     evaluate,
     init_weights,
-    loss_and_gradient,
     sgd_batch_step,
     train_epochs,
 )
 from .netmodel import (
-    ThroughputScenario,
     connectivity_increase_rate,
     constant_connectivity_rate,
     expected_rate,

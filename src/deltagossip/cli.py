@@ -3,14 +3,14 @@
 Subcommands: gen-topology (write a constrained random graph), run (full
 training/convergence experiment from a JSON config, one metrics CSV per
 strategy plus a summary), netmodel (analytical throughput table).
-All randomness flows from config seeds; thread count never changes output.
+All randomness flows from config seeds, and every run executes serially in
+this process, so run's --threads never changes output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,8 +29,6 @@ from .topology import (
     write_descriptor,
     write_edge_list,
 )
-
-THREADS_ENV = "DELTAGOSSIP_THREADS"
 
 
 class ConfigError(ValueError):
@@ -172,7 +170,6 @@ def _build_experiment(config: dict, seed_override: int | None):
                     schedule=sim_schedule,
                     model_config=model_config,
                     shard_plan=plan,
-                    seed=seed,
                     forwarding=forwarding,
                 )
             )
@@ -201,14 +198,13 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out or config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _resolve_threads(args.threads)
 
     summary = {"runs": [], "drop_ratios": {}}
     final_by_strategy: dict[str, dict[int, float]] = {}
     for sim in runs:
         n = sim.topology.node_count
         name = sim.strategy.kind
-        records = run_simulation(sim, dataset, global_val=global_val, threads=threads)
+        records = run_simulation(sim, dataset, global_val=global_val)
         rows = aggregate_across_nodes(records)
         csv_path = out_dir / f"{n}nodes_{name}.csv"
         export_csv(rows, csv_path)
@@ -321,16 +317,11 @@ def cmd_netmodel(args) -> int:
     return 0
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument(
         "--threads",
-        type=int,
-        help=f"worker threads for node training (default ${THREADS_ENV} or 1); "
-        "never changes results",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility and must be >= 1; every run executes "
+        "serially in this process, so it never changes results",
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -8,13 +8,12 @@ strategy. After training, convergence rounds average full models with
 neighbors until the cluster agrees.
 
 Rounds are barriers: all sends are computed from pre-round state, and
-integration happens in ascending node order, so runs are bit-reproducible
-regardless of how much intra-epoch training runs in parallel.
+nodes train, integrate and are evaluated one at a time in ascending node
+order, so a run is a bit-reproducible function of its config and data.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .aggregation import (
@@ -68,26 +67,13 @@ class Forwarding:
 
 
 @dataclass(frozen=True)
-class GossipMessage:
-    key: str
-    update: ModelUpdate
-    hop_count: int = 1
-
-    def __post_init__(self):
-        if self.hop_count < 1:
-            raise ValueError("hop_count must be >= 1")
-
-
-@dataclass(frozen=True)
 class SimConfig:
     topology: TopologyGraph
     strategy: IntegrationStrategy
     schedule: SimSchedule
     model_config: ModelConfig
     shard_plan: ShardPlan
-    seed: int = 0
     forwarding: Forwarding = field(default_factory=Forwarding)
-    gossip_key: str = "model"
 
     def __post_init__(self):
         if self.topology.node_count < 2:
@@ -145,9 +131,8 @@ class NodeState:
         self.inbox[key] = update
 
 
-def disseminate(graph: TopologyGraph, sender: int, message: GossipMessage,
-                forwarding: Forwarding) -> set[int]:
-    """Which nodes receive the message; the sender never delivers to itself.
+def disseminate(graph: TopologyGraph, sender: int, forwarding: Forwarding) -> set[int]:
+    """Which nodes receive the sender's update; it never delivers to itself.
 
     first_hop reaches exactly the sender's neighbors. multi_hop floods out
     to max_hops, with each node accepting a given (sender, round) once no
@@ -170,16 +155,6 @@ def disseminate(graph: TopologyGraph, sender: int, message: GossipMessage,
                     nxt.append(neighbor)
         frontier = nxt
     return delivered
-
-
-def node_train_phase(state: NodeState, epochs: int, batch_size: int,
-                     round_index: int) -> ModelUpdate:
-    """Train the given number of epochs, then package the resulting update."""
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    for _ in range(epochs):
-        state.train_one_epoch(batch_size)
-    return state.package_update(round_index)
 
 
 def integration_step(
@@ -235,23 +210,16 @@ def convergence_round(states, graph: TopologyGraph) -> None:
         state.model.weights = average_full_models(group)
 
 
-def _for_each(states, fn, pool):
-    if pool is None:
-        return [fn(s) for s in states]
-    return list(pool.map(fn, states))
-
-
 def run_simulation(
     config: SimConfig,
     dataset: DatasetShard,
     global_val: DatasetShard | None = None,
-    threads: int = 1,
     observer=None,
 ) -> list[MetricsRecord]:
     """Full training + convergence schedule; one record per node per index.
 
     ``observer(phase, index, states)``, when given, is called after every
-    completed epoch/round; results are independent of ``threads``.
+    completed epoch/round.
     """
     graph = config.topology
     report = validate_topology(
@@ -269,15 +237,11 @@ def run_simulation(
 
     schedule = config.schedule
     records: list[MetricsRecord] = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def record_all(index: int, phase: str) -> None:
-        results = _for_each(
-            states,
-            lambda s: (evaluate(s.model, s.local_val), evaluate(s.model, gval)),
-            pool,
-        )
-        for state, ((lacc, lloss), (gacc, gloss)) in zip(states, results):
+        for state in states:
+            lacc, lloss = evaluate(state.model, state.local_val)
+            gacc, gloss = evaluate(state.model, gval)
             records.append(
                 MetricsRecord(
                     node_id=state.node_id,
@@ -290,44 +254,32 @@ def run_simulation(
                 )
             )
 
-    try:
-        for epoch in range(1, schedule.train_epochs + 1):
+    for epoch in range(1, schedule.train_epochs + 1):
+        for state in states:
+            try:
+                state.train_one_epoch(schedule.batch_size)
+            except (ValueError, FloatingPointError) as err:
+                raise SimulationError(f"node {state.node_id} epoch {epoch}: {err}") from err
 
-            def train_one(state):
-                try:
-                    state.train_one_epoch(schedule.batch_size)
-                except (ValueError, FloatingPointError) as err:
-                    raise SimulationError(
-                        f"node {state.node_id} epoch {epoch}: {err}"
-                    ) from err
+        if epoch % schedule.integrate_every == 0:
+            round_index = epoch // schedule.integrate_every
+            updates = [s.package_update(round_index) for s in states]
+            for state, update in zip(states, updates):
+                for receiver in sorted(disseminate(graph, state.node_id, config.forwarding)):
+                    states[receiver].receive(update)
+            for state, update in zip(states, updates):
+                integration_step(
+                    state, config.strategy, t=state.epoch_counter, local_update=update
+                )
 
-            _for_each(states, train_one, pool)
+        record_all(epoch, "train")
+        if observer is not None:
+            observer("train", epoch, states)
 
-            if epoch % schedule.integrate_every == 0:
-                round_index = epoch // schedule.integrate_every
-                updates = [s.package_update(round_index) for s in states]
-                for state, update in zip(states, updates):
-                    message = GossipMessage(key=config.gossip_key, update=update)
-                    for receiver in sorted(
-                        disseminate(graph, state.node_id, message, config.forwarding)
-                    ):
-                        states[receiver].receive(update)
-                for state, update in zip(states, updates):
-                    integration_step(
-                        state, config.strategy, t=state.epoch_counter, local_update=update
-                    )
-
-            record_all(epoch, "train")
-            if observer is not None:
-                observer("train", epoch, states)
-
-        for rnd in range(schedule.train_epochs + 1, schedule.convergence_until_round + 1):
-            convergence_round(states, graph)
-            record_all(rnd, "convergence")
-            if observer is not None:
-                observer("convergence", rnd, states)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for rnd in range(schedule.train_epochs + 1, schedule.convergence_until_round + 1):
+        convergence_round(states, graph)
+        record_all(rnd, "convergence")
+        if observer is not None:
+            observer("convergence", rnd, states)
 
     return records

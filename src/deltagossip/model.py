@@ -164,10 +164,6 @@ class TrainableModel:
         return loss, self.weights.with_values(grad)
 
 
-def loss_and_gradient(model: TrainableModel, batch: Batch) -> tuple[float, ParameterVector]:
-    return model.loss_and_gradient(batch)
-
-
 def sgd_batch_step(model: TrainableModel, batch: Batch) -> ParameterVector:
     """One descent step w <- w - lr * grad; the model is updated in place."""
     _, grad = model.loss_and_gradient(batch)

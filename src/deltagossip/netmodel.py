@@ -9,28 +9,6 @@ every fixed number of updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-SCENARIO_KINDS = ("expected", "constant_connectivity", "connectivity_increase", "fedavg")
-
-
-@dataclass(frozen=True)
-class ThroughputScenario:
-    baseline_rate: float
-    reference_n: int
-    reference_avg_conn: float
-    kind: str
-    update_interval_s: float = 5.0
-    sync_every_updates: float = 20.0
-
-    def __post_init__(self):
-        if self.baseline_rate <= 0:
-            raise ValueError("baseline_rate must be positive")
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.update_interval_s <= 0 or self.sync_every_updates <= 0:
-            raise ValueError("intervals must be positive")
-
 
 def fedavg_rate(update_interval_s: float, sync_every_updates: float) -> float:
     """Updates/s for periodic updates plus one sync every sync_every updates."""

@@ -17,12 +17,11 @@ from deltagossip.aggregation import STRATEGY_KINDS
 from deltagossip.cli import main as cli_main
 from deltagossip.gossipsim import (
     Forwarding,
-    GossipMessage,
     NodeState,
     SimulationError,
     disseminate,
 )
-from deltagossip.model import ModelConfig, TrainableModel, loss_and_gradient
+from deltagossip.model import ModelConfig, TrainableModel
 from deltagossip.params import ParameterVector, make_layout
 from deltagossip.topology import (
     GenerationBudgetError,
@@ -112,7 +111,7 @@ def test_criterion_2_gradient_correctness():
                 rng.normal(0, 0.6, len(model.weights))
             )
             batch = dg.Batch(rng.uniform(0, 1, (6, 5)), rng.integers(0, 3, 6))
-            _, grad = loss_and_gradient(model, batch)
+            _, grad = model.loss_and_gradient(batch)
             base = model.weights
             numeric = np.zeros(len(base))
             for i in range(len(base)):
@@ -120,7 +119,7 @@ def test_criterion_2_gradient_correctness():
                     shifted = base.values.copy()
                     shifted[i] += sign * step
                     model.weights = base.with_values(shifted)
-                    numeric[i] += sign * loss_and_gradient(model, batch)[0]
+                    numeric[i] += sign * model.loss_and_gradient(batch)[0]
             numeric /= 2 * step
             model.weights = base
             np.testing.assert_allclose(grad.values, numeric, rtol=1e-4, atol=1e-7)
@@ -162,7 +161,6 @@ def convergence_config(kind):
             input_dim=8, class_count=3, hidden_dim=8, learning_rate=0.1, seed=2
         ),
         shard_plan=dg.ShardPlan(node_count=10, train_fraction=0.8, seed=9),
-        seed=1,
     )
 
 
@@ -219,7 +217,6 @@ def scaling_run(kind, nodes, master_seed):
         shard_plan=dg.ShardPlan(
             node_count=nodes, train_fraction=0.8, seed=master_seed + 300
         ),
-        seed=master_seed,
     )
     records = dg.run_simulation(config, data)
     return dg.aggregate_across_nodes(records)[-1].test_acc_median
@@ -359,9 +356,8 @@ def test_criterion_8_dissemination_dedup():
         reachable = {v for v, d in dist.items() if 1 <= d <= max_hops}
 
         payload = dg.ModelUpdate(sender, 1, zeros, zeros, 1, 1)
-        message = GossipMessage(key="model", update=payload)
         delivered = disseminate(
-            graph, sender, message, Forwarding(mode="multi_hop", max_hops=max_hops)
+            graph, sender, Forwarding(mode="multi_hop", max_hops=max_hops)
         )
         assert delivered == reachable
         assert sender not in delivered

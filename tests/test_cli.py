@@ -1,8 +1,9 @@
 import json
+import multiprocessing.process
 
 import pytest
 
-from deltagossip.cli import THREADS_ENV, _resolve_threads, main
+from deltagossip.cli import main
 from deltagossip.topology import TopologyConstraints, read_edge_list, validate
 
 
@@ -163,19 +164,36 @@ class TestNetmodel:
         assert "one --conn per --nodes" in capsys.readouterr().err
 
 
-class TestThreadsResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "8")
-        assert _resolve_threads(2) == 2
+class TestThreads:
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_below_one_is_a_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(tmp_path / "exp.json"), "--threads", value])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "6")
-        assert _resolve_threads(None) == 6
+    def test_runs_start_no_child_process(self, tmp_path, monkeypatch):
+        def refuse(process):
+            raise AssertionError(f"started child process {process.name}")
 
-    def test_default_single_thread(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert _resolve_threads(None) == 1
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(small_config(tmp_path)))
+        for threads in ("1", "4"):
+            assert main(["run", "--config", str(config_path),
+                         "--out", str(tmp_path / threads), "--threads", threads]) == 0
 
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "many")
-        assert _resolve_threads(None) == 1
+    def test_failing_run_raises_the_same_for_any_threads(self, tmp_path):
+        edges = tmp_path / "split.edges"
+        edges.write_text("0 1\n2 3\n")
+        config = small_config(tmp_path, strategies=["standard_averaging"])
+        config["topologies"].append({"path": str(edges)})
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        errors = {}
+        for threads in ("1", "2"):
+            with pytest.raises(ValueError, match="topology must be connected") as err:
+                main(["run", "--config", str(config_path),
+                      "--out", str(tmp_path / threads), "--threads", threads])
+            errors[threads] = str(err.value)
+        assert errors["1"] == errors["2"]

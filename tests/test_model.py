@@ -9,7 +9,6 @@ from deltagossip.model import (
     centralized_reference_train,
     evaluate,
     init_weights,
-    loss_and_gradient,
     sgd_batch_step,
     train_epochs,
 )
@@ -61,7 +60,7 @@ class TestLossAndGradient:
         model = TrainableModel(cfg)
         model.weights = model.weights.with_values(np.zeros(len(model.weights)))
         batch = random_batch(np.random.default_rng(0), 4, 3)
-        loss, _ = loss_and_gradient(model, batch)
+        loss, _ = model.loss_and_gradient(batch)
         assert loss == pytest.approx(np.log(3), abs=1e-12)
 
     @pytest.mark.parametrize("hidden", [0, 6])
@@ -74,7 +73,7 @@ class TestLossAndGradient:
                 rng.normal(0, 0.5, len(model.weights))
             )
             batch = random_batch(rng, 5, 3)
-            _, grad = loss_and_gradient(model, batch)
+            _, grad = model.loss_and_gradient(batch)
             numeric = finite_difference_gradient(model, batch)
             np.testing.assert_allclose(grad.values, numeric, rtol=1e-4, atol=1e-7)
 
@@ -87,8 +86,8 @@ class TestLossAndGradient:
             np.concatenate([batch.inputs, batch.inputs]),
             np.concatenate([batch.labels, batch.labels]),
         )
-        loss1, grad1 = loss_and_gradient(model, batch)
-        loss2, grad2 = loss_and_gradient(model, doubled)
+        loss1, grad1 = model.loss_and_gradient(batch)
+        loss2, grad2 = model.loss_and_gradient(doubled)
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         np.testing.assert_allclose(grad1.values, grad2.values, rtol=1e-12, atol=1e-15)
 
@@ -97,10 +96,10 @@ class TestLossAndGradient:
         model = TrainableModel(cfg)
         bad = Batch(np.zeros((2, 5)), np.array([0, 1]))
         with pytest.raises(ValueError):
-            loss_and_gradient(model, bad)
+            model.loss_and_gradient(bad)
         out_of_range = Batch(np.zeros((2, 4)), np.array([0, 3]))
         with pytest.raises(ValueError):
-            loss_and_gradient(model, out_of_range)
+            model.loss_and_gradient(out_of_range)
 
 
 def finite_difference_gradient(model, batch, step=1e-5):
@@ -112,7 +111,7 @@ def finite_difference_gradient(model, batch, step=1e-5):
             shifted = base.values.copy()
             shifted[i] += sign * step
             model.weights = base.with_values(shifted)
-            loss, _ = loss_and_gradient(model, batch)
+            loss, _ = model.loss_and_gradient(batch)
             numeric[i] += sign * loss
     model.weights = base
     return numeric / (2 * step)
@@ -153,10 +152,10 @@ class TestSgdBatchStep:
         cfg = ModelConfig(input_dim=2, class_count=2, learning_rate=1e-3, seed=1)
         model = TrainableModel(cfg)
         batch = Batch(data.inputs, data.labels)
-        losses = [loss_and_gradient(model, batch)[0]]
+        losses = [model.loss_and_gradient(batch)[0]]
         for _ in range(2):
             sgd_batch_step(model, batch)
-            losses.append(loss_and_gradient(model, batch)[0])
+            losses.append(model.loss_and_gradient(batch)[0])
         assert losses[1] <= losses[0] and losses[2] <= losses[1]
 
 

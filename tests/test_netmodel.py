@@ -1,7 +1,6 @@
 import pytest
 
 from deltagossip.netmodel import (
-    ThroughputScenario,
     connectivity_increase_rate,
     constant_connectivity_rate,
     expected_rate,
@@ -111,11 +110,3 @@ class TestScenarioTable:
         with pytest.raises(ValueError):
             scenario_table(1.0, 10, 3.3, [10, 25], [3.3])
 
-
-class TestThroughputScenario:
-    def test_validation(self):
-        ThroughputScenario(1.0, 10, 3.3, "expected")
-        with pytest.raises(ValueError):
-            ThroughputScenario(0.0, 10, 3.3, "expected")
-        with pytest.raises(ValueError):
-            ThroughputScenario(1.0, 10, 3.3, "measured_live")
