@@ -5,6 +5,13 @@ training/convergence experiment from a JSON config, one metrics CSV per
 strategy plus a summary), netmodel (analytical throughput table).
 All randomness flows from config seeds, and every run executes serially in
 this process, so run's --threads never changes output.
+
+Each run config block is built by the dataclass or function whose fields it
+accepts, with that code's defaults (README: "Config blocks"); an unknown key
+or a rejected value is a ConfigError naming the block. The CLI supplies only
+what it derives: ModelConfig.input_dim/class_count from the dataset,
+ShardPlan.node_count from the graph, and omitted seeds from the master seed
+(dataset seed+1, topology i seed+2+i, model seed, shards seed+3).
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .aggregation import IntegrationStrategy, LambdaSchedule, STRATEGY_KINDS
@@ -35,66 +43,90 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
+TOP_KEYS = {"seed", "output_dir", "dataset", "topologies", "strategies", "model",
+            "schedule", "shards", "lambda_schedule", "forwarding"}
+SYNTHETIC_KEYS = {"classes", "dim", "per_class", "seed", "noise_sigma"}
+IDX_KEYS = {"train_images", "train_labels", "test_images", "test_labels", "downsample"}
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing {key!r} in {where}")
     return mapping[key]
 
 
-def _load_dataset(spec: dict, default_seed: int):
+def _fields(cls, *derived: str) -> set[str]:
+    """Config keys of a dataclass block: its fields minus those the CLI derives."""
+    return {f.name for f in fields(cls)} - set(derived)
+
+
+def _check_keys(where: str, block, allowed: set[str]) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+
+
+def _call(where: str, factory, *args, **kwargs):
+    try:
+        return factory(*args, **kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _build(where: str, factory, block, allowed: set[str], **defaults):
+    """``factory(**block)`` over the CLI-supplied defaults, keys checked first."""
+    _check_keys(where, block, allowed)
+    return _call(where, factory, **{**defaults, **block})
+
+
+def _load_dataset(spec, default_seed: int):
     """Build (dataset, global_val_or_None, class_count) from a config block."""
-    kind = _require(spec, "kind", "dataset")
+    if not isinstance(spec, dict):
+        raise ConfigError("dataset must be a JSON object")
+    spec = dict(spec)
+    kind = spec.pop("kind", None)
     if kind == "synthetic":
-        data = synth_classification(
-            classes=_require(spec, "classes", "dataset"),
-            dim=_require(spec, "dim", "dataset"),
-            per_class=_require(spec, "per_class", "dataset"),
-            seed=spec.get("seed", default_seed),
-            noise_sigma=spec.get("noise_sigma", 0.05),
-        )
+        data = _build("dataset", synth_classification, spec, SYNTHETIC_KEYS, seed=default_seed)
         return data, None, int(data.labels.max()) + 1
     if kind == "idx":
-        for key in ("train_images", "train_labels"):
-            path = _require(spec, key, "dataset")
-            if not Path(path).exists():
-                raise ConfigError(f"dataset file not found: {path}")
-        downsample = spec.get("downsample", 1)
-        data = load_idx(spec["train_images"], spec["train_labels"], downsample)
-        global_val = None
+        _check_keys("dataset", spec, IDX_KEYS)
+        splits = [("train_images", "train_labels")]
         if "test_images" in spec or "test_labels" in spec:
-            for key in ("test_images", "test_labels"):
+            splits.append(("test_images", "test_labels"))
+        options = {key: spec[key] for key in spec.keys() & {"downsample"}}
+        shards = []
+        for images, labels in splits:
+            for key in (images, labels):
                 path = _require(spec, key, "dataset")
                 if not Path(path).exists():
                     raise ConfigError(f"dataset file not found: {path}")
-            test = load_idx(spec["test_images"], spec["test_labels"], downsample)
-            global_val = DatasetShard(test.inputs, test.labels, origin="global_val")
-        labels_max = int(data.labels.max())
-        if global_val is not None:
-            labels_max = max(labels_max, int(global_val.labels.max()))
-        return data, global_val, labels_max + 1
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+            shards.append(_call("dataset", load_idx, spec[images], spec[labels], **options))
+        global_val = None
+        if len(shards) == 2:
+            global_val = DatasetShard(shards[1].inputs, shards[1].labels, origin="global_val")
+        return shards[0], global_val, max(int(s.labels.max()) for s in shards) + 1
+    raise ConfigError(f"dataset 'kind' must be 'synthetic' or 'idx', got {kind!r}")
 
 
-def _load_topology(spec: dict, default_seed: int):
+def _generate_topology(nodes, seed, **constraints):
+    return generate_semi_random(nodes, TopologyConstraints(**constraints), seed=seed)
+
+
+def _load_topology(spec, where: str, default_seed: int):
     """One topology entry: inline generation or an edge-list file."""
-    if "path" in spec:
-        path = spec["path"]
-        if not Path(path).exists():
-            raise ConfigError(f"topology file not found: {path}")
-        return read_edge_list(path)
-    constraints = TopologyConstraints(
-        min_degree=spec.get("min_degree", 1),
-        max_degree=spec.get("max_degree", 8),
-        target_avg_degree=_require(spec, "target_avg_degree", "topology"),
-    )
-    return generate_semi_random(
-        _require(spec, "nodes", "topology"),
-        constraints,
-        seed=spec.get("seed", default_seed),
-    )
+    if isinstance(spec, dict) and "path" in spec:
+        _check_keys(where, spec, {"path"})
+        if not Path(spec["path"]).exists():
+            raise ConfigError(f"topology file not found: {spec['path']}")
+        return _call(where, read_edge_list, spec["path"])
+    allowed = {"nodes", "seed"} | _fields(TopologyConstraints)
+    return _build(where, _generate_topology, spec, allowed, seed=default_seed)
 
 
 def _build_experiment(config: dict, seed_override: int | None):
+    _check_keys("config", config, TOP_KEYS)
     seed = config.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
@@ -104,12 +136,10 @@ def _build_experiment(config: dict, seed_override: int | None):
     )
 
     topo_specs = config.get("topologies")
-    if topo_specs is None and "topology" in config:
-        topo_specs = [config["topology"]]
-    if not topo_specs:
-        raise ConfigError("config needs a 'topologies' list or a 'topology' entry")
+    if not topo_specs or not isinstance(topo_specs, list):
+        raise ConfigError("config needs a non-empty 'topologies' list")
     topologies = [
-        _load_topology(spec, default_seed=seed + 2 + i)
+        _load_topology(spec, f"topologies[{i}]", default_seed=seed + 2 + i)
         for i, spec in enumerate(topo_specs)
     ]
 
@@ -120,44 +150,21 @@ def _build_experiment(config: dict, seed_override: int | None):
         if name not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy {name!r}; choose from {STRATEGY_KINDS}")
 
-    lam = config.get("lambda_schedule", {})
-    schedule_obj = LambdaSchedule(
-        offset=lam.get("offset", 0.15),
-        slope_divisor=lam.get("slope_divisor", 1000.0),
-        cap=lam.get("cap", 0.35),
+    schedule_obj = _build("lambda_schedule", LambdaSchedule, config.get("lambda_schedule", {}),
+                          _fields(LambdaSchedule))
+    model_config = _build(
+        "model", ModelConfig, config.get("model", {}),
+        _fields(ModelConfig, "input_dim", "class_count"),
+        input_dim=dataset.dim, class_count=class_count, seed=seed,
     )
-
-    model_spec = config.get("model", {})
-    model_config = ModelConfig(
-        input_dim=dataset.dim,
-        class_count=class_count,
-        hidden_dim=model_spec.get("hidden_dim", 0),
-        learning_rate=model_spec.get("learning_rate", 0.05),
-        seed=model_spec.get("seed", seed),
-    )
-
-    sched_spec = config.get("schedule", {})
-    sim_schedule = SimSchedule(
-        train_epochs=sched_spec.get("train_epochs", 200),
-        integrate_every=sched_spec.get("integrate_every", 20),
-        convergence_until_round=sched_spec.get("convergence_until_round", 235),
-        batch_size=sched_spec.get("batch_size", 32),
-    )
-
+    sim_schedule = _build("schedule", SimSchedule, config.get("schedule", {}), _fields(SimSchedule))
+    forwarding = _build("forwarding", Forwarding, config.get("forwarding", {}), _fields(Forwarding))
     shard_spec = config.get("shards", {})
-    fwd_spec = config.get("forwarding", {})
-    forwarding = Forwarding(
-        mode=fwd_spec.get("mode", "first_hop"),
-        max_hops=fwd_spec.get("max_hops", 1),
-    )
 
     runs = []
     for graph in topologies:
-        plan = ShardPlan(
-            node_count=graph.node_count,
-            train_fraction=shard_spec.get("train_fraction", 0.8),
-            seed=shard_spec.get("seed", seed + 3),
-        )
+        plan = _build("shards", ShardPlan, shard_spec, _fields(ShardPlan, "node_count"),
+                      node_count=graph.node_count, seed=seed + 3)
         for name in strategies:
             strategy = IntegrationStrategy(
                 kind=name,
@@ -187,12 +194,12 @@ def cmd_run(args) -> int:
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return 1
 
-    if args.strategy:
+    if args.strategy and isinstance(config, dict):
         config["strategies"] = args.strategy
 
     try:
         dataset, global_val, runs = _build_experiment(config, args.seed)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:  # ConfigError, or a SimConfig cross-check
         print(f"error: {err}", file=sys.stderr)
         return 1
 
@@ -335,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_topo.add_argument("--nodes", type=int, required=True)
     p_topo.add_argument("--target-avg-degree", type=float, required=True)
     p_topo.add_argument("--seed", type=int, default=0)
-    p_topo.add_argument("--min-degree", type=int, default=1)
-    p_topo.add_argument("--max-degree", type=int, default=8)
+    p_topo.add_argument("--min-degree", type=int, default=TopologyConstraints.min_degree)
+    p_topo.add_argument("--max-degree", type=int, default=TopologyConstraints.max_degree)
     p_topo.add_argument("--out", required=True, help="output prefix (.edges/.json)")
     p_topo.set_defaults(func=cmd_gen_topology)
 

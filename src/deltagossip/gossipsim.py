@@ -58,12 +58,12 @@ class Forwarding:
     max_hops: int = 1
 
     def __post_init__(self):
-        if self.mode == "first_hop_only":  # accepted spelling
-            object.__setattr__(self, "mode", "first_hop")
         if self.mode not in ("first_hop", "multi_hop"):
             raise ValueError(f"unknown forwarding mode {self.mode!r}")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
+        if self.mode == "first_hop" and self.max_hops != 1:
+            raise ValueError("first_hop forwarding sends one hop; use multi_hop for max_hops > 1")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ class AggregateRow:
     test_acc_min: float
     test_acc_median: float
     test_acc_max: float
-    test_acc_p05: float | None = None
-    test_acc_p95: float | None = None
 
 
 def _lower_median(values: np.ndarray) -> float:
@@ -42,12 +40,10 @@ def _lower_median(values: np.ndarray) -> float:
     return float(ordered[(ordered.size - 1) // 2])
 
 
-def aggregate_across_nodes(records, include_percentiles: bool = False):
+def aggregate_across_nodes(records):
     """Per-index min/median/max of global accuracy across all nodes.
 
-    Every node must report at every index. Raw min/max are always exported;
-    optional 5th/95th percentile columns give an outlier-insensitive band
-    without trimming any data.
+    Every node must report at every index.
     """
     by_index: dict[int, dict[int, float]] = {}
     node_ids = set()
@@ -65,42 +61,26 @@ def aggregate_across_nodes(records, include_percentiles: bool = False):
         if missing:
             raise ValueError(f"missing nodes {sorted(missing)} at index {index}")
         accs = np.array([entry[n] for n in sorted(entry)])
-        row = AggregateRow(
-            index=index,
-            test_acc_min=float(accs.min()),
-            test_acc_median=_lower_median(accs),
-            test_acc_max=float(accs.max()),
-        )
-        if include_percentiles:
-            row = AggregateRow(
-                index=row.index,
-                test_acc_min=row.test_acc_min,
-                test_acc_median=row.test_acc_median,
-                test_acc_max=row.test_acc_max,
-                test_acc_p05=float(np.percentile(accs, 5)),
-                test_acc_p95=float(np.percentile(accs, 95)),
+        rows.append(
+            AggregateRow(
+                index=index,
+                test_acc_min=float(accs.min()),
+                test_acc_median=_lower_median(accs),
+                test_acc_max=float(accs.max()),
             )
-        rows.append(row)
+        )
     return rows
 
 
 def export_csv(rows, path) -> None:
     """Write aggregate rows with fixed 6-decimal formatting (bit-stable)."""
-    rows = list(rows)
-    with_pct = bool(rows) and rows[0].test_acc_p05 is not None
-    header = "index,test_acc_min,test_acc_median,test_acc_max"
-    if with_pct:
-        header += ",test_acc_p05,test_acc_p95"
     with open(path, "w", newline="") as f:
-        f.write(header + "\n")
+        f.write("index,test_acc_min,test_acc_median,test_acc_max\n")
         for row in rows:
-            line = (
+            f.write(
                 f"{row.index},{row.test_acc_min:.6f},"
-                f"{row.test_acc_median:.6f},{row.test_acc_max:.6f}"
+                f"{row.test_acc_median:.6f},{row.test_acc_max:.6f}\n"
             )
-            if with_pct:
-                line += f",{row.test_acc_p05:.6f},{row.test_acc_p95:.6f}"
-            f.write(line + "\n")
 
 
 def read_csv(path):
@@ -117,12 +97,6 @@ def read_csv(path):
                     test_acc_min=float(values["test_acc_min"]),
                     test_acc_median=float(values["test_acc_median"]),
                     test_acc_max=float(values["test_acc_max"]),
-                    test_acc_p05=(
-                        float(values["test_acc_p05"]) if "test_acc_p05" in values else None
-                    ),
-                    test_acc_p95=(
-                        float(values["test_acc_p95"]) if "test_acc_p95" in values else None
-                    ),
                 )
             )
     return rows

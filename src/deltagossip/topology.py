@@ -29,7 +29,6 @@ class MalformedGraphError(ValueError):
 class TopologyConstraints:
     min_degree: int = 1
     max_degree: int = 8
-    require_connected: bool = True
     target_avg_degree: float = 3.3
 
     def __post_init__(self):

@@ -1,9 +1,11 @@
 import json
 import multiprocessing.process
+import re
+from pathlib import Path
 
 import pytest
 
-from deltagossip.cli import main
+from deltagossip.cli import _build_experiment, main
 from deltagossip.topology import TopologyConstraints, read_edge_list, validate
 
 
@@ -135,6 +137,114 @@ class TestRun:
         config_path.write_text(json.dumps(config))
         assert main(["run", "--config", str(config_path)]) == 1
         assert "unknown strategy" in capsys.readouterr().err
+
+
+def _typo_top_level(config, tmp_path):
+    config["strategy"] = ["delta_sum"]
+
+
+def _topology_alias(config, tmp_path):
+    config["topology"] = config.pop("topologies")[0]
+
+
+def _typo_synthetic(config, tmp_path):
+    config["dataset"]["nosie_sigma"] = 0.1
+
+
+def _typo_idx(config, tmp_path):
+    config["dataset"] = {"kind": "idx", "train_images": "imgs", "train_labels": "labels",
+                         "downsampel": 2}
+
+
+def _typo_generated_topology(config, tmp_path):
+    config["topologies"].append({"nodes": 5, "target_avg_degree": 2.0, "max_degre": 3})
+
+
+def _typo_path_topology(config, tmp_path):
+    edges = tmp_path / "ring.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+    config["topologies"].append({"path": str(edges), "seed": 4})
+
+
+def _typo_model(config, tmp_path):
+    config["model"]["learning_rat"] = 0.1
+
+
+def _derived_model_key(config, tmp_path):
+    config["model"]["input_dim"] = 4
+
+
+def _typo_schedule(config, tmp_path):
+    config["schedule"]["integrate_evry"] = 10
+
+
+def _typo_shards(config, tmp_path):
+    config["shards"]["train_fractoin"] = 0.5
+
+
+def _typo_lambda_schedule(config, tmp_path):
+    config["lambda_schedule"]["slope_divisr"] = 300.0
+
+
+def _typo_forwarding(config, tmp_path):
+    config["forwarding"] = {"max_hop": 3}
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize(
+        "mutate, key, block",
+        [
+            (_typo_top_level, "strategy", "config"),
+            (_topology_alias, "topology", "config"),
+            (_typo_synthetic, "nosie_sigma", "dataset"),
+            (_typo_idx, "downsampel", "dataset"),
+            (_typo_generated_topology, "max_degre", "topologies[1]"),
+            (_typo_path_topology, "seed", "topologies[1]"),
+            (_typo_model, "learning_rat", "model"),
+            (_derived_model_key, "input_dim", "model"),
+            (_typo_schedule, "integrate_evry", "schedule"),
+            (_typo_shards, "train_fractoin", "shards"),
+            (_typo_lambda_schedule, "slope_divisr", "lambda_schedule"),
+            (_typo_forwarding, "max_hop", "forwarding"),
+        ],
+    )
+    def test_unknown_key_is_rejected(self, tmp_path, capsys, mutate, key, block):
+        config = small_config(tmp_path)
+        mutate(config, tmp_path)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and f" in {block};" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("extra", [[], ["--strategy", "delta_sum"]])
+    def test_config_must_be_an_object(self, tmp_path, capsys, extra):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps([small_config(tmp_path)]))
+        assert main(["run", "--config", str(config_path), *extra]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("schedule", "batch_size", "8"), ("dataset", "per_class", 40.0)],
+    )
+    def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, block, key, value):
+        config = small_config(tmp_path)
+        config[block][key] = value
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {block}: ")
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_readme_minimal_config_builds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S)
+        config = json.loads(block.group(1))
+        _, _, runs = _build_experiment(config, None)
+        assert len(runs) == len(config["topologies"]) * len(config["strategies"])
+        assert runs[0].schedule.integrate_every == config["schedule"]["integrate_every"]
 
 
 class TestNetmodel:

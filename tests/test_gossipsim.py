@@ -366,4 +366,5 @@ class TestScheduleValidation:
             Forwarding(mode="broadcast")
         with pytest.raises(ValueError):
             Forwarding(mode="multi_hop", max_hops=0)
-        assert Forwarding(mode="first_hop_only").mode == "first_hop"
+        with pytest.raises(ValueError, match="multi_hop"):
+            Forwarding(mode="first_hop", max_hops=3)

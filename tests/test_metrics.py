@@ -63,12 +63,6 @@ class TestAggregateAcrossNodes:
         for row in aggregate_across_nodes(records):
             assert row.test_acc_min <= row.test_acc_median <= row.test_acc_max
 
-    def test_optional_percentile_columns(self):
-        records = [rec(i, 1, i / 10) for i in range(10)]
-        row = aggregate_across_nodes(records, include_percentiles=True)[0]
-        assert row.test_acc_p05 is not None
-        assert row.test_acc_min <= row.test_acc_p05 <= row.test_acc_p95 <= row.test_acc_max
-
 
 class TestExportCsv:
     def test_empty_rows_header_only(self, tmp_path):
