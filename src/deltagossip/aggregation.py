@@ -122,8 +122,8 @@ def _sorted_unique(updates) -> list[ModelUpdate]:
     return updates
 
 
-def fedavg_integrate(w: ParameterVector, updates) -> ParameterVector:
-    """w plus the sample-count-weighted mean of the update deltas."""
+def _add_weighted_deltas(w: ParameterVector, updates, divisor) -> ParameterVector:
+    """w + sum(sample_count * delta) / divisor(total count, update count)."""
     updates = _sorted_unique(updates)
     if not updates:
         raise ValueError("need at least one update")
@@ -134,7 +134,12 @@ def fedavg_integrate(w: ParameterVector, updates) -> ParameterVector:
     acc = np.zeros(len(w))
     for u in updates:
         acc += u.sample_count * u.delta.values
-    return ParameterVector(w.values + acc / total, w.layout)
+    return ParameterVector(w.values + acc / divisor(total, len(updates)), w.layout)
+
+
+def fedavg_integrate(w: ParameterVector, updates) -> ParameterVector:
+    """w plus the sample-count-weighted mean of the update deltas."""
+    return _add_weighted_deltas(w, updates, lambda total, count: total)
 
 
 def sample_weighted_integrate(w: ParameterVector, updates) -> ParameterVector:
@@ -144,18 +149,7 @@ def sample_weighted_integrate(w: ParameterVector, updates) -> ParameterVector:
     out of the denominator, so combined progress is summed rather than
     averaged; equals the fedavg result scaled by the update count.
     """
-    updates = _sorted_unique(updates)
-    if not updates:
-        raise ValueError("need at least one update")
-    require_same_layout([w] + [u.delta for u in updates])
-    total = sum(u.sample_count for u in updates)
-    if total <= 0:
-        raise ValueError("all sample counts are zero")
-    mean_count = total / len(updates)
-    acc = np.zeros(len(w))
-    for u in updates:
-        acc += u.sample_count * u.delta.values
-    return ParameterVector(w.values + acc / mean_count, w.layout)
+    return _add_weighted_deltas(w, updates, lambda total, count: total / count)
 
 
 def delta_sum_integrate(

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import require_ints
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -56,6 +58,7 @@ class ShardPlan:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(node_count=self.node_count, seed=self.seed)
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -77,6 +80,7 @@ def synth_classification(
     pair is at least 4*noise_sigma apart, so the clusters stay separable.
     Samples are clipped to [0, 1].
     """
+    require_ints(classes=classes, dim=dim, per_class=per_class)
     if classes < 2:
         raise ValueError("need at least 2 classes")
     if per_class < 1:
@@ -153,8 +157,8 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
     return DatasetShard(inputs=inputs, labels=labels, origin="train")
 
 
-def concat_shards(shards, origin: str = "train") -> DatasetShard:
-    """Union of shards in the given order."""
+def concat_shards(shards) -> DatasetShard:
+    """Union of shards in the given order, as one training shard."""
     shards = list(shards)
     if not shards:
         raise ValueError("need at least one shard")
@@ -165,7 +169,6 @@ def concat_shards(shards, origin: str = "train") -> DatasetShard:
     return DatasetShard(
         inputs=np.concatenate([s.inputs for s in shards], axis=0),
         labels=np.concatenate([s.labels for s in shards], axis=0),
-        origin=origin,
     )
 
 

@@ -2,10 +2,10 @@
 
 Every node trains one epoch per round from an identical starting model. At
 each integration point all nodes package a (base, delta) update against
-their last snapshot, updates travel to topology neighbors (optionally
-flooded further), and every node merges its inbox with the configured
-strategy. After training, convergence rounds average full models with
-neighbors until the cluster agrees.
+their last snapshot, each update reaches every node within max_hops of its
+sender (first_hop is the 1-hop walk), and every node merges its inbox with
+the configured strategy. After training, convergence rounds average full
+models with neighbors until the cluster agrees.
 
 Rounds are barriers: all sends are computed from pre-round state, and
 nodes train, integrate and are evaluated one at a time in ascending node
@@ -28,8 +28,9 @@ from .aggregation import (
 from .dataset import DatasetShard, ShardPlan, shard_equal
 from .metrics import MetricsRecord
 from .model import ModelConfig, TrainableModel, evaluate, init_weights, train_epochs
-from .params import ParameterVector
-from .topology import TopologyConstraints, TopologyGraph, validate as validate_topology
+from .params import ParameterVector, require_ints
+from .topology import TopologyConstraints, TopologyGraph, hop_distances
+from .topology import validate as validate_topology
 
 
 class SimulationError(RuntimeError):
@@ -44,6 +45,9 @@ class SimSchedule:
     batch_size: int = 32
 
     def __post_init__(self):
+        require_ints(train_epochs=self.train_epochs, integrate_every=self.integrate_every,
+                     convergence_until_round=self.convergence_until_round,
+                     batch_size=self.batch_size)
         if self.train_epochs < 1 or self.integrate_every < 1 or self.batch_size < 1:
             raise ValueError("schedule fields must be positive")
         if self.train_epochs % self.integrate_every != 0:
@@ -60,6 +64,7 @@ class Forwarding:
     def __post_init__(self):
         if self.mode not in ("first_hop", "multi_hop"):
             raise ValueError(f"unknown forwarding mode {self.mode!r}")
+        require_ints(max_hops=self.max_hops)
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
         if self.mode == "first_hop" and self.max_hops != 1:
@@ -134,64 +139,42 @@ class NodeState:
 def disseminate(graph: TopologyGraph, sender: int, forwarding: Forwarding) -> set[int]:
     """Which nodes receive the sender's update; it never delivers to itself.
 
-    first_hop reaches exactly the sender's neighbors. multi_hop floods out
-    to max_hops, with each node accepting a given (sender, round) once no
-    matter how many paths reach it.
+    The update reaches every node within forwarding.max_hops of the sender,
+    each (sender, round) accepted once however many paths reach a node.
+    first_hop is the 1-hop walk: exactly the sender's neighbors.
     """
-    if not 0 <= sender < graph.node_count:
-        raise ValueError(f"unknown sender {sender}")
-    if forwarding.mode == "first_hop":
-        return set(graph.adjacency[sender])
-    delivered: set[int] = set()
-    accepted = {sender}
-    frontier = [sender]
-    for _ in range(forwarding.max_hops):
-        nxt = []
-        for node in frontier:
-            for neighbor in graph.adjacency[node]:
-                if neighbor not in accepted:
-                    accepted.add(neighbor)
-                    delivered.add(neighbor)
-                    nxt.append(neighbor)
-        frontier = nxt
-    return delivered
+    return set(hop_distances(graph, sender, forwarding.max_hops)) - {sender}
 
 
 def integration_step(
     state: NodeState,
     strategy: IntegrationStrategy,
     t: int,
-    local_update: ModelUpdate | None = None,
+    local_update: ModelUpdate,
 ) -> ParameterVector:
-    """Merge the node's inbox with its own progress under one strategy.
+    """Merge the node's inbox with its own update under one strategy.
 
-    For delta_sum the local node contributes its own base and delta
-    alongside the remote updates. The averaging baselines reconstruct full
-    models (base + delta) and average those. FedAvg-style strategies apply
-    sample-weighted deltas on top of the node's base snapshot. Afterwards
-    the merged weights become the new base snapshot and the inbox is
-    cleared.
+    For delta_sum ``local_update``, the node's package for this round,
+    contributes its base and delta alongside the remote updates. The
+    averaging baselines reconstruct full models (base + delta) and average
+    those. FedAvg-style strategies apply sample-weighted deltas on top of
+    the node's base snapshot. Afterwards the merged weights become the new
+    base snapshot and the inbox is cleared.
     """
-    if local_update is None:
-        local_update = state.package_update(round_index=-1)
-    remotes = sorted(state.inbox.values(), key=lambda u: u.node_id)
+    remotes = list(state.inbox.values())
+    updates = sorted([local_update, *remotes], key=lambda u: u.node_id)
 
     kind = strategy.kind
     if kind == "delta_sum":
         new_weights = delta_sum_integrate(local_update, remotes, strategy.schedule, t)
-    elif kind in ("standard_averaging", "variance_corrected"):
-        models = [u.full_model() for u in sorted([local_update, *remotes],
-                                                 key=lambda u: u.node_id)]
-        if kind == "standard_averaging":
-            new_weights = average_full_models(models)
-        else:
-            new_weights = variance_corrected_average(models)
+    elif kind == "standard_averaging":
+        new_weights = average_full_models([u.full_model() for u in updates])
+    elif kind == "variance_corrected":
+        new_weights = variance_corrected_average([u.full_model() for u in updates])
     elif kind == "fedavg":
-        new_weights = fedavg_integrate(state.base_snapshot, [local_update, *remotes])
+        new_weights = fedavg_integrate(state.base_snapshot, updates)
     elif kind == "sample_weighted":
-        new_weights = sample_weighted_integrate(
-            state.base_snapshot, [local_update, *remotes]
-        )
+        new_weights = sample_weighted_integrate(state.base_snapshot, updates)
     else:  # pragma: no cover - IntegrationStrategy already validated
         raise ValueError(f"unknown strategy {kind!r}")
 
@@ -231,7 +214,7 @@ def run_simulation(
     per_node, gval = shard_equal(dataset, config.shard_plan, global_val=global_val)
     start = init_weights(config.model_config)
     states = [
-        NodeState(i, TrainableModel(config.model_config, start.copy()), train, lval)
+        NodeState(i, TrainableModel(config.model_config, start), train, lval)
         for i, (train, lval) in enumerate(per_node)
     ]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetShard, concat_shards
-from .params import ParameterVector, make_layout
+from .params import ParameterVector, make_layout, require_ints
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(input_dim=self.input_dim, class_count=self.class_count,
+                     hidden_dim=self.hidden_dim, seed=self.seed)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.class_count < 2:
@@ -99,18 +101,15 @@ class TrainableModel:
             raise ValueError("weights do not match the model layout")
         self.weights = weights
 
-    def _unpack(self):
-        cfg = self.config
-        d, h, k = cfg.input_dim, cfg.hidden_dim, cfg.class_count
-        w = self.weights
-        if h > 0:
-            return (
-                w.segment("hidden_w").reshape(d, h),
-                w.segment("hidden_b"),
-                w.segment("out_w").reshape(h, k),
-                w.segment("out_b"),
-            )
-        return None, None, w.segment("out_w").reshape(d, k), w.segment("out_b")
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hidden activations, logits); the hidden layer is x itself at hidden_dim=0."""
+        cfg, w = self.config, self.weights
+        hidden = x
+        if cfg.hidden_dim > 0:
+            w1 = w.segment("hidden_w").reshape(cfg.input_dim, cfg.hidden_dim)
+            hidden = np.tanh(x @ w1 + w.segment("hidden_b"))
+        w2 = w.segment("out_w").reshape(-1, cfg.class_count)
+        return hidden, hidden @ w2 + w.segment("out_b")
 
     def logits(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -118,11 +117,7 @@ class TrainableModel:
             raise ValueError(
                 f"expected inputs of shape (n, {self.config.input_dim}), got {inputs.shape}"
             )
-        w1, b1, w2, b2 = self._unpack()
-        if w1 is None:
-            return inputs @ w2 + b2
-        hidden = np.tanh(inputs @ w1 + b1)
-        return hidden @ w2 + b2
+        return self._forward(inputs)[1]
 
     def loss_and_gradient(self, batch: Batch) -> tuple[float, ParameterVector]:
         """Mean cross-entropy over the batch and its gradient."""
@@ -133,12 +128,7 @@ class TrainableModel:
             raise ValueError("batch labels exceed the model class count")
 
         x, y, n = batch.inputs, batch.labels, batch.size
-        w1, b1, w2, b2 = self._unpack()
-        if w1 is None:
-            hidden = x
-        else:
-            hidden = np.tanh(x @ w1 + b1)
-        logits = hidden @ w2 + b2
+        hidden, logits = self._forward(x)
         log_probs = _log_softmax(logits)
         loss = float(-log_probs[np.arange(n), y].mean())
         if not np.isfinite(loss):
@@ -148,20 +138,12 @@ class TrainableModel:
         d_logits[np.arange(n), y] -= 1.0
         d_logits /= n
 
-        grad = np.empty(len(self.weights))
-        g_w2 = hidden.T @ d_logits
-        g_b2 = d_logits.sum(axis=0)
-        if w1 is None:
-            grad[: g_w2.size] = g_w2.ravel()
-            grad[g_w2.size :] = g_b2
-        else:
+        grads = [(hidden.T @ d_logits).ravel(), d_logits.sum(axis=0)]  # out_w, out_b
+        if cfg.hidden_dim > 0:
+            w2 = self.weights.segment("out_w").reshape(cfg.hidden_dim, cfg.class_count)
             d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
-            g_w1 = x.T @ d_hidden
-            g_b1 = d_hidden.sum(axis=0)
-            grad[:] = np.concatenate(
-                [g_w1.ravel(), g_b1, g_w2.ravel(), g_b2]
-            )
-        return loss, self.weights.with_values(grad)
+            grads = [(x.T @ d_hidden).ravel(), d_hidden.sum(axis=0), *grads]
+        return loss, self.weights.with_values(np.concatenate(grads))
 
 
 def sgd_batch_step(model: TrainableModel, batch: Batch) -> ParameterVector:

@@ -2,12 +2,14 @@
 
 Every aggregation rule in this package operates on these vectors. Two
 vectors are combinable only when their layouts are identical; mismatches
-raise instead of silently misaligning weights.
+raise instead of silently misaligning weights. ``require_ints`` is the
+integer check every config class and generator shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -77,9 +79,6 @@ class ParameterVector:
     def same_layout(self, other: "ParameterVector") -> bool:
         return self.layout == other.layout
 
-    def copy(self) -> "ParameterVector":
-        return ParameterVector(self.values, self.layout)
-
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         """New vector with the same layout and different values."""
         return ParameterVector(values, self.layout)
@@ -114,3 +113,10 @@ def require_same_layout(vectors: Sequence[ParameterVector]) -> tuple[Segment, ..
         if vec.layout != layout:
             raise LayoutError("parameter vectors have different layouts")
     return layout
+
+
+def require_ints(**fields) -> None:
+    """TypeError naming the first field whose value is not an integer (bools are not)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")

@@ -12,6 +12,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .params import require_ints
+
+GENERATION_ATTEMPTS = 100  # seeded retries before GenerationBudgetError
+
 
 class UnsatisfiableConstraintsError(ValueError):
     """No simple connected graph can meet the requested constraints."""
@@ -32,6 +36,7 @@ class TopologyConstraints:
     target_avg_degree: float = 3.3
 
     def __post_init__(self):
+        require_ints(min_degree=self.min_degree, max_degree=self.max_degree)
         if not 1 <= self.min_degree <= self.max_degree:
             raise ValueError("need 1 <= min_degree <= max_degree")
         if self.target_avg_degree <= 0:
@@ -54,9 +59,6 @@ class TopologyGraph:
             neighbors[i].add(j)
             neighbors[j].add(i)
         return cls(node_count, tuple(tuple(sorted(s)) for s in neighbors))
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
 
     def degrees(self) -> list[int]:
         return [len(adj) for adj in self.adjacency]
@@ -89,37 +91,43 @@ class GraphStats:
     bridge_count: int
 
 
-def _bfs_component(graph: TopologyGraph, start: int) -> set[int]:
-    seen = {start}
+def hop_distances(graph: TopologyGraph, start: int, max_hops: int | None = None):
+    """{node: hops from start} for every node within max_hops (all when None).
+
+    The package's one breadth-first walk: connectivity, the diameter and
+    gossip dissemination all use it.
+    """
+    if not 0 <= start < graph.node_count:
+        raise ValueError(f"unknown node {start}")
+    dist = {start: 0}
     frontier = [start]
-    while frontier:
+    hops = 0
+    while frontier and (max_hops is None or hops < max_hops):
+        hops += 1
         nxt = []
         for node in frontier:
             for nb in graph.adjacency[node]:
-                if nb not in seen:
-                    seen.add(nb)
+                if nb not in dist:
+                    dist[nb] = hops
                     nxt.append(nb)
         frontier = nxt
-    return seen
+    return dist
 
 
 def is_connected(graph: TopologyGraph) -> bool:
-    if graph.node_count == 0:
-        return False
-    return len(_bfs_component(graph, 0)) == graph.node_count
+    return graph.node_count > 0 and len(hop_distances(graph, 0)) == graph.node_count
 
 
 def generate_semi_random(
     n: int,
     constraints: TopologyConstraints,
     seed: int,
-    attempts: int = 100,
 ) -> TopologyGraph:
     """Connected graph with degrees in bounds and avg degree within +-0.5 of target.
 
     Deterministic per (n, constraints, seed). Raises
     UnsatisfiableConstraintsError when no simple connected graph can land in
-    the +-0.5 band, GenerationBudgetError if all attempts stall.
+    the +-0.5 band, GenerationBudgetError if all GENERATION_ATTEMPTS stall.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
@@ -141,7 +149,7 @@ def generate_semi_random(
     max_edges = min(n * constraints.max_degree // 2, n * (n - 1) // 2)
     edge_target = int(np.clip(int(round(n * target / 2.0)), min_edges, max_edges))
 
-    for attempt in range(attempts):
+    for attempt in range(GENERATION_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
         graph = _attempt(n, constraints, edge_target, rng)
         if graph is None:
@@ -152,7 +160,7 @@ def generate_semi_random(
         ):
             return graph
     raise GenerationBudgetError(
-        f"no valid graph for n={n}, target={target} after {attempts} attempts"
+        f"no valid graph for n={n}, target={target} after {GENERATION_ATTEMPTS} attempts"
     )
 
 
@@ -266,23 +274,13 @@ def _count_bridges(graph: TopologyGraph) -> int:
 
 
 def stats(graph: TopologyGraph) -> GraphStats:
-    """Degree summary plus diameter (all-pairs BFS) and bridge count."""
+    """Degree summary plus diameter (a hop walk from every node) and bridge count."""
     if not is_connected(graph):
         raise ValueError("diameter undefined: graph is disconnected")
     degrees = graph.degrees()
-    diameter = 0
-    for start in range(graph.node_count):
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for nb in graph.adjacency[node]:
-                    if nb not in dist:
-                        dist[nb] = dist[node] + 1
-                        nxt.append(nb)
-            frontier = nxt
-        diameter = max(diameter, max(dist.values()))
+    diameter = max(
+        max(hop_distances(graph, start).values()) for start in range(graph.node_count)
+    )
     return GraphStats(
         avg_degree=graph.avg_degree,
         min_degree=min(degrees),
@@ -298,7 +296,7 @@ def write_edge_list(graph: TopologyGraph, path) -> None:
             f.write(f"{i} {j}\n")
 
 
-def read_edge_list(path, node_count: int | None = None) -> TopologyGraph:
+def read_edge_list(path) -> TopologyGraph:
     edges = []
     highest = -1
     with open(path) as f:
@@ -312,9 +310,7 @@ def read_edge_list(path, node_count: int | None = None) -> TopologyGraph:
             i, j = int(parts[0]), int(parts[1])
             edges.append((i, j))
             highest = max(highest, i, j)
-    if node_count is None:
-        node_count = highest + 1
-    return TopologyGraph.from_edges(node_count, edges)
+    return TopologyGraph.from_edges(highest + 1, edges)
 
 
 def write_descriptor(

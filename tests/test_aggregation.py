@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
 from deltagossip.aggregation import (
+    STRATEGY_KINDS,
     IntegrationStrategy,
     LambdaSchedule,
     ModelUpdate,
@@ -13,6 +18,7 @@ from deltagossip.aggregation import (
     sample_weighted_integrate,
     variance_corrected_average,
 )
+from deltagossip.gossipsim import NodeState, integration_step
 from deltagossip.params import LayoutError, ParameterVector, make_layout
 
 REFERENCE_SCHEDULE = LambdaSchedule(offset=0.15, slope_divisor=1000.0, cap=0.35)
@@ -60,7 +66,7 @@ class TestLambdaValue:
 class TestAverageFullModels:
     def test_idempotent_on_identical(self):
         v = pv([1.5, -2.0, 3.0])
-        out = average_full_models([v, v.copy()])
+        out = average_full_models([v, pv(v.values)])
         np.testing.assert_array_equal(out.values, v.values)
 
     def test_two_scalars(self):
@@ -96,7 +102,7 @@ class TestAverageFullModels:
 class TestVarianceCorrectedAverage:
     def test_identical_inputs_plain_average(self):
         v = pv([1.0, 2.0, 3.0, 4.0])
-        out = variance_corrected_average([v, v.copy(), v.copy()])
+        out = variance_corrected_average([v, pv(v.values), pv(v.values)])
         np.testing.assert_allclose(out.values, v.values, rtol=0, atol=1e-12)
 
     def test_single_input_unchanged(self):
@@ -298,3 +304,101 @@ class TestIntegrationStrategy:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             IntegrationStrategy("median_of_means")
+
+
+# Property tests: the paper's identities over random layouts, node counts,
+# sample counts and lambda schedules. A fixed seed and no example database
+# keep every run identical.
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+layouts = st.lists(st.integers(1, 6), min_size=1, max_size=4).map(
+    lambda sizes: make_layout([(f"s{i}", n) for i, n in enumerate(sizes)])
+)
+lambda_schedules = st.builds(
+    lambda cap, share, divisor: LambdaSchedule(offset=cap * share, slope_divisor=divisor,
+                                               cap=cap),
+    st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(1.0, 5000.0),
+)
+
+
+@st.composite
+def update_groups(draw, min_size=1):
+    """(w, updates): on one random layout, a base w and min_size..8 updates with distinct ids."""
+    layout = draw(layouts)
+    size = sum(seg.length for seg in layout)
+    count = draw(st.integers(min_size, 8))
+    ids = draw(st.lists(st.integers(0, 99), min_size=count, max_size=count, unique=True))
+    samples = draw(st.lists(st.integers(0, 500), min_size=count, max_size=count)
+                   .filter(lambda ks: sum(ks) > 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+
+    def vec(sigma):
+        return ParameterVector(rng.normal(0.0, sigma * scale, size), layout)
+
+    updates = [ModelUpdate(i, 1, vec(1.0), vec(0.1), sample_count=k, epochs=1)
+               for i, k in zip(ids, samples)]
+    return vec(1.0), updates
+
+
+class TestAggregationProperties:
+    @hypothesis_seed(20250101)
+    @PROPERTY_SETTINGS
+    @given(update_groups(), lambda_schedules, st.integers(0, 10_000))
+    def test_delta_sum_is_mean_base_plus_damped_delta_sum(self, group, schedule, t):
+        _, updates = group
+        local, remotes = updates[0], updates[1:]
+        bases = np.array([u.base.values for u in updates])
+        deltas = np.array([u.delta.values for u in updates])
+        expected = bases.mean(axis=0) + lambda_value(schedule, t) * deltas.sum(axis=0)
+        out = delta_sum_integrate(local, remotes, schedule, t)
+        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+
+    @hypothesis_seed(20250102)
+    @PROPERTY_SETTINGS
+    @given(update_groups())
+    def test_sample_weighted_step_is_update_count_times_fedavg_step(self, group):
+        w, updates = group
+        fedavg_step = fedavg_integrate(w, updates).values - w.values
+        weighted_step = sample_weighted_integrate(w, updates).values - w.values
+        np.testing.assert_allclose(weighted_step, len(updates) * fedavg_step,
+                                   rtol=1e-9, atol=1e-12)
+
+    @hypothesis_seed(20250103)
+    @PROPERTY_SETTINGS
+    @given(
+        update_groups(min_size=2),
+        lambda_schedules,
+        st.integers(0, 10_000),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_strategy_is_bitwise_order_independent(self, group, schedule, t, random):
+        # The engine path: the node's own update plus an inbox filled in
+        # arbitrary arrival order.
+        w, (local, *remotes) = group
+        shuffled = random.sample(remotes, len(remotes))
+        for kind in STRATEGY_KINDS:
+            strategy = IntegrationStrategy(kind, schedule if kind == "delta_sum" else None)
+            results = [
+                integration_step(_receiver(w, local, arrivals), strategy, t, local)
+                for arrivals in (remotes, shuffled)
+            ]
+            assert np.array_equal(results[0].values, results[1].values), kind
+
+    @hypothesis_seed(20250104)
+    @PROPERTY_SETTINGS
+    @given(update_groups(), st.integers(1, 9))
+    def test_averaging_identical_models_returns_that_model(self, group, copies):
+        model = group[1][0].full_model()
+        for average in (average_full_models, variance_corrected_average):
+            out = average([model] * copies)
+            np.testing.assert_allclose(out.values, model.values, rtol=1e-12, atol=1e-15)
+
+
+def _receiver(w, local, arrivals):
+    """A node whose snapshot is w and whose inbox received ``arrivals`` in order."""
+    model = SimpleNamespace(weights=local.full_model())
+    state = NodeState(local.node_id, model, train_shard=None, local_val=None)
+    state.base_snapshot = w
+    for remote in arrivals:
+        state.receive(remote)
+    return state

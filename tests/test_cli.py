@@ -227,7 +227,13 @@ class TestStrictConfig:
 
     @pytest.mark.parametrize(
         "block, key, value",
-        [("schedule", "batch_size", "8"), ("dataset", "per_class", 40.0)],
+        [
+            ("schedule", "batch_size", "8"),
+            ("dataset", "per_class", 40.0),
+            ("schedule", "train_epochs", 10.0),
+            ("model", "hidden_dim", 4.0),
+            ("shards", "seed", True),
+        ],
     )
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, block, key, value):
         config = small_config(tmp_path)
@@ -235,8 +241,9 @@ class TestStrictConfig:
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps(config))
         assert main(["run", "--config", str(config_path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {block}: ")
-        assert not list(tmp_path.rglob("*.csv"))
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {block}: {key} ")
+        assert not Path(config["output_dir"]).exists()
 
     def test_readme_minimal_config_builds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -136,9 +136,11 @@ class TestNodeTrainPhase:
 class TestIntegrationStep:
     def test_empty_inbox_averaging_keeps_local_model(self):
         state = make_state()
-        train_and_package(state, 2)
+        update = train_and_package(state, 2)
         before = state.model.weights.values.copy()
-        new = integration_step(state, IntegrationStrategy("standard_averaging"), t=2)
+        new = integration_step(
+            state, IntegrationStrategy("standard_averaging"), t=2, local_update=update
+        )
         assert np.array_equal(new.values, before)
 
     def test_empty_inbox_delta_sum_damps_local_delta(self):

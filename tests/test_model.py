@@ -166,7 +166,7 @@ class TestTrainEpochs:
 
     def test_delta_applies_back_exactly(self):
         model = TrainableModel(self.cfg)
-        before = model.weights.copy()
+        before = model.weights
         delta = train_epochs(model, self.data, epochs=3, batch_size=16)
         reconstructed = before + delta
         assert np.array_equal(reconstructed.values, model.weights.values)

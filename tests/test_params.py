@@ -6,6 +6,7 @@ from deltagossip.params import (
     ParameterVector,
     Segment,
     make_layout,
+    require_ints,
     require_same_layout,
 )
 
@@ -86,10 +87,15 @@ def test_require_same_layout_empty():
         require_same_layout([])
 
 
-def test_copy_and_with_values():
+def test_require_ints_names_the_first_non_integer():
+    require_ints(a=3, b=np.int64(4))
+    for bad in (10.0, True, "8", None):
+        with pytest.raises(TypeError, match=r"^b must be an integer"):
+            require_ints(a=1, b=bad)
+
+
+def test_with_values():
     a = pv([1.0, 2.0])
-    c = a.copy()
-    assert np.array_equal(a.values, c.values) and a.layout == c.layout
     d = a.with_values(np.array([7.0, 8.0]))
     assert d.layout == a.layout
     np.testing.assert_array_equal(d.values, [7.0, 8.0])
