@@ -28,6 +28,7 @@ from .gossipsim import Forwarding, SimConfig, SimSchedule, run_simulation
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv
 from .model import ModelConfig
 from .netmodel import fedavg_rate, scenario_table
+from .params import require_ints
 from .topology import (
     TopologyConstraints,
     generate_semi_random,
@@ -111,6 +112,7 @@ def _load_dataset(spec, default_seed: int):
 
 
 def _generate_topology(nodes, seed, **constraints):
+    require_ints(nodes=nodes, seed=seed)
     return generate_semi_random(nodes, TopologyConstraints(**constraints), seed=seed)
 
 
@@ -127,9 +129,8 @@ def _load_topology(spec, where: str, default_seed: int):
 
 def _build_experiment(config: dict, seed_override: int | None):
     _check_keys("config", config, TOP_KEYS)
-    seed = config.get("seed", 0)
-    if seed_override is not None:
-        seed = seed_override
+    seed = config.get("seed", 0) if seed_override is None else seed_override
+    _call("config", require_ints, seed=seed)
 
     dataset, global_val, class_count = _load_dataset(
         _require(config, "dataset", "config"), default_seed=seed + 1

@@ -80,7 +80,7 @@ def synth_classification(
     pair is at least 4*noise_sigma apart, so the clusters stay separable.
     Samples are clipped to [0, 1].
     """
-    require_ints(classes=classes, dim=dim, per_class=per_class)
+    require_ints(classes=classes, dim=dim, per_class=per_class, seed=seed)
     if classes < 2:
         raise ValueError("need at least 2 classes")
     if per_class < 1:

@@ -7,14 +7,21 @@ sender (first_hop is the 1-hop walk), and every node merges its inbox with
 the configured strategy. After training, convergence rounds average full
 models with neighbors until the cluster agrees.
 
-Rounds are barriers: all sends are computed from pre-round state, and
-nodes train, integrate and are evaluated one at a time in ascending node
-order, so a run is a bit-reproducible function of its config and data.
+Rounds are barriers: all sends are computed from pre-round state. Nodes
+share ModelConfig.seed, so nodes with equal train-shard size draw the same
+batches every epoch; each such group trains as one stacked SGD step per
+batch, bitwise equal to training its nodes one by one. Packaging,
+integration and evaluation go one node at a time in ascending node order,
+so a run is a bit-reproducible function of its config and data. A failure
+in any phase is a SimulationError naming the node.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .aggregation import (
     IntegrationStrategy,
@@ -27,7 +34,14 @@ from .aggregation import (
 )
 from .dataset import DatasetShard, ShardPlan, shard_equal
 from .metrics import MetricsRecord
-from .model import ModelConfig, TrainableModel, evaluate, init_weights, train_epochs
+from .model import (
+    ModelConfig,
+    TrainableModel,
+    TrainingError,
+    evaluate,
+    init_weights,
+    train_epochs,
+)
 from .params import ParameterVector, require_ints
 from .topology import TopologyConstraints, TopologyGraph, hop_distances
 from .topology import validate as validate_topology
@@ -103,10 +117,8 @@ class NodeState:
         self.seen: set[tuple[int, int]] = set()
 
     def train_one_epoch(self, batch_size: int) -> None:
-        train_epochs(
-            self.model, self.train_shard, 1, batch_size, start_epoch=self.epoch_counter
-        )
-        self.epoch_counter += 1
+        """One SGD epoch for this node alone: a training group of one."""
+        TrainingGroup([self]).train_one_epoch(batch_size)
 
     def package_update(self, round_index: int) -> ModelUpdate:
         """Base snapshot plus everything learned since it was taken.
@@ -134,6 +146,35 @@ class NodeState:
             )
         self.seen.add(key)
         self.inbox[key] = update
+
+
+class TrainingGroup:
+    """Nodes with one train-shard size, in node-id order, and their stacked shards.
+
+    The shards are stacked once, when the group is made; every epoch then
+    trains all members with one stacked SGD step per batch.
+    """
+
+    def __init__(self, members: list[NodeState]):
+        self.members = members
+        self.inputs = np.stack([s.train_shard.inputs for s in members])
+        self.labels = np.stack([s.train_shard.labels for s in members])
+
+    def train_one_epoch(self, batch_size: int) -> None:
+        """Raises TrainingError, whose row indexes ``members``, if a member fails."""
+        train_epochs([s.model for s in self.members], self.inputs, self.labels, 1,
+                     batch_size, start_epoch=self.members[0].epoch_counter)
+        for state in self.members:
+            state.epoch_counter += 1
+
+
+@contextmanager
+def _failing_node(node_id: int, where: str):
+    """Re-raise a ValueError or FloatingPointError as a SimulationError naming the node."""
+    try:
+        yield
+    except (ValueError, FloatingPointError) as err:
+        raise SimulationError(f"node {node_id} {where}: {err}") from err
 
 
 def disseminate(graph: TopologyGraph, sender: int, forwarding: Forwarding) -> set[int]:
@@ -185,12 +226,16 @@ def integration_step(
     return new_weights
 
 
-def convergence_round(states, graph: TopologyGraph) -> None:
-    """One synchronous round of plain full-model neighborhood averaging."""
+def convergence_round(states, graph: TopologyGraph, where: str = "convergence") -> None:
+    """One synchronous round of plain full-model neighborhood averaging.
+
+    A node whose average fails raises SimulationError("node <id> <where>: ...").
+    """
     snapshot = [s.model.weights for s in states]
     for i, state in enumerate(states):
         group = [snapshot[i]] + [snapshot[j] for j in graph.adjacency[i]]
-        state.model.weights = average_full_models(group)
+        with _failing_node(state.node_id, where):
+            state.model.weights = average_full_models(group)
 
 
 def run_simulation(
@@ -218,7 +263,13 @@ def run_simulation(
         for i, (train, lval) in enumerate(per_node)
     ]
 
+    by_size: dict[int, list[NodeState]] = {}
+    for state in states:
+        by_size.setdefault(state.train_shard.size, []).append(state)
+    groups = [TrainingGroup(members) for members in by_size.values()]
+
     schedule = config.schedule
+    kind = config.strategy.kind
     records: list[MetricsRecord] = []
 
     def record_all(index: int, phase: str) -> None:
@@ -238,11 +289,15 @@ def run_simulation(
             )
 
     for epoch in range(1, schedule.train_epochs + 1):
-        for state in states:
+        failures = []
+        for group in groups:
             try:
-                state.train_one_epoch(schedule.batch_size)
-            except (ValueError, FloatingPointError) as err:
-                raise SimulationError(f"node {state.node_id} epoch {epoch}: {err}") from err
+                group.train_one_epoch(schedule.batch_size)
+            except TrainingError as err:
+                failures.append((group.members[err.row].node_id, err))
+        if failures:
+            node_id, err = min(failures, key=lambda failure: failure[0])
+            raise SimulationError(f"node {node_id} epoch {epoch}: {err}") from err
 
         if epoch % schedule.integrate_every == 0:
             round_index = epoch // schedule.integrate_every
@@ -250,17 +305,19 @@ def run_simulation(
             for state, update in zip(states, updates):
                 for receiver in sorted(disseminate(graph, state.node_id, config.forwarding)):
                     states[receiver].receive(update)
+            where = f"integration round {round_index} ({kind})"
             for state, update in zip(states, updates):
-                integration_step(
-                    state, config.strategy, t=state.epoch_counter, local_update=update
-                )
+                with _failing_node(state.node_id, where):
+                    integration_step(
+                        state, config.strategy, t=state.epoch_counter, local_update=update
+                    )
 
         record_all(epoch, "train")
         if observer is not None:
             observer("train", epoch, states)
 
     for rnd in range(schedule.train_epochs + 1, schedule.convergence_until_round + 1):
-        convergence_round(states, graph)
+        convergence_round(states, graph, f"convergence round {rnd} ({kind})")
         record_all(rnd, "convergence")
         if observer is not None:
             observer("convergence", rnd, states)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +75,24 @@ def aggregate_across_nodes(records):
 
 
 def export_csv(rows, path) -> None:
-    """Write aggregate rows with fixed 6-decimal formatting (bit-stable)."""
-    with open(path, "w", newline="") as f:
-        f.write("index,test_acc_min,test_acc_median,test_acc_max\n")
-        for row in rows:
-            f.write(
-                f"{row.index},{row.test_acc_min:.6f},"
-                f"{row.test_acc_median:.6f},{row.test_acc_max:.6f}\n"
-            )
+    """Write aggregate rows with fixed 6-decimal formatting (bit-stable).
+
+    The rows go to ``<path>.tmp`` first, which then replaces ``path``, so an
+    interrupted write never leaves a truncated CSV.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.write("index,test_acc_min,test_acc_median,test_acc_max\n")
+            for row in rows:
+                f.write(
+                    f"{row.index},{row.test_acc_min:.6f},"
+                    f"{row.test_acc_median:.6f},{row.test_acc_max:.6f}\n"
+                )
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)  # only still there if the write failed
 
 
 def read_csv(path):

@@ -84,9 +84,77 @@ def init_weights(config: ModelConfig) -> ParameterVector:
     return ParameterVector(values, layout)
 
 
+DIM_MISMATCH = "batch feature dimension does not match the model"
+LABELS_EXCEED = "batch labels exceed the model class count"
+NON_FINITE_LOSS = "non-finite loss"
+NON_FINITE_WEIGHTS = "parameter values must be finite"
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _layers(config: ModelConfig, w: np.ndarray):
+    """(hidden_w, hidden_b, out_w, out_b) of weights w (..., P) as views.
+
+    The leading axes of w are kept, and each bias gets a sample axis so that
+    it broadcasts over a batch. The hidden pair is None at hidden_dim=0.
+    """
+    d, h, k = config.input_dim, config.hidden_dim, config.class_count
+    lead = w.shape[:-1]
+    out = h * (d + 1)  # out_w starts past hidden_w and hidden_b
+    w2, b2 = w[..., out:-k].reshape(*lead, -1, k), w[..., None, -k:]
+    if h == 0:
+        return None, None, w2, b2
+    return w[..., : d * h].reshape(*lead, d, h), w[..., None, d * h : out], w2, b2
+
+
+def _forward(config: ModelConfig, w: np.ndarray, x: np.ndarray):
+    """(hidden activations, logits) for inputs x (..., n, d) under weights w (..., P).
+
+    Leading axes pair each model with its own inputs; a single model is the
+    2-d case. The hidden layer is x itself at hidden_dim=0.
+    """
+    w1, b1, w2, b2 = _layers(config, w)
+    hidden = x if w1 is None else np.tanh(x @ w1 + b1)
+    return hidden, hidden @ w2 + b2
+
+
+def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy (...) and its gradient (..., P) over the leading axes of w.
+
+    The gradient's segments follow the layout: hidden_w, hidden_b, out_w, out_b.
+    """
+    hidden, logits = _forward(config, w, x)
+    log_probs = _log_softmax(logits)
+    pick = (*np.indices(y.shape, sparse=True), y)  # each sample's true-class entry
+    loss = -log_probs[pick].mean(axis=-1)
+
+    d_logits = np.exp(log_probs)
+    d_logits[pick] -= 1.0
+    d_logits /= y.shape[-1]
+
+    grads = [np.swapaxes(hidden, -1, -2) @ d_logits, d_logits.sum(axis=-2)]  # out_w, out_b
+    if config.hidden_dim > 0:
+        w2 = _layers(config, w)[2]
+        d_hidden = (d_logits @ np.swapaxes(w2, -1, -2)) * (1.0 - hidden**2)
+        grads = [np.swapaxes(x, -1, -2) @ d_hidden, d_hidden.sum(axis=-2), *grads]
+    lead = w.shape[:-1]
+    return loss, np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
+
+
+class TrainingError(ValueError):
+    """Training failed for one model of a group.
+
+    ``row`` indexes the model in its group and ``epoch`` is the absolute
+    epoch index in which it failed.
+    """
+
+    def __init__(self, row: int, epoch: int, message: str):
+        super().__init__(message)
+        self.row = row
+        self.epoch = epoch
 
 
 class TrainableModel:
@@ -101,49 +169,25 @@ class TrainableModel:
             raise ValueError("weights do not match the model layout")
         self.weights = weights
 
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(hidden activations, logits); the hidden layer is x itself at hidden_dim=0."""
-        cfg, w = self.config, self.weights
-        hidden = x
-        if cfg.hidden_dim > 0:
-            w1 = w.segment("hidden_w").reshape(cfg.input_dim, cfg.hidden_dim)
-            hidden = np.tanh(x @ w1 + w.segment("hidden_b"))
-        w2 = w.segment("out_w").reshape(-1, cfg.class_count)
-        return hidden, hidden @ w2 + w.segment("out_b")
-
     def logits(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"expected inputs of shape (n, {self.config.input_dim}), got {inputs.shape}"
             )
-        return self._forward(inputs)[1]
+        return _forward(self.config, self.weights.values, inputs)[1]
 
     def loss_and_gradient(self, batch: Batch) -> tuple[float, ParameterVector]:
         """Mean cross-entropy over the batch and its gradient."""
         cfg = self.config
         if batch.inputs.shape[1] != cfg.input_dim:
-            raise ValueError("batch feature dimension does not match the model")
+            raise ValueError(DIM_MISMATCH)
         if batch.labels.max() >= cfg.class_count:
-            raise ValueError("batch labels exceed the model class count")
-
-        x, y, n = batch.inputs, batch.labels, batch.size
-        hidden, logits = self._forward(x)
-        log_probs = _log_softmax(logits)
-        loss = float(-log_probs[np.arange(n), y].mean())
+            raise ValueError(LABELS_EXCEED)
+        loss, grad = _loss_and_gradient(cfg, self.weights.values, batch.inputs, batch.labels)
         if not np.isfinite(loss):
-            raise FloatingPointError("non-finite loss")
-
-        d_logits = np.exp(log_probs)
-        d_logits[np.arange(n), y] -= 1.0
-        d_logits /= n
-
-        grads = [(hidden.T @ d_logits).ravel(), d_logits.sum(axis=0)]  # out_w, out_b
-        if cfg.hidden_dim > 0:
-            w2 = self.weights.segment("out_w").reshape(cfg.hidden_dim, cfg.class_count)
-            d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
-            grads = [(x.T @ d_hidden).ravel(), d_hidden.sum(axis=0), *grads]
-        return loss, self.weights.with_values(np.concatenate(grads))
+            raise FloatingPointError(NON_FINITE_LOSS)
+        return float(loss), self.weights.with_values(grad)
 
 
 def sgd_batch_step(model: TrainableModel, batch: Batch) -> ParameterVector:
@@ -154,37 +198,85 @@ def sgd_batch_step(model: TrainableModel, batch: Batch) -> ParameterVector:
 
 
 def train_epochs(
-    model: TrainableModel,
-    shard: DatasetShard,
+    models,
+    inputs: np.ndarray,
+    labels: np.ndarray,
     epochs: int,
     batch_size: int,
     start_epoch: int = 0,
-) -> ParameterVector:
-    """Mini-batch SGD for the given number of epochs; returns the weight delta.
+) -> list[ParameterVector]:
+    """Mini-batch SGD on a group of models; returns each model's weight delta.
 
+    The models share one ModelConfig and train on shards of one size,
+    stacked as ``inputs`` (G, n, d) and ``labels`` (G, n), row g for
+    ``models[g]``; a single model is a group of one (``shard.inputs[None]``).
     Shuffling is a deterministic permutation of (model seed, absolute epoch
-    index), so replays and staggered single-epoch calls agree. The final
-    weights are recomposed as before + delta, which makes the delta apply
-    back bitwise.
+    index), so the whole group walks the same batches, replays agree, and
+    staggered single-epoch calls walk the same sequence as one long call.
+    Each batch is one stacked step over the group, bitwise equal to training
+    every model on its own. Each model's final weights are recomposed as
+    before + delta, which makes the delta apply back bitwise.
+
+    A failing model (non-finite loss or weights, labels beyond the class
+    count) raises TrainingError for the lowest failing row of the first
+    epoch in which any row fails; no model is updated then.
     """
+    models = list(models)
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if shard.size < 1:
+    if not models:
+        raise ValueError("need at least one model")
+    cfg = models[0].config
+    if any(m.config != cfg for m in models):
+        raise ValueError("models of one group must share one ModelConfig")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if inputs.ndim != 3 or labels.shape != inputs.shape[:2] or len(labels) != len(models):
+        raise ValueError("need inputs (G, n, d) and labels (G, n) for G models")
+    size = labels.shape[1]
+    if size < 1:
         raise ValueError("cannot train on an empty shard")
+    if inputs.shape[2] != cfg.input_dim:
+        raise TrainingError(0, start_epoch, DIM_MISMATCH)
 
-    before = model.weights
+    # Rows with out-of-range labels fail in the first epoch; they train on
+    # class 0 meanwhile so that the other rows' failures can still be found.
+    out_of_range = np.flatnonzero(labels.max(axis=1) >= cfg.class_count)
+    failures = {int(r): LABELS_EXCEED for r in out_of_range}
+    if failures:
+        labels = np.where(labels < cfg.class_count, labels, 0)
+
+    w = np.stack([m.weights.values for m in models])
     for e in range(epochs):
-        order = np.random.default_rng(
-            [model.config.seed, start_epoch + e]
-        ).permutation(shard.size)
-        for lo in range(0, shard.size, batch_size):
-            idx = order[lo : lo + batch_size]
-            sgd_batch_step(model, Batch(shard.inputs[idx], shard.labels[idx]))
-    delta = model.weights - before
-    model.weights = before + delta
-    return delta
+        order = np.random.default_rng([cfg.seed, start_epoch + e]).permutation(size)
+        # A failed row computes on inf/NaN until the epoch ends; its warnings
+        # would say nothing that the TrainingError does not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, size, batch_size):
+                # take, unlike inputs[:, idx], returns C-contiguous rows: every
+                # model's matmuls see the strides a lone model's batch has.
+                idx = order[lo : lo + batch_size]
+                x, y = inputs.take(idx, axis=1), labels.take(idx, axis=1)
+                loss, grad = _loss_and_gradient(cfg, w, x, y)
+                w = w - cfg.learning_rate * grad
+                if not (np.isfinite(loss).all() and np.isfinite(w).all()):
+                    bad_loss = ~np.isfinite(loss)
+                    for r in np.flatnonzero(bad_loss | ~np.isfinite(w).all(axis=1)):
+                        failures.setdefault(
+                            int(r), NON_FINITE_LOSS if bad_loss[r] else NON_FINITE_WEIGHTS
+                        )
+        if failures:
+            row = min(failures)
+            raise TrainingError(row, start_epoch + e, failures[row])
+
+    deltas = []
+    for model, after in zip(models, w):
+        delta = model.weights.with_values(after - model.weights.values)
+        model.weights = model.weights + delta
+        deltas.append(delta)
+    return deltas
 
 
 def centralized_reference_train(
@@ -198,7 +290,7 @@ def centralized_reference_train(
     if union.dim != config.input_dim:
         raise ValueError("shard feature dimension does not match the config")
     model = TrainableModel(config)
-    train_epochs(model, union, epochs, batch_size)
+    train_epochs([model], union.inputs[None], union.labels[None], epochs, batch_size)
     return model.weights
 
 

@@ -233,11 +233,15 @@ class TestStrictConfig:
             ("schedule", "train_epochs", 10.0),
             ("model", "hidden_dim", 4.0),
             ("shards", "seed", True),
+            ("topologies[0]", "nodes", 4.0),
+            ("config", "seed", 1.5),
+            ("dataset", "seed", 1.5),
         ],
     )
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, block, key, value):
         config = small_config(tmp_path)
-        config[block][key] = value
+        blocks = {"config": config, "topologies[0]": config["topologies"][0]}
+        blocks.get(block, config.get(block))[key] = value
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps(config))
         assert main(["run", "--config", str(config_path)]) == 1

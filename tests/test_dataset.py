@@ -36,7 +36,7 @@ class TestSynthClassification:
         cfg = ModelConfig(input_dim=2, class_count=2, hidden_dim=0,
                           learning_rate=0.5, seed=1)
         model = TrainableModel(cfg)
-        train_epochs(model, data, 50, 16)
+        train_epochs([model], data.inputs[None], data.labels[None], 50, 16)
         assert evaluate(model, data)[0] >= 0.99
 
     def test_invalid_sizes(self):

@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
+from deltagossip import gossipsim
 from deltagossip.aggregation import IntegrationStrategy, LambdaSchedule, ModelUpdate
-from deltagossip.dataset import DatasetShard, ShardPlan, synth_classification
+from deltagossip.dataset import DatasetShard, ShardPlan, shard_equal, synth_classification
 from deltagossip.gossipsim import (
     Forwarding,
     NodeState,
@@ -14,7 +19,8 @@ from deltagossip.gossipsim import (
     integration_step,
     run_simulation,
 )
-from deltagossip.model import ModelConfig, TrainableModel
+from deltagossip.metrics import aggregate_across_nodes, export_csv
+from deltagossip.model import ModelConfig, TrainableModel, TrainingError, train_epochs
 from deltagossip.params import ParameterVector, make_layout
 from deltagossip.topology import TopologyConstraints, TopologyGraph, generate_semi_random
 
@@ -250,7 +256,7 @@ class TestConvergenceRound:
             np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
 
 
-def small_sim_config(strategy_kind="delta_sum", seed=5, nodes=4):
+def small_sim_config(strategy_kind="delta_sum", seed=5, nodes=4, hidden=0):
     graph = generate_semi_random(
         nodes, TopologyConstraints(target_avg_degree=2.5), seed=seed
     )
@@ -266,7 +272,7 @@ def small_sim_config(strategy_kind="delta_sum", seed=5, nodes=4):
             train_epochs=10, integrate_every=5, convergence_until_round=14, batch_size=8
         ),
         model_config=ModelConfig(
-            input_dim=4, class_count=3, hidden_dim=0, learning_rate=0.1, seed=2
+            input_dim=4, class_count=3, hidden_dim=hidden, learning_rate=0.1, seed=2
         ),
         shard_plan=ShardPlan(node_count=nodes, train_fraction=0.8, seed=9),
     )
@@ -346,6 +352,117 @@ class TestRunSimulation:
                 updates[0].delta.values + updates[1].delta.values
             )
             assert np.array_equal(states[0].model.weights.values, expected)
+
+
+# CSV sha256 of two 7-node runs whose train shards hold 31 and 30 samples,
+# taken from the node-by-node trainer before shard-size groups trained as
+# one stacked SGD step: the stacked engine must reproduce its bytes exactly.
+GOLDEN_CSV_SHA256 = {
+    ("delta_sum", 8): "8a9a44be0eda30bfaf499e6731b5abf421a29ff9fa3cf12a821451e94c1be757",
+    ("variance_corrected", 0): "e4e4708914ac55d8b31e90de0ef0f5e6c7126037735d0e69055e1592fb2fb8ca",
+}
+
+
+def golden_data():
+    return synth_classification(3, 4, 100, seed=0, noise_sigma=0.12)
+
+
+class TestGoldenDigest:
+    @pytest.mark.parametrize("kind, hidden", sorted(GOLDEN_CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, tmp_path, kind, hidden):
+        config = small_sim_config(strategy_kind=kind, nodes=7, hidden=hidden)
+        data = golden_data()
+        per_node, _ = shard_equal(data, config.shard_plan)
+        assert sorted({train.size for train, _ in per_node}) == [30, 31]
+        path = tmp_path / "run.csv"
+        export_csv(aggregate_across_nodes(run_simulation(config, data)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_CSV_SHA256[(kind, hidden)]
+
+
+def first_failure_node_by_node(per_node, model_config, epochs, batch_size=8):
+    """What the first failure is when each node trains alone, node after node, epoch after epoch."""
+    models = [TrainableModel(model_config) for _ in per_node]
+    for epoch in range(1, epochs + 1):
+        for node, ((train, _), model) in enumerate(zip(per_node, models)):
+            try:
+                train_epochs([model], train.inputs[None], train.labels[None], 1, batch_size,
+                             start_epoch=epoch - 1)
+            except TrainingError as err:
+                return f"node {node} epoch {epoch}: {err}"
+    return None
+
+
+class TestFailureContext:
+    def test_divergence_names_the_node_and_epoch_of_node_by_node_training(self, monkeypatch):
+        # One huge input in the train shards of nodes 1 and 3 (same shard
+        # size, one training group) overflows their logits at its second
+        # visit, in epoch 2. Node 3 meets it at batch 0 of that epoch and
+        # node 1 only at batch 2, yet node 1 is the node to name: the engine
+        # must report what training node after node would have hit first.
+        # No integration precedes the failure (integrate_every is
+        # train_epochs), so training alone is the whole oracle.
+        hot_rows = {1: 19, 3: 3}
+        shard_equal_of_run = gossipsim.shard_equal
+
+        def with_hot_rows(*args, **kwargs):
+            per_node, gval = shard_equal_of_run(*args, **kwargs)
+            for node, row in hot_rows.items():
+                train, val = per_node[node]
+                inputs = train.inputs.copy()
+                inputs[row] *= 3e155
+                per_node[node] = (DatasetShard(inputs, train.labels), val)
+            return per_node, gval
+
+        monkeypatch.setattr(gossipsim, "shard_equal", with_hot_rows)
+        config = dataclasses.replace(
+            small_sim_config(strategy_kind="standard_averaging", nodes=7),
+            schedule=SimSchedule(train_epochs=6, integrate_every=6,
+                                 convergence_until_round=6, batch_size=8),
+        )
+        data = golden_data()
+        per_node, _ = gossipsim.shard_equal(data, config.shard_plan)
+        order = np.random.default_rng([config.model_config.seed, 1]).permutation(31)
+        assert [int(np.flatnonzero(order == hot_rows[n])[0]) // 8 for n in (1, 3)] == [2, 0]
+
+        expected = first_failure_node_by_node(per_node, config.model_config, epochs=6)
+        assert expected == "node 1 epoch 2: non-finite loss"
+
+        with pytest.raises(SimulationError) as info:
+            run_simulation(config, data)
+        assert str(info.value) == expected
+
+    def test_integration_failure_names_node_round_and_strategy(self, monkeypatch):
+        integrate = gossipsim.delta_sum_integrate
+
+        def failing(local, remotes, schedule, t):
+            if (local.node_id, local.round) == (2, 2):
+                raise FloatingPointError("overflow")
+            return integrate(local, remotes, schedule, t)
+
+        monkeypatch.setattr(gossipsim, "delta_sum_integrate", failing)
+        with pytest.raises(SimulationError) as info:
+            run_simulation(small_sim_config("delta_sum"), tiny_shard(per_class=40))
+        assert str(info.value) == "node 2 integration round 2 (delta_sum): overflow"
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_convergence_failure_names_node_round_and_strategy(self, monkeypatch):
+        # Under delta_sum only convergence rounds average full models; the
+        # 4-node run converges over rounds 11-14, so call 6 is node 2 in round 12.
+        average = gossipsim.average_full_models
+        calls = itertools.count()
+
+        def failing(models):
+            if next(calls) == 6:
+                raise ValueError("parameter values must be finite")
+            return average(models)
+
+        monkeypatch.setattr(gossipsim, "average_full_models", failing)
+        with pytest.raises(SimulationError) as info:
+            run_simulation(small_sim_config("delta_sum"), tiny_shard(per_class=40))
+        assert str(info.value) == (
+            "node 2 convergence round 12 (delta_sum): parameter values must be finite"
+        )
 
 
 class TestScheduleValidation:

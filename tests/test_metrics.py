@@ -97,6 +97,19 @@ class TestExportCsv:
         export_csv(rows, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        export_csv([AggregateRow(1, 0.1, 0.2, 0.3)], path)
+        before = path.read_bytes()
+        # the second row cannot be formatted, after the header and first row were written
+        failing = [AggregateRow(1, 0.4, 0.5, 0.6), AggregateRow(2, "x", 0.5, 0.6)]
+        with pytest.raises(ValueError):
+            export_csv(failing, path)
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError):
+            export_csv(failing, tmp_path / "new.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
 
 class TestAccuracyDropRatio:
     def test_headline_scaling_comparison(self):

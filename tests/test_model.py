@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
 from deltagossip.dataset import ShardPlan, shard_equal, synth_classification
 from deltagossip.model import (
     Batch,
     ModelConfig,
     TrainableModel,
+    TrainingError,
     centralized_reference_train,
     evaluate,
     init_weights,
@@ -14,6 +17,12 @@ from deltagossip.model import (
 )
 from deltagossip.dataset import DatasetShard
 from deltagossip.params import ParameterVector, make_layout
+
+
+def train_alone(model, shard, epochs, batch_size, start_epoch=0):
+    """Train one model as a group of one; its weight delta."""
+    return train_epochs([model], shard.inputs[None], shard.labels[None], epochs, batch_size,
+                        start_epoch)[0]
 
 
 def random_batch(rng, dim, classes, size=8):
@@ -167,37 +176,130 @@ class TestTrainEpochs:
     def test_delta_applies_back_exactly(self):
         model = TrainableModel(self.cfg)
         before = model.weights
-        delta = train_epochs(model, self.data, epochs=3, batch_size=16)
+        delta = train_alone(model, self.data, epochs=3, batch_size=16)
         reconstructed = before + delta
         assert np.array_equal(reconstructed.values, model.weights.values)
 
     def test_zero_epochs_rejected(self):
         model = TrainableModel(self.cfg)
         with pytest.raises(ValueError):
-            train_epochs(model, self.data, epochs=0, batch_size=16)
+            train_alone(model, self.data, epochs=0, batch_size=16)
 
     def test_empty_shard_rejected(self):
         model = TrainableModel(self.cfg)
         empty = DatasetShard(np.zeros((0, 4)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            train_epochs(model, empty, epochs=1, batch_size=16)
+            train_alone(model, empty, epochs=1, batch_size=16)
 
     def test_replay_identical_deltas(self):
-        d1 = train_epochs(TrainableModel(self.cfg), self.data, 4, 16)
-        d2 = train_epochs(TrainableModel(self.cfg), self.data, 4, 16)
+        d1 = train_alone(TrainableModel(self.cfg), self.data, 4, 16)
+        d2 = train_alone(TrainableModel(self.cfg), self.data, 4, 16)
         assert np.array_equal(d1.values, d2.values)
 
     def test_staggered_epochs_match_single_call(self):
         # four 1-epoch calls at the right start offsets walk the same shuffle
         # sequence as one 4-epoch call (up to per-call recomposition ulps)
         m1 = TrainableModel(self.cfg)
-        train_epochs(m1, self.data, 4, 16)
+        train_alone(m1, self.data, 4, 16)
         m2 = TrainableModel(self.cfg)
         for e in range(4):
-            train_epochs(m2, self.data, 1, 16, start_epoch=e)
+            train_alone(m2, self.data, 1, 16, start_epoch=e)
         np.testing.assert_allclose(
             m1.weights.values, m2.weights.values, rtol=1e-12, atol=1e-15
         )
+
+
+def step_alone(model, inputs, labels, epochs, batch_size, start_epoch=0):
+    """Reference trainer: one model, one sgd_batch_step per batch, recomposed as before + delta."""
+    before = model.weights
+    for e in range(epochs):
+        order = np.random.default_rng([model.config.seed, start_epoch + e]).permutation(
+            len(labels))
+        for lo in range(0, len(labels), batch_size):
+            idx = order[lo : lo + batch_size]
+            sgd_batch_step(model, Batch(inputs[idx], labels[idx]))
+    delta = model.weights - before
+    model.weights = before + delta
+    return delta
+
+
+@st.composite
+def training_runs(draw):
+    """A model config, a batch size of at least 2, epochs from a start_epoch, and two
+    groups of models on random weights and data, with shard sizes n + 1 and n."""
+    cfg = ModelConfig(
+        input_dim=draw(st.integers(1, 5)),
+        class_count=draw(st.integers(2, 4)),
+        hidden_dim=draw(st.sampled_from([0, 1, 4])),
+        learning_rate=draw(st.sampled_from([0.05, 0.5])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = len(init_weights(cfg))
+    groups = []
+    for shard_size in (n + 1, n):
+        count = draw(st.integers(1, 5))
+        models = [TrainableModel(cfg, init_weights(cfg).with_values(rng.normal(0, 0.5, size)))
+                  for _ in range(count)]
+        inputs = rng.uniform(0, 1, (count, shard_size, cfg.input_dim))
+        labels = rng.integers(0, cfg.class_count, (count, shard_size))
+        groups.append((models, inputs, labels))
+    schedule = (draw(st.integers(2, 7)), draw(st.integers(1, 3)), draw(st.integers(0, 50)))
+    return groups, schedule
+
+
+class TestGroupTraining:
+    @hypothesis_seed(20250201)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(training_runs())
+    def test_stacked_group_equals_each_model_alone(self, run):
+        # Of two consecutive shard sizes at least one is not a multiple of
+        # the batch size, so every run has a short last batch.
+        groups, (batch_size, epochs, start_epoch) = run
+        for models, inputs, labels in groups:
+            alone = [TrainableModel(m.config, m.weights) for m in models]
+            stepped = [TrainableModel(m.config, m.weights) for m in models]
+            deltas = train_epochs(models, inputs, labels, epochs, batch_size, start_epoch)
+            for g, model in enumerate(models):
+                [delta] = train_epochs([alone[g]], inputs[g][None], labels[g][None], epochs,
+                                       batch_size, start_epoch)
+                reference = step_alone(stepped[g], inputs[g], labels[g], epochs, batch_size,
+                                       start_epoch)
+                for other, other_delta in ((alone[g], delta), (stepped[g], reference)):
+                    assert np.array_equal(model.weights.values, other.weights.values)
+                    assert np.array_equal(deltas[g].values, other_delta.values)
+
+    def test_failure_names_the_lowest_failing_row_of_the_first_failing_epoch(self):
+        cfg = ModelConfig(input_dim=2, class_count=2, learning_rate=0.1, seed=3)
+        rng = np.random.default_rng(0)
+        inputs = rng.uniform(0, 1, (4, 10, 2))
+        labels = rng.integers(0, 2, (4, 10))
+        # Huge inputs overflow the logits once the weights have grown: row 3
+        # (all samples) at its second batch of epoch 0, row 1 (one sample,
+        # labelled against the start model's prediction so that it moves the
+        # weights) at that sample's second visit, in epoch 1. Row 2 holds a
+        # label beyond the class count, which fails it in epoch 0.
+        inputs[3, :, :] *= 3e155
+        inputs[1, 0, :] *= 1e156
+        labels[1, 0] = 1
+        labels[2, 0] = 2
+        models = [TrainableModel(cfg) for _ in range(4)]
+        start = [m.weights for m in models]
+        with pytest.raises(TrainingError) as info:
+            train_epochs(models, inputs, labels, 3, 4, start_epoch=0)
+        assert (info.value.row, info.value.epoch) == (2, 0)
+        assert str(info.value) == "batch labels exceed the model class count"
+        assert all(m.weights is w for m, w in zip(models, start))
+
+        labels[2, 0] = 0  # now row 1 is lower but fails an epoch later than row 3
+        with pytest.raises(TrainingError) as info:
+            train_epochs(models, inputs, labels, 3, 4, start_epoch=0)
+        assert (info.value.row, info.value.epoch) == (3, 0)
+        assert str(info.value) == "non-finite loss"
+        with pytest.raises(TrainingError) as info:
+            train_epochs(models[:3], inputs[:3], labels[:3], 3, 4, start_epoch=0)
+        assert (info.value.row, info.value.epoch) == (1, 1)
 
 
 class TestCentralizedReference:
@@ -205,7 +307,7 @@ class TestCentralizedReference:
         data = synth_classification(3, 4, 40, seed=6, noise_sigma=0.05)
         cfg = ModelConfig(input_dim=4, class_count=3, learning_rate=0.1, seed=5)
         model = TrainableModel(cfg)
-        train_epochs(model, data, 10, 16)
+        train_alone(model, data, 10, 16)
         reference = centralized_reference_train([data], cfg, 10, batch_size=16)
         assert np.array_equal(model.weights.values, reference.values)
 
@@ -231,7 +333,7 @@ class TestCentralizedReference:
         )[0]
         for shard in shards:
             model = TrainableModel(cfg)
-            train_epochs(model, shard, 50, 16)
+            train_alone(model, shard, 50, 16)
             assert central_acc >= evaluate(model, gval)[0]
 
     def test_no_shards_rejected(self):
