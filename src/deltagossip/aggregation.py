@@ -50,15 +50,12 @@ class ModelUpdate:
     base: ParameterVector
     delta: ParameterVector
     sample_count: int
-    epochs: int
 
     def __post_init__(self):
         if not self.base.same_layout(self.delta):
             raise ValueError("base and delta must share one layout")
         if self.sample_count < 0:
             raise ValueError("sample_count must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
 
     def full_model(self) -> ParameterVector:
         """Reconstruct the node's current weights (base + delta)."""

@@ -184,14 +184,19 @@ def _build_experiment(config: dict, seed_override: int | None):
     return dataset, global_val, runs
 
 
+def _reject_constant(name: str):
+    """json.load accepts NaN, Infinity and -Infinity, which strict JSON does not."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.config) as f:
-            config = json.load(f)
+            config = json.load(f, parse_constant=_reject_constant)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError or a rejected constant
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ from .params import require_ints
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+GLOBAL_HOLDOUT_FRACTION = 0.1  # of a dataset with no designated global validation set
 
 
 class IdxFormatError(ValueError):
@@ -172,18 +173,13 @@ def concat_shards(shards) -> DatasetShard:
     )
 
 
-def shard_equal(
-    dataset: DatasetShard,
-    plan: ShardPlan,
-    global_val: DatasetShard | None = None,
-    holdout_fraction: float = 0.1,
-):
+def shard_equal(dataset: DatasetShard, plan: ShardPlan, global_val: DatasetShard | None = None):
     """Split a dataset into equal per-node (train, local_val) shards.
 
     When ``global_val`` is given (e.g. a designated test split) the whole
-    dataset is sharded; otherwise ``holdout_fraction`` of it is held out
-    first as the shared global validation set. Every source sample lands in
-    exactly one bucket.
+    dataset is sharded; otherwise GLOBAL_HOLDOUT_FRACTION of it, at least
+    one sample and leaving one per node, is held out first as the shared
+    global validation set. Every source sample lands in exactly one bucket.
 
     Returns (per_node, global_val) where per_node is a list of
     (train, local_val) shard pairs, one entry per node.
@@ -196,9 +192,7 @@ def shard_equal(
     perm = rng.permutation(dataset.size)
 
     if global_val is None:
-        if not 0.0 < holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
-        held = int(round(dataset.size * holdout_fraction))
+        held = int(round(dataset.size * GLOBAL_HOLDOUT_FRACTION))
         held = max(1, min(held, dataset.size - plan.node_count))
         global_idx, shard_idx = perm[:held], perm[held:]
         global_val = DatasetShard(

@@ -5,7 +5,9 @@ each integration point all nodes package a (base, delta) update against
 their last snapshot, each update reaches every node within max_hops of its
 sender (first_hop is the 1-hop walk), and every node merges its inbox with
 the configured strategy. After training, convergence rounds average full
-models with neighbors until the cluster agrees.
+models with neighbors until the cluster agrees. After every epoch and
+every convergence round each node records two accuracies: on its local
+validation shard and on the shared global validation set.
 
 Rounds are barriers: all sends are computed from pre-round state. Nodes
 share ModelConfig.seed, so nodes with equal train-shard size draw the same
@@ -116,10 +118,6 @@ class NodeState:
         self.inbox: dict[tuple[int, int], ModelUpdate] = {}
         self.seen: set[tuple[int, int]] = set()
 
-    def train_one_epoch(self, batch_size: int) -> None:
-        """One SGD epoch for this node alone: a training group of one."""
-        TrainingGroup([self]).train_one_epoch(batch_size)
-
     def package_update(self, round_index: int) -> ModelUpdate:
         """Base snapshot plus everything learned since it was taken.
 
@@ -135,7 +133,6 @@ class NodeState:
             base=self.base_snapshot,
             delta=delta,
             sample_count=self.train_shard.size * epochs_done,
-            epochs=epochs_done,
         )
 
     def receive(self, update: ModelUpdate) -> None:
@@ -274,19 +271,9 @@ def run_simulation(
 
     def record_all(index: int, phase: str) -> None:
         for state in states:
-            lacc, lloss = evaluate(state.model, state.local_val)
-            gacc, gloss = evaluate(state.model, gval)
-            records.append(
-                MetricsRecord(
-                    node_id=state.node_id,
-                    index=index,
-                    local_acc=lacc,
-                    local_loss=lloss,
-                    global_acc=gacc,
-                    global_loss=gloss,
-                    phase=phase,
-                )
-            )
+            local_acc = evaluate(state.model, state.local_val)
+            global_acc = evaluate(state.model, gval)
+            records.append(MetricsRecord(state.node_id, index, local_acc, global_acc, phase))
 
     for epoch in range(1, schedule.train_epochs + 1):
         failures = []

@@ -11,12 +11,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One node's accuracy on its local and on the global validation set at one index.
+
+    The CSVs and summary.json read only ``global_acc``.
+    """
+
     node_id: int
     index: int  # epoch during training, round during convergence
     local_acc: float
-    local_loss: float
     global_acc: float
-    global_loss: float
     phase: str  # train | convergence
 
     def __post_init__(self):

@@ -294,14 +294,16 @@ def centralized_reference_train(
     return model.weights
 
 
-def evaluate(model: TrainableModel, dataset: DatasetShard) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy loss) on a dataset; argmax ties go low."""
+def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
+    """Accuracy on a dataset: the share of samples whose argmax class is the label.
+
+    The argmax is taken over the log-softmax, not the raw logits, and ties go
+    to the lowest class; the log-softmax shift can round two logits to one
+    value, so the two rules are not bitwise interchangeable.
+    """
     if dataset.size < 1:
         raise ValueError("cannot evaluate on an empty dataset")
     if dataset.labels.max() >= model.config.class_count:
         raise ValueError("dataset labels exceed the model class count")
-    log_probs = _log_softmax(model.logits(dataset.inputs))
-    predictions = np.argmax(log_probs, axis=1)
-    accuracy = float(np.mean(predictions == dataset.labels))
-    loss = float(-log_probs[np.arange(dataset.size), dataset.labels].mean())
-    return accuracy, loss
+    predictions = np.argmax(_log_softmax(model.logits(dataset.inputs)), axis=1)
+    return float(np.mean(predictions == dataset.labels))

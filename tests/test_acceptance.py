@@ -47,7 +47,7 @@ def pv(values, layout=None):
 
 def update(node_id, base, delta, k=1):
     base = pv(base)
-    return dg.ModelUpdate(node_id, 0, base, pv(delta, base.layout), k, 1)
+    return dg.ModelUpdate(node_id, 0, base, pv(delta, base.layout), k)
 
 
 def test_criterion_1_equation_oracles():
@@ -355,7 +355,7 @@ def test_criterion_8_dissemination_dedup():
             frontier = nxt
         reachable = {v for v, d in dist.items() if 1 <= d <= max_hops}
 
-        payload = dg.ModelUpdate(sender, 1, zeros, zeros, 1, 1)
+        payload = dg.ModelUpdate(sender, 1, zeros, zeros, 1)
         delivered = disseminate(
             graph, sender, Forwarding(mode="multi_hop", max_hops=max_hops)
         )

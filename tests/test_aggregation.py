@@ -31,10 +31,9 @@ def pv(values, layout=None):
     return ParameterVector(values, layout)
 
 
-def update(node_id, base, delta, k=1, round=0, epochs=1):
+def update(node_id, base, delta, k=1, round=0):
     base = pv(base)
-    return ModelUpdate(node_id, round, base, pv(delta, base.layout),
-                       sample_count=k, epochs=epochs)
+    return ModelUpdate(node_id, round, base, pv(delta, base.layout), sample_count=k)
 
 
 class TestLambdaValue:
@@ -248,7 +247,7 @@ class TestDeltaSumIntegrate:
         local = update(0, [0.0], [1.0])
         other = ModelUpdate(
             1, 0, pv([0.0], make_layout([("x", 1)])),
-            pv([1.0], make_layout([("x", 1)])), 1, 1
+            pv([1.0], make_layout([("x", 1)])), 1
         )
         with pytest.raises(LayoutError):
             delta_sum_integrate(local, [other], REFERENCE_SCHEDULE, t=0)
@@ -335,7 +334,7 @@ def update_groups(draw, min_size=1):
     def vec(sigma):
         return ParameterVector(rng.normal(0.0, sigma * scale, size), layout)
 
-    updates = [ModelUpdate(i, 1, vec(1.0), vec(0.1), sample_count=k, epochs=1)
+    updates = [ModelUpdate(i, 1, vec(1.0), vec(0.1), sample_count=k)
                for i, k in zip(ids, samples)]
     return vec(1.0), updates
 

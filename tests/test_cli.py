@@ -3,7 +3,9 @@ import multiprocessing.process
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_dataset import write_idx_pair
 
 from deltagossip.cli import _build_experiment, main
 from deltagossip.topology import TopologyConstraints, read_edge_list, validate
@@ -126,6 +128,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert "not found" in err and "nope-images" in err
 
+    def test_idx_dataset_with_test_split(self, tmp_path):
+        rng = np.random.default_rng(0)
+        train = write_idx_pair(tmp_path, rng.integers(0, 256, (40, 4, 4)),
+                               [0, 1] * 20, prefix="train_")
+        test_labels = [0, 1, 2] * 4  # class 2 only in the test split
+        test = write_idx_pair(tmp_path, rng.integers(0, 256, (12, 4, 4)),
+                              test_labels, prefix="test_")
+        config = small_config(tmp_path)
+        config["dataset"] = {"kind": "idx", "train_images": str(train[0]),
+                             "train_labels": str(train[1]), "test_images": str(test[0]),
+                             "test_labels": str(test[1]), "downsample": 2}
+        _, global_val, runs = _build_experiment(config, None)
+        assert global_val.labels.tolist() == test_labels and global_val.dim == 4
+        assert runs[0].model_config.class_count == 3
+
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 0
+        csvs = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
+        assert csvs == ["4nodes_delta_sum.csv", "4nodes_standard_averaging.csv"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "ghost.json")])
         assert code == 1
@@ -247,6 +270,24 @@ class TestStrictConfig:
         assert main(["run", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {block}: {key} ")
+        assert not Path(config["output_dir"]).exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("model", "learning_rate", float("nan")),
+            ("model", "learning_rate", float("inf")),
+            ("lambda_schedule", "offset", float("-inf")),
+        ],
+    )
+    def test_non_finite_constant_is_not_json(self, tmp_path, capsys, block, key, value):
+        config = small_config(tmp_path)
+        config[block][key] = value
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))  # writes NaN, Infinity, -Infinity
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not valid JSON: ")
         assert not Path(config["output_dir"]).exists()
 
     def test_readme_minimal_config_builds(self):

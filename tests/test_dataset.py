@@ -37,7 +37,7 @@ class TestSynthClassification:
                           learning_rate=0.5, seed=1)
         model = TrainableModel(cfg)
         train_epochs([model], data.inputs[None], data.labels[None], 50, 16)
-        assert evaluate(model, data)[0] >= 0.99
+        assert evaluate(model, data) >= 0.99
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from deltagossip.gossipsim import (
     SimConfig,
     SimSchedule,
     SimulationError,
+    TrainingGroup,
     convergence_round,
     disseminate,
     integration_step,
@@ -48,15 +49,16 @@ def make_state(node_id=0, seed=3, shard=None):
 
 
 def train_and_package(state, epochs):
+    group = TrainingGroup([state])
     for _ in range(epochs):
-        state.train_one_epoch(batch_size=8)
+        group.train_one_epoch(batch_size=8)
     return state.package_update(round_index=1)
 
 
 def zero_update(node_id, state, round_index=1):
     layout = state.model.weights.layout
     zeros = ParameterVector(np.zeros(len(state.model.weights)), layout)
-    return ModelUpdate(node_id, round_index, state.model.weights, zeros, 10, 1)
+    return ModelUpdate(node_id, round_index, state.model.weights, zeros, 10)
 
 
 class TestDisseminate:
@@ -118,7 +120,7 @@ class TestNodeTrainPhase:
         state = make_state()
         update = state.package_update(round_index=1)
         assert np.all(update.delta.values == 0.0)
-        assert update.sample_count == 0 and update.epochs == 0
+        assert update.sample_count == 0
 
     def test_base_plus_delta_reproduces_weights_exactly(self):
         state = make_state()
@@ -130,7 +132,6 @@ class TestNodeTrainPhase:
         state = make_state()
         update = train_and_package(state, 4)
         assert update.sample_count == state.train_shard.size * 4
-        assert update.epochs == 4
 
     def test_replay_identical_update(self):
         a = train_and_package(make_state(), 20)
@@ -162,8 +163,7 @@ class TestIntegrationStep:
     def test_remote_identical_to_local_changes_nothing_under_averaging(self):
         state = make_state()
         update = train_and_package(state, 2)
-        twin = ModelUpdate(99, 1, update.base, update.delta,
-                           update.sample_count, update.epochs)
+        twin = ModelUpdate(99, 1, update.base, update.delta, update.sample_count)
         state.receive(twin)
         new = integration_step(
             state, IntegrationStrategy("standard_averaging"), t=2, local_update=update
@@ -187,8 +187,7 @@ class TestIntegrationStep:
         state = make_state()
         update = train_and_package(state, 2)
         base = state.base_snapshot
-        remote = ModelUpdate(7, 1, update.base, update.delta * 3.0,
-                             update.sample_count, update.epochs)
+        remote = ModelUpdate(7, 1, update.base, update.delta * 3.0, update.sample_count)
         state.receive(remote)
         new = integration_step(
             state, IntegrationStrategy("fedavg"), t=2, local_update=update
@@ -338,7 +337,7 @@ class TestRunSimulation:
         for round_index in range(1, 4):
             for state in states:
                 for _ in range(5):
-                    state.train_one_epoch(8)
+                    TrainingGroup([state]).train_one_epoch(8)
             updates = [s.package_update(round_index) for s in states]
             states[0].receive(updates[1])
             states[1].receive(updates[0])

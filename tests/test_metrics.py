@@ -16,9 +16,7 @@ def rec(node_id, index, global_acc, phase="train"):
         node_id=node_id,
         index=index,
         local_acc=global_acc,
-        local_loss=0.1,
         global_acc=global_acc,
-        global_loss=0.1,
         phase=phase,
     )
 

@@ -323,18 +323,22 @@ class TestCentralizedReference:
 
     def test_beats_every_single_shard_model(self):
         data = synth_classification(3, 16, 200, seed=3, noise_sigma=0.30)
-        per_node, gval = shard_equal(
-            data, ShardPlan(node_count=5, train_fraction=0.8, seed=2), holdout_fraction=0.4
+        # a 40% global set, larger than shard_equal's own holdout
+        held, rest = np.split(np.random.default_rng(2).permutation(data.size), [240])
+        gval = DatasetShard(data.inputs[held], data.labels[held], origin="global_val")
+        per_node, _ = shard_equal(
+            DatasetShard(data.inputs[rest], data.labels[rest]),
+            ShardPlan(node_count=5, train_fraction=0.8, seed=2), global_val=gval,
         )
         cfg = ModelConfig(input_dim=16, class_count=3, learning_rate=0.1, seed=1)
         shards = [train for train, _ in per_node]
         central_acc = evaluate(
             TrainableModel(cfg, centralized_reference_train(shards, cfg, 50, 16)), gval
-        )[0]
+        )
         for shard in shards:
             model = TrainableModel(cfg)
             train_alone(model, shard, 50, 16)
-            assert central_acc >= evaluate(model, gval)[0]
+            assert central_acc >= evaluate(model, gval)
 
     def test_no_shards_rejected(self):
         cfg = ModelConfig(input_dim=4, class_count=3, seed=0)
@@ -354,8 +358,7 @@ class TestEvaluate:
         values = np.zeros(len(model.weights))
         values[:9] = np.eye(3).ravel() * 10.0
         model.weights = model.weights.with_values(values)
-        acc, _ = evaluate(model, data)
-        assert acc == 1.0
+        assert evaluate(model, data) == 1.0
 
     def test_uniform_model_on_balanced_set(self):
         # all-zero weights tie every class; argmax picks index 0
@@ -363,9 +366,7 @@ class TestEvaluate:
         cfg = ModelConfig(input_dim=3, class_count=4, hidden_dim=0, seed=0)
         model = TrainableModel(cfg)
         model.weights = model.weights.with_values(np.zeros(len(model.weights)))
-        acc, loss = evaluate(model, data)
-        assert acc == pytest.approx(1 / 4, abs=1e-12)
-        assert loss == pytest.approx(np.log(4), abs=1e-12)
+        assert evaluate(model, data) == pytest.approx(1 / 4, abs=1e-12)
 
     def test_permutation_invariant_accuracy(self):
         data = synth_classification(3, 4, 30, seed=2, noise_sigma=0.05)
@@ -373,7 +374,7 @@ class TestEvaluate:
         model = TrainableModel(cfg)
         perm = np.random.default_rng(0).permutation(data.size)
         shuffled = DatasetShard(data.inputs[perm], data.labels[perm])
-        assert evaluate(model, data)[0] == evaluate(model, shuffled)[0]
+        assert evaluate(model, data) == evaluate(model, shuffled)
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(input_dim=4, class_count=3, seed=0)
