@@ -9,6 +9,7 @@ order is fixed by sorting on node id so results are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,12 @@ class LambdaSchedule:
     cap: float = 0.35
 
     def __post_init__(self):
-        if self.slope_divisor <= 0:
-            raise ValueError("slope_divisor must be positive")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
+        if not (math.isfinite(self.slope_divisor) and self.slope_divisor > 0):
+            raise ValueError(
+                f"slope_divisor must be positive and finite, got {self.slope_divisor}"
+            )
         if self.offset > self.cap:
             raise ValueError("offset must not exceed cap")
         if not 0.0 < self.cap <= 1.0:

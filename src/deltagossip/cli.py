@@ -4,7 +4,9 @@ Subcommands: gen-topology (write a constrained random graph), run (full
 training/convergence experiment from a JSON config, one metrics CSV per
 strategy plus a summary), netmodel (analytical throughput table).
 All randomness flows from config seeds, and every run executes serially in
-this process, so run's --threads never changes output.
+this process, so run's --threads never changes output. A run that raises a
+SimulationError is reported on stderr and in the summary, the other runs
+go on, and run exits 1.
 
 Each run config block is built by the dataclass or function whose fields it
 accepts, with that code's defaults (README: "Config blocks"); an unknown key
@@ -24,7 +26,7 @@ from pathlib import Path
 
 from .aggregation import IntegrationStrategy, LambdaSchedule, STRATEGY_KINDS
 from .dataset import DatasetShard, ShardPlan, load_idx, synth_classification
-from .gossipsim import Forwarding, SimConfig, SimSchedule, run_simulation
+from .gossipsim import Forwarding, SimConfig, SimSchedule, SimulationError, run_simulation
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv
 from .model import ModelConfig
 from .netmodel import fedavg_rate, scenario_table
@@ -214,10 +216,17 @@ def cmd_run(args) -> int:
 
     summary = {"runs": [], "drop_ratios": {}}
     final_by_strategy: dict[str, dict[int, float]] = {}
+    failed = 0
     for sim in runs:
         n = sim.topology.node_count
         name = sim.strategy.kind
-        records = run_simulation(sim, dataset, global_val=global_val)
+        try:
+            records = run_simulation(sim, dataset, global_val=global_val)
+        except SimulationError as err:
+            failed += 1
+            print(f"error: {n} nodes {name}: {err}", file=sys.stderr)
+            summary["runs"].append({"nodes": n, "strategy": name, "error": str(err)})
+            continue
         rows = aggregate_across_nodes(records)
         csv_path = out_dir / f"{n}nodes_{name}.csv"
         export_csv(rows, csv_path)
@@ -241,7 +250,7 @@ def cmd_run(args) -> int:
             f"range=[{last.test_acc_min:.4f}, {last.test_acc_max:.4f}]"
         )
 
-    sizes = {run["nodes"] for run in summary["runs"]}
+    sizes = {n for series in final_by_strategy.values() for n in series}
     if len(sizes) >= 2 and "delta_sum" in final_by_strategy:
         for name, series in final_by_strategy.items():
             if name == "delta_sum" or len(series) < 2:
@@ -258,16 +267,16 @@ def cmd_run(args) -> int:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {summary_path}")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_gen_topology(args) -> int:
-    constraints = TopologyConstraints(
-        min_degree=args.min_degree,
-        max_degree=args.max_degree,
-        target_avg_degree=args.target_avg_degree,
-    )
     try:
+        constraints = TopologyConstraints(
+            min_degree=args.min_degree,
+            max_degree=args.max_degree,
+            target_avg_degree=args.target_avg_degree,
+        )
         graph = generate_semi_random(args.nodes, constraints, args.seed)
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -7,6 +7,7 @@ and keeps one global validation set shared by all nodes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -88,8 +89,8 @@ def synth_classification(
         raise ValueError("need at least 1 sample per class")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if noise_sigma <= 0:
-        raise ValueError("noise_sigma must be positive")
+    if not (math.isfinite(noise_sigma) and noise_sigma > 0):
+        raise ValueError(f"noise_sigma must be positive and finite, got {noise_sigma}")
 
     rng = np.random.default_rng(seed)
     min_dist = 4.0 * noise_sigma

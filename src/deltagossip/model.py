@@ -8,6 +8,7 @@ parameter vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,10 @@ class ModelConfig:
             raise ValueError("class_count must be >= 2")
         if self.hidden_dim < 0:
             raise ValueError("hidden_dim must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -294,16 +297,75 @@ def centralized_reference_train(
     return model.weights
 
 
-def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
-    """Accuracy on a dataset: the share of samples whose argmax class is the label.
+def _class_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum of class planes (k, ...) over axis 0, bitwise equal to ``sum(axis=-1)``
+    of the same values laid out as contiguous rows (..., k).
 
-    The argmax is taken over the log-softmax, not the raw logits, and ties go
-    to the lowest class; the log-softmax shift can round two logits to one
-    value, so the two rules are not bitwise interchangeable.
+    NumPy adds a contiguous row pairwise: below 8 terms it adds them in
+    order; up to 128 it keeps 8 running lanes (term i goes to lane i % 8
+    while whole blocks of 8 remain), adds the lanes as a balanced tree
+    ((0+1)+(2+3))+((4+5)+(6+7)) and then the leftover terms in order; past
+    128 it splits at the half rounded down to a multiple of 8 and adds the
+    two halves' sums. The row's sum starts from the identity 0.0, which
+    only turns an all -0.0 row into +0.0. This is the order of NumPy 2.4's
+    pairwise summation; the tests hold the helper to ``np.sum`` on the
+    installed NumPy.
+    """
+    k = len(planes)
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _class_sum(planes[:half]) + _class_sum(planes[half:])
+    if k < 8:
+        total = planes[0] + 0.0
+        for plane in planes[1:]:
+            total += plane
+        return total
+    blocks = k - k % 8
+    lanes = planes[:8].copy()
+    for lo in range(8, blocks, 8):
+        lanes += planes[lo : lo + 8]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    )
+    for plane in planes[blocks:]:
+        total += plane
+    total += 0.0
+    return total
+
+
+def _predict(logits: np.ndarray) -> np.ndarray:
+    """Each row's class of logits (n, k) under ``evaluate``'s rule, as an (n,) array."""
+    planes = logits.T.copy()
+    planes -= planes.max(axis=0)
+    lse = np.log(_class_sum(np.exp(planes)))
+    planes -= lse
+    return (planes == -lse).argmax(axis=0)
+
+
+def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
+    """Accuracy on a dataset: the share of samples whose predicted class is the label.
+
+    The prediction is the argmax of the log-softmax, not of the raw logits,
+    and ties go to the lowest class; the log-softmax shift can round two
+    logits to one value, so the two rules are not bitwise interchangeable.
+
+    The result is bitwise that of ``np.argmax(_log_softmax(logits), axis=1)``,
+    but the kernel works on contiguous class planes (k, n), because NumPy
+    reduces a narrow last axis row by row, slowly. Per sample, the shifts
+    are s_j = z_j - max(z) <= 0, lse = log(sum(exp(s))) >= 0, and the
+    log-softmax is fl(s_j - lse). The max class has s = 0 and gives exactly
+    -lse; rounding is monotonic, so every other entry gives a value <= -lse.
+    The argmax is therefore the first class whose entry equals -lse. The
+    sum of exp(s) is added in NumPy's row order (``_class_sum``), so lse,
+    and every rounding that can make a tie, are as in the reference.
+
+    A sample with a NaN or +inf logit, or with every logit -inf, has a NaN
+    log-softmax row: no entry equals -lse, and it predicts class 0, as
+    ``np.argmax`` does on an all-NaN row.
     """
     if dataset.size < 1:
         raise ValueError("cannot evaluate on an empty dataset")
     if dataset.labels.max() >= model.config.class_count:
         raise ValueError("dataset labels exceed the model class count")
-    predictions = np.argmax(_log_softmax(model.logits(dataset.inputs)), axis=1)
-    return float(np.mean(predictions == dataset.labels))
+    predictions = _predict(model.logits(dataset.inputs))
+    return float(np.count_nonzero(predictions == dataset.labels) / dataset.size)

@@ -8,6 +8,7 @@ average degree. Every produced graph passes its own validation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -39,8 +40,10 @@ class TopologyConstraints:
         require_ints(min_degree=self.min_degree, max_degree=self.max_degree)
         if not 1 <= self.min_degree <= self.max_degree:
             raise ValueError("need 1 <= min_degree <= max_degree")
-        if self.target_avg_degree <= 0:
-            raise ValueError("target_avg_degree must be positive")
+        if not (math.isfinite(self.target_avg_degree) and self.target_avg_degree > 0):
+            raise ValueError(
+                f"target_avg_degree must be positive and finite, got {self.target_avg_degree}"
+            )
 
 
 @dataclass(frozen=True)

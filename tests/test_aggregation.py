@@ -61,6 +61,15 @@ class TestLambdaValue:
         with pytest.raises(ValueError):
             LambdaSchedule(offset=0.1, slope_divisor=10.0, cap=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("offset", float("nan")),
+        ("offset", float("-inf")),
+        ("slope_divisor", float("nan")),
+    ])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            LambdaSchedule(**{field: value})
+
 
 class TestAverageFullModels:
     def test_idempotent_on_identical(self):

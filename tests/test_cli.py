@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from test_dataset import write_idx_pair
 
+from deltagossip import cli
 from deltagossip.cli import _build_experiment, main
+from deltagossip.gossipsim import SimulationError, run_simulation
 from deltagossip.topology import TopologyConstraints, read_edge_list, validate
 
 
@@ -75,6 +77,14 @@ class TestGenTopology:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_rejected_target_is_an_error_line(self, tmp_path, capsys, value):
+        code = main(["gen-topology", "--nodes", "10", "--target-avg-degree", value,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: target_avg_degree must be positive")
+        assert not list(tmp_path.iterdir())
+
 
 class TestRun:
     def test_end_to_end_artifacts(self, tmp_path, capsys):
@@ -113,6 +123,43 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "o" / "4nodes_fedavg.csv").exists()
         assert not (tmp_path / "o" / "4nodes_delta_sum.csv").exists()
+
+    def test_failed_run_is_reported_and_the_others_go_on(self, tmp_path, capsys, monkeypatch):
+        def fail_24_node_averaging(sim, *args, **kwargs):
+            if (sim.topology.node_count, sim.strategy.kind) == (24, "standard_averaging"):
+                raise SimulationError("node 5 round 3: parameter values must be finite")
+            return run_simulation(sim, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_simulation", fail_24_node_averaging)
+        config = small_config(tmp_path, strategies=["standard_averaging", "delta_sum",
+                                                    "variance_corrected"])
+        config["topologies"].append({"nodes": 24, "target_avg_degree": 3.0, "seed": 4})
+        config["dataset"]["per_class"] = 120
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: 24 nodes standard_averaging: "
+                       "node 5 round 3: parameter values must be finite\n")
+
+        out_dir = tmp_path / "out"
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "24nodes_delta_sum.csv", "24nodes_variance_corrected.csv",
+            "4nodes_delta_sum.csv", "4nodes_standard_averaging.csv",
+            "4nodes_variance_corrected.csv", "summary.json",
+        ]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [(run["nodes"], run["strategy"]) for run in summary["runs"]] == [
+            (n, kind) for n in (4, 24)
+            for kind in ("standard_averaging", "delta_sum", "variance_corrected")
+        ]
+        assert summary["runs"][3] == {
+            "nodes": 24, "strategy": "standard_averaging",
+            "error": "node 5 round 3: parameter values must be finite",
+        }
+        assert all("final" in run for i, run in enumerate(summary["runs"]) if i != 3)
+        # standard_averaging has one successful node count left: no ratio for it
+        assert list(summary["drop_ratios"]) == ["delta_sum_vs_variance_corrected"]
 
     def test_missing_dataset_path_is_clear_error(self, tmp_path, capsys):
         config = small_config(tmp_path)

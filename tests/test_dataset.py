@@ -45,6 +45,11 @@ class TestSynthClassification:
         with pytest.raises(ValueError):
             synth_classification(2, 2, 0, seed=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma_rejected(self, value):
+        with pytest.raises(ValueError, match="noise_sigma must be positive and finite"):
+            synth_classification(3, 2, 10, seed=0, noise_sigma=value)
+
     def test_impossible_separation_reported(self):
         with pytest.raises(ValueError, match="cluster means"):
             synth_classification(10, 1, 5, seed=0, noise_sigma=0.3)

@@ -255,7 +255,8 @@ class TestConvergenceRound:
             np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
 
 
-def small_sim_config(strategy_kind="delta_sum", seed=5, nodes=4, hidden=0):
+def small_sim_config(strategy_kind="delta_sum", seed=5, nodes=4, hidden=0, classes=3,
+                     learning_rate=0.1):
     graph = generate_semi_random(
         nodes, TopologyConstraints(target_avg_degree=2.5), seed=seed
     )
@@ -271,7 +272,8 @@ def small_sim_config(strategy_kind="delta_sum", seed=5, nodes=4, hidden=0):
             train_epochs=10, integrate_every=5, convergence_until_round=14, batch_size=8
         ),
         model_config=ModelConfig(
-            input_dim=4, class_count=3, hidden_dim=hidden, learning_rate=0.1, seed=2
+            input_dim=4, class_count=classes, hidden_dim=hidden,
+            learning_rate=learning_rate, seed=2,
         ),
         shard_plan=ShardPlan(node_count=nodes, train_fraction=0.8, seed=9),
     )
@@ -353,30 +355,45 @@ class TestRunSimulation:
             assert np.array_equal(states[0].model.weights.values, expected)
 
 
-# CSV sha256 of two 7-node runs whose train shards hold 31 and 30 samples,
-# taken from the node-by-node trainer before shard-size groups trained as
-# one stacked SGD step: the stacked engine must reproduce its bytes exactly.
+# CSV sha256 of 7-node runs whose train shards hold 31 and 30 samples, keyed
+# by (strategy, hidden_dim, class_count, learning_rate). The 3-class digests
+# were taken from the node-by-node trainer before shard-size groups trained
+# as one stacked SGD step: the stacked engine must reproduce its bytes
+# exactly. The 10-class digest was taken from the last-axis log-softmax
+# evaluation, before evaluation summed class planes in NumPy's pairwise
+# order (8 lanes from 8 classes on): the plane kernel must reproduce it.
 GOLDEN_CSV_SHA256 = {
-    ("delta_sum", 8): "8a9a44be0eda30bfaf499e6731b5abf421a29ff9fa3cf12a821451e94c1be757",
-    ("variance_corrected", 0): "e4e4708914ac55d8b31e90de0ef0f5e6c7126037735d0e69055e1592fb2fb8ca",
+    ("delta_sum", 8, 3, 0.1): "8a9a44be0eda30bfaf499e6731b5abf421a29ff9fa3cf12a821451e94c1be757",
+    ("variance_corrected", 0, 3, 0.1):
+        "e4e4708914ac55d8b31e90de0ef0f5e6c7126037735d0e69055e1592fb2fb8ca",
+    ("delta_sum", 0, 10, 1.0): "47074c1d38215173cb9972d8e9bf0702357ec707ff7bc7bf2673dba3c0b69971",
 }
 
 
-def golden_data():
-    return synth_classification(3, 4, 100, seed=0, noise_sigma=0.12)
+def golden_data(classes=3):
+    """300 samples in 4 dimensions; 10 clusters need a lower noise to stay apart."""
+    noise_sigma = {3: 0.12, 10: 0.05}[classes]
+    return synth_classification(classes, 4, 300 // classes, seed=0, noise_sigma=noise_sigma)
+
+
+def golden_id(case):
+    kind, hidden, classes, _ = case
+    return f"{kind}-{hidden}" if classes == 3 else f"{kind}-{hidden}-{classes}classes"
 
 
 class TestGoldenDigest:
-    @pytest.mark.parametrize("kind, hidden", sorted(GOLDEN_CSV_SHA256))
-    def test_csv_bytes_are_pinned(self, tmp_path, kind, hidden):
-        config = small_sim_config(strategy_kind=kind, nodes=7, hidden=hidden)
-        data = golden_data()
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CSV_SHA256), ids=golden_id)
+    def test_csv_bytes_are_pinned(self, tmp_path, case):
+        kind, hidden, classes, learning_rate = case
+        config = small_sim_config(strategy_kind=kind, nodes=7, hidden=hidden, classes=classes,
+                                  learning_rate=learning_rate)
+        data = golden_data(classes)
         per_node, _ = shard_equal(data, config.shard_plan)
         assert sorted({train.size for train, _ in per_node}) == [30, 31]
         path = tmp_path / "run.csv"
         export_csv(aggregate_across_nodes(run_simulation(config, data)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == GOLDEN_CSV_SHA256[(kind, hidden)]
+        assert digest == GOLDEN_CSV_SHA256[case]
 
 
 def first_failure_node_by_node(per_node, model_config, epochs, batch_size=8):

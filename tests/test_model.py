@@ -9,6 +9,8 @@ from deltagossip.model import (
     ModelConfig,
     TrainableModel,
     TrainingError,
+    _class_sum,
+    _predict,
     centralized_reference_train,
     evaluate,
     init_weights,
@@ -61,6 +63,11 @@ class TestInitWeights:
             ModelConfig(input_dim=4, class_count=1)
         with pytest.raises(ValueError):
             ModelConfig(input_dim=4, class_count=3, learning_rate=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            ModelConfig(input_dim=4, class_count=3, learning_rate=value)
 
 
 class TestLossAndGradient:
@@ -382,3 +389,95 @@ class TestEvaluate:
         empty = DatasetShard(np.zeros((0, 4)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             evaluate(model, empty)
+
+
+def log_softmax_argmax(logits):
+    """The reference rule, verbatim from the last-axis kernel evaluate first used:
+    np.argmax(_log_softmax(logits), axis=1)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return np.argmax(log_probs, axis=1)
+
+
+# Absolute gaps below a row's top logit, each then widened by 0-2 ulps:
+# exact ties, and gaps under the half-ulp of a log-sum-exp near log(2),
+# which the log-softmax rounds away, so that a lower class can win on a
+# smaller logit.
+NEAR_TIE_GAPS = (0.0, 1e-17, 3e-17, 5e-17, 1e-16, 1e-15)
+
+
+@st.composite
+def adversarial_logits(draw):
+    """Logits (n, k) with exact ties, near-ties, +-inf and NaN, and the k > 128 split."""
+    k = draw(st.one_of(st.integers(2, 20), st.sampled_from([129, 300])))
+    n = draw(st.one_of(st.just(1), st.integers(2, 40)))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 40.0, 800.0, 1e300]))
+    tie_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    special_share = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(0.0, 1.0, (n, k)) * scale
+    for row in np.flatnonzero(rng.random(n) < tie_share):
+        top = logits[row].max()
+        cols = rng.choice(k, size=min(k, int(rng.integers(2, 5))), replace=False)
+        for col in cols:
+            value = top - rng.choice(NEAR_TIE_GAPS)
+            for _ in range(rng.integers(3)):
+                value = np.nextafter(value, -np.inf)
+            logits[row, col] = value
+        logits[row, cols[0]] = top  # the top itself, at a random class
+    special = rng.random((n, k)) < special_share
+    logits[special] = rng.choice([np.inf, -np.inf, np.nan], size=int(special.sum()))
+    if special_share and n > 1:
+        logits[rng.integers(n)] = -np.inf
+    return logits
+
+
+class FixedLogits(TrainableModel):
+    """A model whose logits are given, whatever the inputs."""
+
+    def __init__(self, logits):
+        super().__init__(ModelConfig(input_dim=1, class_count=logits.shape[1]))
+        self.fixed = logits
+
+    def logits(self, inputs):
+        return self.fixed
+
+
+class TestPlaneKernel:
+    @hypothesis_seed(20250301)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(adversarial_logits(), st.integers(0, 2**32 - 1))
+    def test_predictions_and_accuracy_bitwise_equal_log_softmax_argmax(self, logits, seed):
+        n, k = logits.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = log_softmax_argmax(logits)
+            assert np.array_equal(_predict(logits), expected)
+            # labels that agree with the reference on about half the samples
+            rng = np.random.default_rng(seed)
+            labels = np.where(rng.random(n) < 0.5, expected, rng.integers(0, k, n))
+            accuracy = evaluate(FixedLogits(logits), DatasetShard(np.zeros((n, 1)), labels))
+        assert type(accuracy) is float
+        assert accuracy == float(np.mean(expected == labels))
+
+    def test_near_tie_goes_to_the_lower_class_of_the_log_softmax(self):
+        # 1e-17 below the top is lost in the log-softmax (ulp(log 2) ~ 1.1e-16),
+        # so class 0 ties class 1 there and wins, against the raw argmax.
+        logits = np.array([[-1e-17, 0.0, -50.0]])
+        assert np.argmax(logits, axis=1)[0] == 1
+        assert log_softmax_argmax(logits)[0] == _predict(logits)[0] == 0
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_class_sum_equals_numpy_row_sum(self, lead):
+        # Magnitudes spread over 16 decades make the sum depend on the order of
+        # its additions, so only NumPy's own order reproduces its bits.
+        rng = np.random.default_rng(len(lead))
+        for k in range(2, 301):
+            rows = rng.normal(size=(*lead, k)) * 10.0 ** rng.integers(-8, 9, size=(*lead, k))
+            got = _class_sum(np.moveaxis(rows, -1, 0).copy())
+            assert np.asarray(got).tobytes() == rows.sum(axis=-1).tobytes(), k
+
+    def test_class_sum_of_negative_zeros_is_positive_zero(self):
+        for k in (3, 8, 20, 200):
+            rows = np.full((2, k), -0.0)
+            got = _class_sum(np.moveaxis(rows, -1, 0).copy())
+            assert got.tobytes() == rows.sum(axis=-1).tobytes() == np.zeros(2).tobytes()

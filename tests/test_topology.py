@@ -88,6 +88,11 @@ class TestGenerateSemiRandom:
         )
         assert sum(graph.degrees()) == 2 * graph.edge_count
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_target_avg_degree_rejected(self, value):
+        with pytest.raises(ValueError, match="target_avg_degree must be positive and finite"):
+            TopologyConstraints(target_avg_degree=value)
+
 
 class TestValidate:
     def test_ring_clean(self):
