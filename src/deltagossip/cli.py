@@ -10,8 +10,10 @@ go on, and run exits 1.
 
 Each run config block is built by the dataclass or function whose fields it
 accepts, with that code's defaults (README: "Config blocks"); an unknown key
-or a rejected value is a ConfigError naming the block. The CLI supplies only
-what it derives: ModelConfig.input_dim/class_count from the dataset,
+or a rejected value is a ConfigError naming the block, and so is a sweep
+whose runs could not start (a disconnected topology, a shard split the
+dataset cannot meet) or would share a CSV. The CLI supplies only what it
+derives: ModelConfig.input_dim/class_count from the dataset,
 ShardPlan.node_count from the graph, and omitted seeds from the master seed
 (dataset seed+1, topology i seed+2+i, model seed, shards seed+3).
 """
@@ -25,7 +27,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .aggregation import IntegrationStrategy, LambdaSchedule, STRATEGY_KINDS
-from .dataset import DatasetShard, ShardPlan, load_idx, synth_classification
+from .dataset import DatasetShard, ShardPlan, load_idx, shard_equal, synth_classification
 from .gossipsim import Forwarding, SimConfig, SimSchedule, SimulationError, run_simulation
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv
 from .model import ModelConfig
@@ -34,6 +36,7 @@ from .params import require_ints
 from .topology import (
     TopologyConstraints,
     generate_semi_random,
+    is_connected,
     read_edge_list,
     stats,
     validate,
@@ -124,7 +127,10 @@ def _load_topology(spec, where: str, default_seed: int):
         _check_keys(where, spec, {"path"})
         if not Path(spec["path"]).exists():
             raise ConfigError(f"topology file not found: {spec['path']}")
-        return _call(where, read_edge_list, spec["path"])
+        graph = _call(where, read_edge_list, spec["path"])
+        if not is_connected(graph):
+            raise ConfigError(f"{where}: topology must be connected")
+        return graph
     allowed = {"nodes", "seed"} | _fields(TopologyConstraints)
     return _build(where, _generate_topology, spec, allowed, seed=default_seed)
 
@@ -133,6 +139,9 @@ def _build_experiment(config: dict, seed_override: int | None):
     _check_keys("config", config, TOP_KEYS)
     seed = config.get("seed", 0) if seed_override is None else seed_override
     _call("config", require_ints, seed=seed)
+    output_dir = config.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"config: output_dir must be a string, got {output_dir!r}")
 
     dataset, global_val, class_count = _load_dataset(
         _require(config, "dataset", "config"), default_seed=seed + 1
@@ -141,17 +150,24 @@ def _build_experiment(config: dict, seed_override: int | None):
     topo_specs = config.get("topologies")
     if not topo_specs or not isinstance(topo_specs, list):
         raise ConfigError("config needs a non-empty 'topologies' list")
-    topologies = [
-        _load_topology(spec, f"topologies[{i}]", default_seed=seed + 2 + i)
-        for i, spec in enumerate(topo_specs)
-    ]
+    # Runs write <N>nodes_<strategy>.csv, so node counts and strategies must be unique.
+    topologies = []
+    for i, spec in enumerate(topo_specs):
+        graph = _load_topology(spec, f"topologies[{i}]", default_seed=seed + 2 + i)
+        sizes = [earlier.node_count for earlier in topologies]
+        if graph.node_count in sizes:
+            raise ConfigError(f"topologies[{i}]: {graph.node_count} nodes, as in topologies"
+                              f"[{sizes.index(graph.node_count)}]; CSV names need distinct counts")
+        topologies.append(graph)
 
     strategies = config.get("strategies", [])
     if not strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
-    for name in strategies:
+    for j, name in enumerate(strategies):
         if name not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy {name!r}; choose from {STRATEGY_KINDS}")
+        if name in strategies[:j]:
+            raise ConfigError(f"strategies[{j}]: {name!r} is listed twice")
 
     schedule_obj = _build("lambda_schedule", LambdaSchedule, config.get("lambda_schedule", {}),
                           _fields(LambdaSchedule))
@@ -165,9 +181,10 @@ def _build_experiment(config: dict, seed_override: int | None):
     shard_spec = config.get("shards", {})
 
     runs = []
-    for graph in topologies:
+    for i, graph in enumerate(topologies):
         plan = _build("shards", ShardPlan, shard_spec, _fields(ShardPlan, "node_count"),
                       node_count=graph.node_count, seed=seed + 3)
+        _call(f"topologies[{i}]", shard_equal, dataset, plan, global_val=global_val)
         for name in strategies:
             strategy = IntegrationStrategy(
                 kind=name,
@@ -303,16 +320,15 @@ def cmd_netmodel(args) -> int:
     if len(node_counts) != len(conns):
         print("error: need one --conn per --nodes value", file=sys.stderr)
         return 1
-    rows = scenario_table(
-        baseline=args.baseline,
-        ref_n=args.ref_n,
-        ref_conn=args.ref_conn,
-        node_counts=node_counts,
-        conns=conns,
-        density_exponent=args.density_exponent,
-        update_interval_s=args.fedavg_interval,
-        sync_every_updates=args.fedavg_sync_every,
-    )
+    try:
+        rows = scenario_table(
+            baseline=args.baseline, ref_n=args.ref_n, ref_conn=args.ref_conn,
+            node_counts=node_counts, conns=conns, density_exponent=args.density_exponent,
+            update_interval_s=args.fedavg_interval, sync_every_updates=args.fedavg_sync_every,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     header = f"{'N':>5} {'conn':>6} {'expected':>10} {'const_conn':>10} {'conn_incr':>10} {'fedavg':>8}"
     print(header)
     for row in rows:

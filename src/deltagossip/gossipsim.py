@@ -9,13 +9,15 @@ models with neighbors until the cluster agrees. After every epoch and
 every convergence round each node records two accuracies: on its local
 validation shard and on the shared global validation set.
 
-Rounds are barriers: all sends are computed from pre-round state. Nodes
-share ModelConfig.seed, so nodes with equal train-shard size draw the same
-batches every epoch; each such group trains as one stacked SGD step per
-batch, bitwise equal to training its nodes one by one. Packaging,
+Rounds are barriers: all sends are computed from pre-round state, and every
+node is at the same epoch or round, so run_simulation's loop counters are
+the only record of where a run is. Nodes share ModelConfig.seed, so nodes
+with equal train-shard size draw the same batches every epoch; the shards
+of each such group are stacked once per run and trained as one stacked SGD
+step per batch, bitwise equal to training its nodes one by one. Packaging,
 integration and evaluation go one node at a time in ascending node order,
 so a run is a bit-reproducible function of its config and data. A failure
-in any phase is a SimulationError naming the node.
+in any step is a SimulationError naming the node.
 """
 
 from __future__ import annotations
@@ -112,19 +114,17 @@ class NodeState:
         self.model = model
         self.train_shard = train_shard
         self.local_val = local_val
-        self.epoch_counter = 0
         self.base_snapshot = model.weights
-        self.snapshot_epoch = 0
         self.inbox: dict[tuple[int, int], ModelUpdate] = {}
         self.seen: set[tuple[int, int]] = set()
 
-    def package_update(self, round_index: int) -> ModelUpdate:
-        """Base snapshot plus everything learned since it was taken.
+    def package_update(self, round_index: int, epochs: int) -> ModelUpdate:
+        """Base snapshot plus what training learned since it was taken.
 
-        The model is recomposed as base + delta so that receivers
-        reconstruct this node's weights bitwise.
+        ``epochs`` is how many epochs that was; sample_count is train size
+        times epochs. The model is recomposed as base + delta so that
+        receivers reconstruct this node's weights bitwise.
         """
-        epochs_done = self.epoch_counter - self.snapshot_epoch
         delta = self.model.weights - self.base_snapshot
         self.model.weights = self.base_snapshot + delta
         return ModelUpdate(
@@ -132,7 +132,7 @@ class NodeState:
             round=round_index,
             base=self.base_snapshot,
             delta=delta,
-            sample_count=self.train_shard.size * epochs_done,
+            sample_count=self.train_shard.size * epochs,
         )
 
     def receive(self, update: ModelUpdate) -> None:
@@ -143,26 +143,6 @@ class NodeState:
             )
         self.seen.add(key)
         self.inbox[key] = update
-
-
-class TrainingGroup:
-    """Nodes with one train-shard size, in node-id order, and their stacked shards.
-
-    The shards are stacked once, when the group is made; every epoch then
-    trains all members with one stacked SGD step per batch.
-    """
-
-    def __init__(self, members: list[NodeState]):
-        self.members = members
-        self.inputs = np.stack([s.train_shard.inputs for s in members])
-        self.labels = np.stack([s.train_shard.labels for s in members])
-
-    def train_one_epoch(self, batch_size: int) -> None:
-        """Raises TrainingError, whose row indexes ``members``, if a member fails."""
-        train_epochs([s.model for s in self.members], self.inputs, self.labels, 1,
-                     batch_size, start_epoch=self.members[0].epoch_counter)
-        for state in self.members:
-            state.epoch_counter += 1
 
 
 @contextmanager
@@ -218,7 +198,6 @@ def integration_step(
 
     state.model.weights = new_weights
     state.base_snapshot = new_weights
-    state.snapshot_epoch = state.epoch_counter
     state.inbox.clear()
     return new_weights
 
@@ -239,12 +218,11 @@ def run_simulation(
     config: SimConfig,
     dataset: DatasetShard,
     global_val: DatasetShard | None = None,
-    observer=None,
 ) -> list[MetricsRecord]:
     """Full training + convergence schedule; one record per node per index.
 
-    ``observer(phase, index, states)``, when given, is called after every
-    completed epoch/round.
+    Indices 1..train_epochs are training epochs; the indices after them up
+    to convergence_until_round are convergence rounds.
     """
     graph = config.topology
     report = validate_topology(
@@ -263,50 +241,49 @@ def run_simulation(
     by_size: dict[int, list[NodeState]] = {}
     for state in states:
         by_size.setdefault(state.train_shard.size, []).append(state)
-    groups = [TrainingGroup(members) for members in by_size.values()]
+    # One (members, stacked inputs, stacked labels) per train-shard size.
+    groups = [(members, np.stack([s.train_shard.inputs for s in members]),
+               np.stack([s.train_shard.labels for s in members]))
+              for members in by_size.values()]
 
     schedule = config.schedule
     kind = config.strategy.kind
     records: list[MetricsRecord] = []
 
-    def record_all(index: int, phase: str) -> None:
+    def record_all(index: int) -> None:
         for state in states:
             local_acc = evaluate(state.model, state.local_val)
             global_acc = evaluate(state.model, gval)
-            records.append(MetricsRecord(state.node_id, index, local_acc, global_acc, phase))
+            records.append(MetricsRecord(state.node_id, index, local_acc, global_acc))
 
     for epoch in range(1, schedule.train_epochs + 1):
         failures = []
-        for group in groups:
+        for members, inputs, labels in groups:
             try:
-                group.train_one_epoch(schedule.batch_size)
-            except TrainingError as err:
-                failures.append((group.members[err.row].node_id, err))
+                train_epochs([s.model for s in members], inputs, labels, 1,
+                             schedule.batch_size, start_epoch=epoch - 1)
+            except TrainingError as err:  # err.row indexes members
+                failures.append((members[err.row].node_id, err))
         if failures:
             node_id, err = min(failures, key=lambda failure: failure[0])
             raise SimulationError(f"node {node_id} epoch {epoch}: {err}") from err
 
         if epoch % schedule.integrate_every == 0:
             round_index = epoch // schedule.integrate_every
-            updates = [s.package_update(round_index) for s in states]
+            updates = [s.package_update(round_index, schedule.integrate_every)
+                       for s in states]
             for state, update in zip(states, updates):
                 for receiver in sorted(disseminate(graph, state.node_id, config.forwarding)):
                     states[receiver].receive(update)
             where = f"integration round {round_index} ({kind})"
             for state, update in zip(states, updates):
                 with _failing_node(state.node_id, where):
-                    integration_step(
-                        state, config.strategy, t=state.epoch_counter, local_update=update
-                    )
+                    integration_step(state, config.strategy, t=epoch, local_update=update)
 
-        record_all(epoch, "train")
-        if observer is not None:
-            observer("train", epoch, states)
+        record_all(epoch)
 
     for rnd in range(schedule.train_epochs + 1, schedule.convergence_until_round + 1):
         convergence_round(states, graph, f"convergence round {rnd} ({kind})")
-        record_all(rnd, "convergence")
-        if observer is not None:
-            observer("convergence", rnd, states)
+        record_all(rnd)
 
     return records

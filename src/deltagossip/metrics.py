@@ -20,11 +20,8 @@ class MetricsRecord:
     index: int  # epoch during training, round during convergence
     local_acc: float
     global_acc: float
-    phase: str  # train | convergence
 
     def __post_init__(self):
-        if self.phase not in ("train", "convergence"):
-            raise ValueError(f"unknown phase {self.phase!r}")
         for name in ("local_acc", "global_acc"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

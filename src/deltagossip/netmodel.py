@@ -4,31 +4,39 @@ Gossip traffic scales with how many neighbors each node talks to, so the
 scenarios extrapolate a measured baseline rate by average connectivity
 (physically growing topology), hold it constant, or grow it with node
 density. The federated baseline is periodic updates plus a synchronization
-every fixed number of updates.
+every fixed number of updates. A ValueError names any argument that is not
+positive and finite (the density exponent: not non-negative and finite).
 """
 
 from __future__ import annotations
 
+import math
+
+
+def _require_positive(**values) -> None:
+    """ValueError naming the first value that is not a positive finite number."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
 
 def fedavg_rate(update_interval_s: float, sync_every_updates: float) -> float:
     """Updates/s for periodic updates plus one sync every sync_every updates."""
-    if update_interval_s <= 0 or sync_every_updates <= 0:
-        raise ValueError("intervals must be positive")
+    _require_positive(update_interval_s=update_interval_s,
+                      sync_every_updates=sync_every_updates)
     # Single division keeps round numbers exact: 1/i + 1/(i*s) == (s+1)/(i*s).
     return (sync_every_updates + 1.0) / (update_interval_s * sync_every_updates)
 
 
 def expected_rate(baseline: float, ref_conn: float, conn_at_n: float) -> float:
     """Baseline scaled by average connectivity (physically growing topology)."""
-    if baseline <= 0 or ref_conn <= 0 or conn_at_n <= 0:
-        raise ValueError("rates and connectivities must be positive")
+    _require_positive(baseline=baseline, ref_conn=ref_conn, conn_at_n=conn_at_n)
     return baseline * conn_at_n / ref_conn
 
 
 def constant_connectivity_rate(baseline: float) -> float:
     """Flat series: connectivity pinned at the reference value."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
+    _require_positive(baseline=baseline)
     return baseline
 
 
@@ -39,12 +47,12 @@ def connectivity_increase_rate(
     density_exponent: float = 1.0,
 ) -> float:
     """Node density grows in a fixed-size area: baseline * (n/ref_n)^exponent."""
-    if baseline <= 0:
-        raise ValueError("baseline must be positive")
+    _require_positive(baseline=baseline, ref_n=ref_n, n=n)
     if n < ref_n:
-        raise ValueError("n must be >= the reference node count")
-    if density_exponent < 0:
-        raise ValueError("density_exponent must be non-negative")
+        raise ValueError(f"n must be >= the reference node count {ref_n}, got {n}")
+    if not (math.isfinite(density_exponent) and density_exponent >= 0):
+        raise ValueError(f"density_exponent must be non-negative and finite, "
+                         f"got {density_exponent!r}")
     return baseline * (n / ref_n) ** density_exponent
 
 

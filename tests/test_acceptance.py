@@ -164,7 +164,7 @@ def convergence_config(kind):
     )
 
 
-def test_criterion_4_convergence_contracts_for_every_strategy():
+def test_criterion_4_convergence_contracts_for_every_strategy(monkeypatch):
     start = time.perf_counter()
     data = dg.synth_classification(**CONVERGENCE_DATASET)
 
@@ -172,14 +172,18 @@ def test_criterion_4_convergence_contracts_for_every_strategy():
         w = np.stack([s.model.weights.values for s in states])
         return float((w.max(axis=0) - w.min(axis=0)).max())
 
+    convergence_round = dg.gossipsim.convergence_round
     for kind in STRATEGY_KINDS:
         spreads = []
 
-        def watch(phase, index, states):
-            if phase == "convergence" or index == 60:
+        def watch(states, *args):
+            if not spreads:  # the models as training left them
                 spreads.append(spread(states))
+            convergence_round(states, *args)
+            spreads.append(spread(states))
 
-        dg.run_simulation(convergence_config(kind), data, observer=watch)
+        monkeypatch.setattr(dg.gossipsim, "convergence_round", watch)
+        dg.run_simulation(convergence_config(kind), data)
         assert len(spreads) == 16  # start of convergence plus 15 rounds
         for before, after in zip(spreads, spreads[1:]):
             assert after <= before + 1e-12, f"{kind}: spread grew {before} -> {after}"

@@ -337,6 +337,15 @@ class TestStrictConfig:
         assert err.startswith("error: config is not valid JSON: ")
         assert not Path(config["output_dir"]).exists()
 
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys):
+        config = small_config(tmp_path)
+        config["output_dir"] = 5
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: config: output_dir must be a string")
+        assert not (tmp_path / "5").exists()
+
     def test_readme_minimal_config_builds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S)
@@ -344,6 +353,47 @@ class TestStrictConfig:
         _, _, runs = _build_experiment(config, None)
         assert len(runs) == len(config["topologies"]) * len(config["strategies"])
         assert runs[0].schedule.integrate_every == config["schedule"]["integrate_every"]
+
+
+def _second_four_node_topology(config, tmp_path):
+    config["topologies"].append({"nodes": 4, "target_avg_degree": 2.0, "seed": 5})
+
+
+def _strategy_twice(config, tmp_path):
+    config["strategies"] = ["delta_sum", "fedavg", "delta_sum"]
+
+
+def _unshardable_topology(config, tmp_path):
+    # 12 samples, 1 held out: 3 nodes get 3 or 4 each, 4 nodes get 2 or 3, and
+    # round(0.8 * 2) = 2 leaves a 2-sample shard no local validation sample
+    config["dataset"].update(classes=2, per_class=6)
+    config["topologies"] = [{"nodes": 3, "target_avg_degree": 2.0, "seed": 3},
+                            {"nodes": 4, "target_avg_degree": 2.5, "seed": 3}]
+
+
+class TestSweepInputs:
+    """Inputs that would fail or overwrite a run partway through a sweep."""
+
+    @pytest.mark.parametrize(
+        "mutate, extra, message",
+        [
+            (_second_four_node_topology, [], "topologies[1]: 4 nodes, as in topologies[0]; "),
+            (_strategy_twice, [], "strategies[2]: 'delta_sum' is listed twice"),
+            (None, ["--strategy", "fedavg", "--strategy", "fedavg"],
+             "strategies[1]: 'fedavg' is listed twice"),
+            (_unshardable_topology, [], "topologies[1]: shard of 2 samples cannot honour"),
+        ],
+    )
+    def test_rejected_before_the_output_directory_exists(self, tmp_path, capsys, mutate,
+                                                         extra, message):
+        config = small_config(tmp_path)
+        if mutate is not None:
+            mutate(config, tmp_path)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path), *extra]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not Path(config["output_dir"]).exists()
 
 
 class TestNetmodel:
@@ -372,6 +422,24 @@ class TestNetmodel:
         assert main(["netmodel", "--nodes", "10", "--conn", "3.3", "--conn", "4.2"]) == 1
         assert "one --conn per --nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--nodes", "5", "--conn", "3.3"], "n must be >= the reference node count 10"),
+            (["--fedavg-interval", "0"], "update_interval_s must be positive and finite"),
+            (["--baseline", "nan"], "baseline must be positive and finite"),
+            (["--ref-conn", "inf"], "ref_conn must be positive and finite"),
+            (["--density-exponent", "nan"], "density_exponent must be non-negative"),
+        ],
+    )
+    def test_rejected_value_is_an_error_line(self, tmp_path, capsys, argv, message):
+        csv_path = tmp_path / "net.csv"
+        assert main(["netmodel", *argv, "--csv", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not csv_path.exists()
+
 
 class TestThreads:
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -392,7 +460,7 @@ class TestThreads:
             assert main(["run", "--config", str(config_path),
                          "--out", str(tmp_path / threads), "--threads", threads]) == 0
 
-    def test_failing_run_raises_the_same_for_any_threads(self, tmp_path):
+    def test_failing_run_raises_the_same_for_any_threads(self, tmp_path, capsys):
         edges = tmp_path / "split.edges"
         edges.write_text("0 1\n2 3\n")
         config = small_config(tmp_path, strategies=["standard_averaging"])
@@ -401,8 +469,9 @@ class TestThreads:
         config_path.write_text(json.dumps(config))
         errors = {}
         for threads in ("1", "2"):
-            with pytest.raises(ValueError, match="topology must be connected") as err:
-                main(["run", "--config", str(config_path),
-                      "--out", str(tmp_path / threads), "--threads", threads])
-            errors[threads] = str(err.value)
-        assert errors["1"] == errors["2"]
+            out_dir = tmp_path / threads
+            assert main(["run", "--config", str(config_path),
+                         "--out", str(out_dir), "--threads", threads]) == 1
+            errors[threads] = capsys.readouterr().err
+            assert not out_dir.exists()
+        assert errors["1"] == errors["2"] == "error: topologies[1]: topology must be connected\n"

@@ -14,7 +14,6 @@ from deltagossip.gossipsim import (
     SimConfig,
     SimSchedule,
     SimulationError,
-    TrainingGroup,
     convergence_round,
     disseminate,
     integration_step,
@@ -48,11 +47,17 @@ def make_state(node_id=0, seed=3, shard=None):
     return NodeState(node_id, TrainableModel(cfg), shard, val)
 
 
+def train(state, epochs, start_epoch=0):
+    # One single-epoch call per epoch, as run_simulation trains.
+    shard = state.train_shard
+    for epoch in range(start_epoch, start_epoch + epochs):
+        train_epochs([state.model], shard.inputs[None], shard.labels[None], 1, 8,
+                     start_epoch=epoch)
+
+
 def train_and_package(state, epochs):
-    group = TrainingGroup([state])
-    for _ in range(epochs):
-        group.train_one_epoch(batch_size=8)
-    return state.package_update(round_index=1)
+    train(state, epochs)
+    return state.package_update(round_index=1, epochs=epochs)
 
 
 def zero_update(node_id, state, round_index=1):
@@ -118,7 +123,7 @@ class TestDisseminate:
 class TestNodeTrainPhase:
     def test_update_without_training_has_zero_delta(self):
         state = make_state()
-        update = state.package_update(round_index=1)
+        update = state.package_update(round_index=1, epochs=0)
         assert np.all(update.delta.values == 0.0)
         assert update.sample_count == 0
 
@@ -181,7 +186,6 @@ class TestIntegrationStep:
         )
         assert state.inbox == {}
         assert np.array_equal(state.base_snapshot.values, new.values)
-        assert state.snapshot_epoch == state.epoch_counter
 
     def test_fedavg_uses_base_snapshot_and_counts(self):
         state = make_state()
@@ -312,8 +316,6 @@ class TestRunSimulation:
         for index in indices:
             nodes = sorted(r.node_id for r in records if r.index == index)
             assert nodes == [0, 1, 2, 3]
-        phases = {r.index: r.phase for r in records}
-        assert phases[10] == "train" and phases[11] == "convergence"
 
     def test_bit_identical_reruns(self):
         config = small_sim_config()
@@ -338,13 +340,12 @@ class TestRunSimulation:
         strategy = IntegrationStrategy("delta_sum", PASSTHROUGH)
         for round_index in range(1, 4):
             for state in states:
-                for _ in range(5):
-                    TrainingGroup([state]).train_one_epoch(8)
-            updates = [s.package_update(round_index) for s in states]
+                train(state, 5, start_epoch=5 * (round_index - 1))
+            updates = [s.package_update(round_index, 5) for s in states]
             states[0].receive(updates[1])
             states[1].receive(updates[0])
             for state, update in zip(states, updates):
-                integration_step(state, strategy, t=state.epoch_counter, local_update=update)
+                integration_step(state, strategy, t=5 * round_index, local_update=update)
             assert np.array_equal(
                 states[0].model.weights.values, states[1].model.weights.values
             )

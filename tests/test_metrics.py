@@ -11,13 +11,12 @@ from deltagossip.metrics import (
 )
 
 
-def rec(node_id, index, global_acc, phase="train"):
+def rec(node_id, index, global_acc):
     return MetricsRecord(
         node_id=node_id,
         index=index,
         local_acc=global_acc,
         global_acc=global_acc,
-        phase=phase,
     )
 
 
@@ -138,7 +137,3 @@ class TestMetricsRecordValidation:
     def test_accuracy_bounds(self):
         with pytest.raises(ValueError):
             rec(0, 1, 1.5)
-
-    def test_phase_names(self):
-        with pytest.raises(ValueError):
-            rec(0, 1, 0.5, phase="warmup")

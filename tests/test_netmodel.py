@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from deltagossip.netmodel import (
@@ -89,6 +91,38 @@ class TestMonotonicity:
         ns = [10, 20, 40, 80]
         growth = [connectivity_increase_rate(BASELINE, 10, n) for n in ns]
         assert growth == sorted(growth)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteRejected:
+    def test_fedavg_rate(self, bad):
+        with pytest.raises(ValueError, match="update_interval_s must be positive and finite"):
+            fedavg_rate(bad, 20)
+        with pytest.raises(ValueError, match="sync_every_updates must be positive and finite"):
+            fedavg_rate(5, bad)
+
+    def test_expected_rate(self, bad):
+        for args, name in (((bad, REF_CONN, 3.2), "baseline"),
+                           ((BASELINE, bad, 3.2), "ref_conn"),
+                           ((BASELINE, REF_CONN, bad), "conn_at_n")):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                expected_rate(*args)
+
+    def test_constant_connectivity_rate(self, bad):
+        with pytest.raises(ValueError, match="baseline must be positive and finite"):
+            constant_connectivity_rate(bad)
+
+    def test_connectivity_increase_rate(self, bad):
+        with pytest.raises(ValueError, match="baseline must be positive and finite"):
+            connectivity_increase_rate(bad, 10, 25)
+        with pytest.raises(ValueError, match="n must be positive and finite"):
+            connectivity_increase_rate(BASELINE, 10, bad)
+        with pytest.raises(ValueError, match="density_exponent must be non-negative and finite"):
+            connectivity_increase_rate(BASELINE, 10, 25, density_exponent=bad)
+
+    def test_scenario_table(self, bad):
+        with pytest.raises(ValueError, match="baseline must be positive and finite"):
+            scenario_table(bad, 10, REF_CONN, [10], [3.3])
 
 
 class TestScenarioTable:
