@@ -29,7 +29,7 @@ from pathlib import Path
 from .aggregation import IntegrationStrategy, LambdaSchedule, STRATEGY_KINDS
 from .dataset import DatasetShard, ShardPlan, load_idx, shard_equal, synth_classification
 from .gossipsim import Forwarding, SimConfig, SimSchedule, SimulationError, run_simulation
-from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv
+from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv, write_atomic
 from .model import ModelConfig
 from .netmodel import fedavg_rate, scenario_table
 from .params import require_ints
@@ -161,6 +161,10 @@ def _build_experiment(config: dict, seed_override: int | None):
         topologies.append(graph)
 
     strategies = config.get("strategies", [])
+    if not isinstance(strategies, list):
+        raise ConfigError(
+            f"config: strategies must be a list of strategy names, got {strategies!r}"
+        )
     if not strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
     for j, name in enumerate(strategies):
@@ -280,9 +284,7 @@ def cmd_run(args) -> int:
             print(f"accuracy-drop ratio (delta_sum vs {name}): {ratio:.3f}")
 
     summary_path = out_dir / "summary.json"
-    with open(summary_path, "w", newline="") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {summary_path}")
     return 1 if failed else 0
 
@@ -343,14 +345,19 @@ def cmd_netmodel(args) -> int:
         "(nominal cluster-wide traffic multiple: ~5x)"
     )
     if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            f.write("n,conn,expected,constant_connectivity,connectivity_increase,fedavg\n")
-            for row in rows:
-                f.write(
-                    f"{row['n']},{row['conn']:.6f},{row['expected']:.6f},"
-                    f"{row['constant_connectivity']:.6f},"
-                    f"{row['connectivity_increase']:.6f},{row['fedavg']:.6f}\n"
-                )
+        lines = ["n,conn,expected,constant_connectivity,connectivity_increase,fedavg\n"]
+        lines += [
+            f"{row['n']},{row['conn']:.6f},{row['expected']:.6f},"
+            f"{row['constant_connectivity']:.6f},"
+            f"{row['connectivity_increase']:.6f},{row['fedavg']:.6f}\n"
+            for row in rows
+        ]
+        try:
+            Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(args.csv, "".join(lines))
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
         print(f"wrote {args.csv}")
     return 0
 

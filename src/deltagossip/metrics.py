@@ -74,25 +74,30 @@ def aggregate_across_nodes(records):
     return rows
 
 
-def export_csv(rows, path) -> None:
-    """Write aggregate rows with fixed 6-decimal formatting (bit-stable).
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as is, with no newline translation.
 
-    The rows go to ``<path>.tmp`` first, which then replaces ``path``, so an
-    interrupted write never leaves a truncated CSV.
+    The text goes to ``<path>.tmp`` first, which then replaces ``path``, so a
+    failed or interrupted write never leaves a truncated file.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", newline="") as f:
-            f.write("index,test_acc_min,test_acc_median,test_acc_max\n")
-            for row in rows:
-                f.write(
-                    f"{row.index},{row.test_acc_min:.6f},"
-                    f"{row.test_acc_median:.6f},{row.test_acc_max:.6f}\n"
-                )
+            f.write(text)
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)  # only still there if the write failed
+
+
+def export_csv(rows, path) -> None:
+    """Write aggregate rows with fixed 6-decimal formatting (bit-stable), atomically."""
+    lines = ["index,test_acc_min,test_acc_median,test_acc_max\n"]
+    lines += [
+        f"{row.index},{row.test_acc_min:.6f},{row.test_acc_median:.6f},{row.test_acc_max:.6f}\n"
+        for row in rows
+    ]
+    write_atomic(path, "".join(lines))
 
 
 def read_csv(path):

@@ -117,17 +117,30 @@ def _forward(config: ModelConfig, w: np.ndarray, x: np.ndarray):
     """(hidden activations, logits) for inputs x (..., n, d) under weights w (..., P).
 
     Leading axes pair each model with its own inputs; a single model is the
-    2-d case. The hidden layer is x itself at hidden_dim=0.
+    2-d case. The hidden layer is x itself at hidden_dim=0. Bias and tanh
+    act in place on the fresh matmul results, with the same roundings as
+    ``tanh(x @ w1 + b1)`` and ``hidden @ w2 + b2``.
     """
     w1, b1, w2, b2 = _layers(config, w)
-    hidden = x if w1 is None else np.tanh(x @ w1 + b1)
-    return hidden, hidden @ w2 + b2
+    hidden = x
+    if w1 is not None:
+        hidden = x @ w1
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+    logits = hidden @ w2
+    logits += b2
+    return hidden, logits
 
 
-def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy (...) and its gradient (..., P) over the leading axes of w.
+def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy (...) over the leading axes of w (..., P); its gradient goes to out.
 
-    The gradient's segments follow the layout: hidden_w, hidden_b, out_w, out_b.
+    ``out`` is a caller-owned C-contiguous buffer of w's shape; every value
+    of it is overwritten. Each gradient segment (hidden_w, hidden_b, out_w,
+    out_b) is written straight into its ``_layers`` view of ``out``, so a
+    step allocates nothing of size P. The matmuls and bias sums into these
+    views are bitwise equal to the same operations into fresh arrays.
     """
     hidden, logits = _forward(config, w, x)
     log_probs = _log_softmax(logits)
@@ -138,13 +151,17 @@ def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.
     d_logits[pick] -= 1.0
     d_logits /= y.shape[-1]
 
-    grads = [np.swapaxes(hidden, -1, -2) @ d_logits, d_logits.sum(axis=-2)]  # out_w, out_b
+    g1, gb1, g2, gb2 = _layers(config, out)
+    np.matmul(np.swapaxes(hidden, -1, -2), d_logits, out=g2)
+    d_logits.sum(axis=-2, out=gb2[..., 0, :])
     if config.hidden_dim > 0:
-        w2 = _layers(config, w)[2]
-        d_hidden = (d_logits @ np.swapaxes(w2, -1, -2)) * (1.0 - hidden**2)
-        grads = [np.swapaxes(x, -1, -2) @ d_hidden, d_hidden.sum(axis=-2), *grads]
-    lead = w.shape[:-1]
-    return loss, np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
+        d_hidden = d_logits @ np.swapaxes(_layers(config, w)[2], -1, -2)
+        slope = hidden * hidden  # the tanh derivative 1 - hidden**2
+        np.subtract(1.0, slope, out=slope)
+        d_hidden *= slope
+        np.matmul(np.swapaxes(x, -1, -2), d_hidden, out=g1)
+        d_hidden.sum(axis=-2, out=gb1[..., 0, :])
+    return loss
 
 
 class TrainingError(ValueError):
@@ -187,7 +204,8 @@ class TrainableModel:
             raise ValueError(DIM_MISMATCH)
         if batch.labels.max() >= cfg.class_count:
             raise ValueError(LABELS_EXCEED)
-        loss, grad = _loss_and_gradient(cfg, self.weights.values, batch.inputs, batch.labels)
+        grad = np.empty(len(self.weights))
+        loss = _loss_and_gradient(cfg, self.weights.values, batch.inputs, batch.labels, grad)
         if not np.isfinite(loss):
             raise FloatingPointError(NON_FINITE_LOSS)
         return float(loss), self.weights.with_values(grad)
@@ -217,8 +235,13 @@ def train_epochs(
     index), so the whole group walks the same batches, replays agree, and
     staggered single-epoch calls walk the same sequence as one long call.
     Each batch is one stacked step over the group, bitwise equal to training
-    every model on its own. Each model's final weights are recomposed as
-    before + delta, which makes the delta apply back bitwise.
+    every model on its own. The group's weights are one private (G, P) copy,
+    and each step writes its gradient into one buffer allocated per call and
+    updates the weights in place (``grad *= lr; w -= grad``: the roundings
+    of ``w - lr * grad``), so no step allocates a (G, P) float array. Each
+    model's final weights are recomposed as before + delta, which makes the
+    delta apply back bitwise. The caller's inputs, labels and
+    ParameterVectors are not written.
 
     A failing model (non-finite loss or weights, labels beyond the class
     count) raises TrainingError for the lowest failing row of the first
@@ -251,7 +274,8 @@ def train_epochs(
     if failures:
         labels = np.where(labels < cfg.class_count, labels, 0)
 
-    w = np.stack([m.weights.values for m in models])
+    w = np.stack([m.weights.values for m in models])  # private: updated in place
+    grad = np.empty(w.shape)
     for e in range(epochs):
         order = np.random.default_rng([cfg.seed, start_epoch + e]).permutation(size)
         # A failed row computes on inf/NaN until the epoch ends; its warnings
@@ -262,8 +286,9 @@ def train_epochs(
                 # model's matmuls see the strides a lone model's batch has.
                 idx = order[lo : lo + batch_size]
                 x, y = inputs.take(idx, axis=1), labels.take(idx, axis=1)
-                loss, grad = _loss_and_gradient(cfg, w, x, y)
-                w = w - cfg.learning_rate * grad
+                loss = _loss_and_gradient(cfg, w, x, y, grad)
+                grad *= cfg.learning_rate
+                w -= grad
                 if not (np.isfinite(loss).all() and np.isfinite(w).all()):
                     bad_loss = ~np.isfinite(loss)
                     for r in np.flatnonzero(bad_loss | ~np.isfinite(w).all(axis=1)):

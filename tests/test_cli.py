@@ -337,6 +337,19 @@ class TestStrictConfig:
         assert err.startswith("error: config is not valid JSON: ")
         assert not Path(config["output_dir"]).exists()
 
+    @pytest.mark.parametrize("value", ["delta_sum", {"delta_sum": {}}],
+                             ids=["string", "object"])
+    def test_strategies_must_be_a_list(self, tmp_path, capsys, value):
+        # Iterating would walk a string by character and an object by its keys.
+        config = small_config(tmp_path)
+        config["strategies"] = value
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config: strategies must be a list of strategy names, got {value!r}\n")
+        assert not Path(config["output_dir"]).exists()
+
     def test_output_dir_must_be_a_string(self, tmp_path, capsys):
         config = small_config(tmp_path)
         config["output_dir"] = 5
@@ -411,6 +424,25 @@ class TestNetmodel:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "n,conn,expected,constant_connectivity,connectivity_increase,fedavg"
         assert len(lines) == 4
+
+    def test_csv_directory_is_created(self, tmp_path):
+        csv_path = tmp_path / "nodir" / "sub" / "net.csv"
+        assert main(["netmodel", "--csv", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].startswith("n,conn,") and len(lines) == 4
+
+    def test_failed_csv_write_is_an_error_line_and_leaves_no_partial_file(self, tmp_path,
+                                                                          capsys):
+        taken = tmp_path / "net.csv"
+        taken.mkdir()  # the CSV path names a directory: the final rename fails
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")  # a parent that is a file: the mkdir fails
+        for csv_path in (taken, blocker / "net.csv"):
+            assert main(["netmodel", "--csv", str(csv_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "net.csv"]
+        assert not list(taken.iterdir()) and blocker.read_text() == "kept\n"
 
     def test_single_node_count_single_row(self, capsys):
         assert main(["netmodel", "--nodes", "10", "--conn", "3.3"]) == 0

@@ -8,6 +8,7 @@ from deltagossip.metrics import (
     aggregate_across_nodes,
     export_csv,
     read_csv,
+    write_atomic,
 )
 
 
@@ -98,7 +99,7 @@ class TestExportCsv:
         path = tmp_path / "out.csv"
         export_csv([AggregateRow(1, 0.1, 0.2, 0.3)], path)
         before = path.read_bytes()
-        # the second row cannot be formatted, after the header and first row were written
+        # the second row cannot be formatted; a failure mid-write is TestWriteAtomic's
         failing = [AggregateRow(1, 0.4, 0.5, 0.6), AggregateRow(2, "x", 0.5, 0.6)]
         with pytest.raises(ValueError):
             export_csv(failing, path)
@@ -106,6 +107,26 @@ class TestExportCsv:
         with pytest.raises(ValueError):
             export_csv(failing, tmp_path / "new.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestWriteAtomic:
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(path, "before\r\n")
+        # a lone surrogate cannot be encoded: the write fails once the temporary file exists
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(path, "after\n" + "\ud800")
+        assert path.read_bytes() == b"before\r\n"
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(tmp_path / "new.txt", "after\n" + "\ud800")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        taken = tmp_path / "out.txt"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_atomic(taken, "text\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestAccuracyDropRatio:

@@ -309,6 +309,112 @@ class TestGroupTraining:
         assert (info.value.row, info.value.epoch) == (1, 1)
 
 
+def frozen_layers(config, w):
+    d, h, k = config.input_dim, config.hidden_dim, config.class_count
+    lead = w.shape[:-1]
+    out = h * (d + 1)
+    w2, b2 = w[..., out:-k].reshape(*lead, -1, k), w[..., None, -k:]
+    if h == 0:
+        return None, None, w2, b2
+    return w[..., : d * h].reshape(*lead, d, h), w[..., None, d * h : out], w2, b2
+
+
+def frozen_loss_and_gradient(config, w, x, y):
+    """The allocating stacked step that train_epochs first used, operation for
+    operation (_forward and _log_softmax inlined): fresh temporaries everywhere
+    and one np.concatenate of the segments."""
+    w1, b1, w2, b2 = frozen_layers(config, w)
+    hidden = x if w1 is None else np.tanh(x @ w1 + b1)
+    logits = hidden @ w2 + b2
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    pick = (*np.indices(y.shape, sparse=True), y)
+    loss = -log_probs[pick].mean(axis=-1)
+
+    d_logits = np.exp(log_probs)
+    d_logits[pick] -= 1.0
+    d_logits /= y.shape[-1]
+
+    grads = [np.swapaxes(hidden, -1, -2) @ d_logits, d_logits.sum(axis=-2)]
+    if config.hidden_dim > 0:
+        w2 = frozen_layers(config, w)[2]
+        d_hidden = (d_logits @ np.swapaxes(w2, -1, -2)) * (1.0 - hidden**2)
+        grads = [np.swapaxes(x, -1, -2) @ d_hidden, d_hidden.sum(axis=-2), *grads]
+    lead = w.shape[:-1]
+    return loss, np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
+
+
+def frozen_train(config, before, inputs, labels, epochs, batch_size, start_epoch):
+    """(weights, deltas) (G, P) of the allocating step's training loop over take batches."""
+    w = before.copy()
+    size = labels.shape[1]
+    for e in range(epochs):
+        order = np.random.default_rng([config.seed, start_epoch + e]).permutation(size)
+        for lo in range(0, size, batch_size):
+            idx = order[lo : lo + batch_size]
+            x, y = inputs.take(idx, axis=1), labels.take(idx, axis=1)
+            _, grad = frozen_loss_and_gradient(config, w, x, y)
+            w = w - config.learning_rate * grad
+    deltas = w - before
+    return before + deltas, deltas
+
+
+@st.composite
+def frozen_step_runs(draw):
+    """A group of G models on random weights and data, with a batch size that does
+    not divide the shard, so every epoch ends on a short batch."""
+    cfg = ModelConfig(
+        input_dim=draw(st.integers(1, 9)),
+        class_count=draw(st.integers(2, 5)),
+        hidden_dim=draw(st.sampled_from([0, 1, 4])),
+        learning_rate=draw(st.sampled_from([0.05, 0.5])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    count = draw(st.integers(1, 6))
+    batch_size = draw(st.integers(2, 20))
+    size = draw(st.integers(0, 3)) * batch_size + draw(st.integers(1, batch_size - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.normal(0, 0.5, (count, len(init_weights(cfg))))
+    inputs = rng.uniform(-1, 1, (count, size, cfg.input_dim))
+    labels = rng.integers(0, cfg.class_count, (count, size))
+    schedule = (batch_size, draw(st.integers(1, 3)), draw(st.integers(0, 50)))
+    return cfg, weights, inputs, labels, schedule
+
+
+class TestFrozenStep:
+    @hypothesis_seed(20250401)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(frozen_step_runs())
+    def test_train_epochs_bitwise_equal_to_the_allocating_step(self, run):
+        cfg, weights, inputs, labels, (batch_size, epochs, start_epoch) = run
+        models = [TrainableModel(cfg, init_weights(cfg).with_values(row)) for row in weights]
+        starts = [m.weights for m in models]
+        saved = (inputs.copy(), labels.copy(), [v.values.copy() for v in starts])
+
+        deltas = train_epochs(models, inputs, labels, epochs, batch_size, start_epoch)
+        expected_w, expected_d = frozen_train(cfg, weights, inputs, labels, epochs,
+                                              batch_size, start_epoch)
+        for g, model in enumerate(models):
+            assert model.weights.values.tobytes() == expected_w[g].tobytes()
+            assert deltas[g].values.tobytes() == expected_d[g].tobytes()
+
+        assert np.array_equal(inputs, saved[0]) and np.array_equal(labels, saved[1])
+        for start, values in zip(starts, saved[2]):
+            assert start.values.tobytes() == values.tobytes()
+
+    @hypothesis_seed(20250402)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(frozen_step_runs())
+    def test_single_model_gradient_bitwise_equal_to_the_allocating_step(self, run):
+        cfg, weights, inputs, labels, _ = run
+        model = TrainableModel(cfg, init_weights(cfg).with_values(weights[0]))
+        loss, grad = model.loss_and_gradient(Batch(inputs[0], labels[0]))
+        expected_loss, expected_grad = frozen_loss_and_gradient(cfg, weights[0], inputs[0],
+                                                                labels[0])
+        assert loss == float(expected_loss)
+        assert grad.values.tobytes() == expected_grad.tobytes()
+
+
 class TestCentralizedReference:
     def test_single_shard_equals_train_epochs(self):
         data = synth_classification(3, 4, 40, seed=6, noise_sigma=0.05)
