@@ -30,8 +30,8 @@ print("after averaging :", averaged.values, "(each delta effectively halved)")
 
 print("\n== weighted-delta integration ==")
 updates = [
-    dg.ModelUpdate(0, 1, w0, local_delta, sample_count=300),
-    dg.ModelUpdate(1, 1, w0, remote_delta, sample_count=100),
+    dg.ModelUpdate(0, w0, local_delta, sample_count=300),
+    dg.ModelUpdate(1, w0, remote_delta, sample_count=100),
 ]
 fed = dg.fedavg_integrate(w0, updates)
 summed = dg.sample_weighted_integrate(w0, updates)

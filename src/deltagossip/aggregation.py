@@ -51,7 +51,6 @@ class ModelUpdate:
     """One node's gossip payload: base snapshot plus training delta."""
 
     node_id: int
-    round: int
     base: ParameterVector
     delta: ParameterVector
     sample_count: int

@@ -6,7 +6,8 @@ strategy plus a summary), netmodel (analytical throughput table).
 All randomness flows from config seeds, and every run executes serially in
 this process, so run's --threads never changes output. A run that raises a
 SimulationError is reported on stderr and in the summary, the other runs
-go on, and run exits 1.
+go on, and run exits 1. A file that cannot be read or written (an OSError)
+stops any command with an ``error:`` line and exit 1.
 
 Each run config block is built by the dataclass or function whose fields it
 accepts, with that code's defaults (README: "Config blocks"); an unknown key
@@ -352,12 +353,8 @@ def cmd_netmodel(args) -> int:
             f"{row['connectivity_increase']:.6f},{row['fedavg']:.6f}\n"
             for row in rows
         ]
-        try:
-            Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(args.csv, "".join(lines))
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(args.csv, "".join(lines))
         print(f"wrote {args.csv}")
     return 0
 
@@ -419,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:  # a path that is, or lies under, a file; an unreadable file
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -128,6 +128,7 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
     ``downsample`` mean-pools square blocks of that side length; image
     dimensions must be divisible by it.
     """
+    require_ints(downsample=downsample)
     if downsample < 1:
         raise ValueError("downsample factor must be >= 1")
 

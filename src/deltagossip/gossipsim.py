@@ -3,8 +3,9 @@
 Every node trains one epoch per round from an identical starting model. At
 each integration point all nodes package a (base, delta) update against
 their last snapshot, each update reaches every node within max_hops of its
-sender (first_hop is the 1-hop walk), and every node merges its inbox with
-the configured strategy. After training, convergence rounds average full
+sender (first_hop is the 1-hop walk), and every node merges its own update
+with the list of updates that reached it, in sender order, under the
+configured strategy. After training, convergence rounds average full
 models with neighbors until the cluster agrees. After every epoch and
 every convergence round each node records two accuracies: on its local
 validation shard and on the shared global validation set.
@@ -30,6 +31,7 @@ import numpy as np
 from .aggregation import (
     IntegrationStrategy,
     ModelUpdate,
+    _sorted_unique,
     average_full_models,
     delta_sum_integrate,
     fedavg_integrate,
@@ -106,7 +108,7 @@ class SimConfig:
 
 
 class NodeState:
-    """One simulated node: model, data, snapshot, and this round's inbox."""
+    """One simulated node: model, data and the snapshot its next delta is taken against."""
 
     def __init__(self, node_id: int, model: TrainableModel,
                  train_shard: DatasetShard, local_val: DatasetShard):
@@ -115,34 +117,22 @@ class NodeState:
         self.train_shard = train_shard
         self.local_val = local_val
         self.base_snapshot = model.weights
-        self.inbox: dict[tuple[int, int], ModelUpdate] = {}
-        self.seen: set[tuple[int, int]] = set()
 
-    def package_update(self, round_index: int, epochs: int) -> ModelUpdate:
+    def package_update(self, epochs: int) -> ModelUpdate:
         """Base snapshot plus what training learned since it was taken.
 
         ``epochs`` is how many epochs that was; sample_count is train size
         times epochs. The model is recomposed as base + delta so that
-        receivers reconstruct this node's weights bitwise.
+        the other nodes reconstruct this node's weights bitwise.
         """
         delta = self.model.weights - self.base_snapshot
         self.model.weights = self.base_snapshot + delta
         return ModelUpdate(
             node_id=self.node_id,
-            round=round_index,
             base=self.base_snapshot,
             delta=delta,
             sample_count=self.train_shard.size * epochs,
         )
-
-    def receive(self, update: ModelUpdate) -> None:
-        key = (update.node_id, update.round)
-        if key in self.seen:
-            raise SimulationError(
-                f"node {self.node_id} received duplicate update {key}"
-            )
-        self.seen.add(key)
-        self.inbox[key] = update
 
 
 @contextmanager
@@ -155,11 +145,11 @@ def _failing_node(node_id: int, where: str):
 
 
 def disseminate(graph: TopologyGraph, sender: int, forwarding: Forwarding) -> set[int]:
-    """Which nodes receive the sender's update; it never delivers to itself.
+    """Which nodes the sender's update reaches; never the sender itself.
 
     The update reaches every node within forwarding.max_hops of the sender,
-    each (sender, round) accepted once however many paths reach a node.
-    first_hop is the 1-hop walk: exactly the sender's neighbors.
+    once however many paths reach it. first_hop is the 1-hop walk: exactly
+    the sender's neighbors.
     """
     return set(hop_distances(graph, sender, forwarding.max_hops)) - {sender}
 
@@ -169,18 +159,19 @@ def integration_step(
     strategy: IntegrationStrategy,
     t: int,
     local_update: ModelUpdate,
+    remotes: list[ModelUpdate],
 ) -> ParameterVector:
-    """Merge the node's inbox with its own update under one strategy.
+    """Merge the node's own update with the remote updates that reached it.
 
     For delta_sum ``local_update``, the node's package for this round,
     contributes its base and delta alongside the remote updates. The
     averaging baselines reconstruct full models (base + delta) and average
     those. FedAvg-style strategies apply sample-weighted deltas on top of
     the node's base snapshot. Afterwards the merged weights become the new
-    base snapshot and the inbox is cleared.
+    base snapshot. A remote sender given twice, or the node's own update
+    among the remotes, is a ValueError under every strategy.
     """
-    remotes = list(state.inbox.values())
-    updates = sorted([local_update, *remotes], key=lambda u: u.node_id)
+    updates = _sorted_unique([local_update, *remotes])
 
     kind = strategy.kind
     if kind == "delta_sum":
@@ -198,7 +189,6 @@ def integration_step(
 
     state.model.weights = new_weights
     state.base_snapshot = new_weights
-    state.inbox.clear()
     return new_weights
 
 
@@ -269,16 +259,15 @@ def run_simulation(
             raise SimulationError(f"node {node_id} epoch {epoch}: {err}") from err
 
         if epoch % schedule.integrate_every == 0:
-            round_index = epoch // schedule.integrate_every
-            updates = [s.package_update(round_index, schedule.integrate_every)
-                       for s in states]
+            updates = [s.package_update(schedule.integrate_every) for s in states]
+            delivered = [[] for _ in states]  # filled in sender order
             for state, update in zip(states, updates):
-                for receiver in sorted(disseminate(graph, state.node_id, config.forwarding)):
-                    states[receiver].receive(update)
-            where = f"integration round {round_index} ({kind})"
-            for state, update in zip(states, updates):
+                for target in disseminate(graph, state.node_id, config.forwarding):
+                    delivered[target].append(update)
+            where = f"integration round {epoch // schedule.integrate_every} ({kind})"
+            for state, update, remotes in zip(states, updates, delivered):
                 with _failing_node(state.node_id, where):
-                    integration_step(state, config.strategy, t=epoch, local_update=update)
+                    integration_step(state, config.strategy, epoch, update, remotes)
 
         record_all(epoch)
 

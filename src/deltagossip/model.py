@@ -72,18 +72,19 @@ def model_layout(config: ModelConfig):
 
 
 def init_weights(config: ModelConfig) -> ParameterVector:
-    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    d, h, k = config.input_dim, config.hidden_dim, config.class_count
+    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases.
+
+    The hidden weights draw first, then the output weights, each filled in
+    row-major order through its ``_layers`` view.
+    """
     rng = np.random.default_rng(config.seed)
     layout = model_layout(config)
     values = np.zeros(sum(seg.length for seg in layout))
-    if h > 0:
-        s1, s2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(h)
-        values[: d * h] = rng.uniform(-s1, s1, d * h)
-        values[d * h + h : d * h + h + h * k] = rng.uniform(-s2, s2, h * k)
-    else:
-        s = 1.0 / np.sqrt(d)
-        values[: d * k] = rng.uniform(-s, s, d * k)
+    w1, _, w2, _ = _layers(config, values)
+    for w in (w1, w2):
+        if w is not None:
+            bound = 1.0 / np.sqrt(w.shape[0])  # fan_in
+            w[...] = rng.uniform(-bound, bound, w.shape)
     return ParameterVector(values, layout)
 
 

@@ -15,12 +15,7 @@ import pytest
 import deltagossip as dg
 from deltagossip.aggregation import STRATEGY_KINDS
 from deltagossip.cli import main as cli_main
-from deltagossip.gossipsim import (
-    Forwarding,
-    NodeState,
-    SimulationError,
-    disseminate,
-)
+from deltagossip.gossipsim import Forwarding
 from deltagossip.model import ModelConfig, TrainableModel
 from deltagossip.params import ParameterVector, make_layout
 from deltagossip.topology import (
@@ -47,7 +42,7 @@ def pv(values, layout=None):
 
 def update(node_id, base, delta, k=1):
     base = pv(base)
-    return dg.ModelUpdate(node_id, 0, base, pv(delta, base.layout), k)
+    return dg.ModelUpdate(node_id, base, pv(delta, base.layout), k)
 
 
 def test_criterion_1_equation_oracles():
@@ -323,59 +318,63 @@ def test_criterion_7_topology_contract():
 def test_criterion_8_dissemination_dedup():
     start = time.perf_counter()
     rng = np.random.default_rng(888)
-    layout = make_layout([("w", 2)])
-    zeros = ParameterVector(np.zeros(2), layout)
-    template_shard = dg.synth_classification(2, 2, 2, seed=0)
-
-    def make_receiver(node):
-        return NodeState(
-            node,
-            TrainableModel(ModelConfig(input_dim=2, class_count=2, seed=0)),
-            template_shard,
-            template_shard,
-        )
+    data = dg.synth_classification(2, 2, 60, seed=0)
+    schedule = dg.LambdaSchedule(offset=0.15, slope_divisor=1000.0, cap=0.35)
+    integrate = dg.gossipsim.integration_step
 
     checked = 0
-    for _ in range(120):
+    for graph_index in range(120):
         n = int(rng.integers(4, 21))
         graph = generate_semi_random(
             n,
             TopologyConstraints(target_avg_degree=float(min(3.5, n - 1.2))),
             seed=int(rng.integers(10**9)),
         )
-        sender = int(rng.integers(n))
         max_hops = int(rng.integers(1, 6))
+        kind = STRATEGY_KINDS[graph_index % len(STRATEGY_KINDS)]
 
-        # brute-force oracle: breadth-first distances on the raw adjacency
-        dist = {sender: 0}
-        frontier = [sender]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in graph.adjacency[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        reachable = {v for v, d in dist.items() if 1 <= d <= max_hops}
+        # brute-force oracle: breadth-first distances on the raw adjacency;
+        # the graph is undirected, so a node hears from the nodes it reaches
+        def reachable(source):
+            dist = {source: 0}
+            frontier = [source]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in graph.adjacency[u]:
+                        if v not in dist:
+                            dist[v] = dist[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            return sorted(v for v, d in dist.items() if 1 <= d <= max_hops)
 
-        payload = dg.ModelUpdate(sender, 1, zeros, zeros, 1)
-        delivered = disseminate(
-            graph, sender, Forwarding(mode="multi_hop", max_hops=max_hops)
+        # exactly-once at the engine: each node integrates once per round,
+        # each sender within max_hops once, in sender order; a duplicated
+        # sender or the node's own update is rejected under every strategy
+        calls = []
+
+        def spy(state, strategy, t, local_update, remotes):
+            calls.append((state.node_id, [u.node_id for u in remotes]))
+            for bad in ([*remotes, remotes[0]], [*remotes, local_update]):
+                with pytest.raises(ValueError, match="duplicate node ids"):
+                    integrate(state, strategy, t, local_update, bad)
+            return integrate(state, strategy, t, local_update, remotes)
+
+        config = dg.SimConfig(
+            topology=graph,
+            strategy=dg.IntegrationStrategy(kind, schedule if kind == "delta_sum" else None),
+            schedule=dg.SimSchedule(train_epochs=1, integrate_every=1,
+                                    convergence_until_round=1, batch_size=4),
+            model_config=ModelConfig(input_dim=2, class_count=2, seed=0),
+            shard_plan=dg.ShardPlan(node_count=n, seed=0),
+            forwarding=Forwarding(mode="multi_hop", max_hops=max_hops),
         )
-        assert delivered == reachable
-        assert sender not in delivered
-
-        # exactly-once at the inbox: each receiver holds one copy and the
-        # dedup contract forbids a second delivery of the same (sender, round)
-        for node in sorted(delivered):
-            state = make_receiver(node)
-            state.receive(payload)
-            assert list(state.inbox) == [(sender, 1)]
-            with pytest.raises(SimulationError):
-                state.receive(payload)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dg.gossipsim, "integration_step", spy)
+            dg.run_simulation(config, data)
+        assert calls == [(node, reachable(node)) for node in range(n)]
         checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    report(8, f"flooding matched the reachability oracle on {checked} graphs "
-              f"({elapsed:.1f}s)")
+    report(8, f"every node integrated exactly the reachability oracle's senders on "
+              f"{checked} graphs; duplicates rejected ({elapsed:.1f}s)")

@@ -31,9 +31,9 @@ def pv(values, layout=None):
     return ParameterVector(values, layout)
 
 
-def update(node_id, base, delta, k=1, round=0):
+def update(node_id, base, delta, k=1):
     base = pv(base)
-    return ModelUpdate(node_id, round, base, pv(delta, base.layout), sample_count=k)
+    return ModelUpdate(node_id, base, pv(delta, base.layout), sample_count=k)
 
 
 class TestLambdaValue:
@@ -255,7 +255,7 @@ class TestDeltaSumIntegrate:
     def test_layout_mismatch_rejected(self):
         local = update(0, [0.0], [1.0])
         other = ModelUpdate(
-            1, 0, pv([0.0], make_layout([("x", 1)])),
+            1, pv([0.0], make_layout([("x", 1)])),
             pv([1.0], make_layout([("x", 1)])), 1
         )
         with pytest.raises(LayoutError):
@@ -343,7 +343,7 @@ def update_groups(draw, min_size=1):
     def vec(sigma):
         return ParameterVector(rng.normal(0.0, sigma * scale, size), layout)
 
-    updates = [ModelUpdate(i, 1, vec(1.0), vec(0.1), sample_count=k)
+    updates = [ModelUpdate(i, vec(1.0), vec(0.1), sample_count=k)
                for i, k in zip(ids, samples)]
     return vec(1.0), updates
 
@@ -380,14 +380,14 @@ class TestAggregationProperties:
         st.randoms(use_true_random=False),
     )
     def test_every_strategy_is_bitwise_order_independent(self, group, schedule, t, random):
-        # The engine path: the node's own update plus an inbox filled in
+        # The engine path: the node's own update plus its remote updates in
         # arbitrary arrival order.
         w, (local, *remotes) = group
         shuffled = random.sample(remotes, len(remotes))
         for kind in STRATEGY_KINDS:
             strategy = IntegrationStrategy(kind, schedule if kind == "delta_sum" else None)
             results = [
-                integration_step(_receiver(w, local, arrivals), strategy, t, local)
+                integration_step(_receiver(w, local), strategy, t, local, arrivals)
                 for arrivals in (remotes, shuffled)
             ]
             assert np.array_equal(results[0].values, results[1].values), kind
@@ -402,11 +402,9 @@ class TestAggregationProperties:
             np.testing.assert_allclose(out.values, model.values, rtol=1e-12, atol=1e-15)
 
 
-def _receiver(w, local, arrivals):
-    """A node whose snapshot is w and whose inbox received ``arrivals`` in order."""
+def _receiver(w, local):
+    """A node whose model is ``local``'s full model and whose snapshot is w."""
     model = SimpleNamespace(weights=local.full_model())
     state = NodeState(local.node_id, model, train_shard=None, local_val=None)
     state.base_snapshot = w
-    for remote in arrivals:
-        state.receive(remote)
     return state

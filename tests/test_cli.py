@@ -359,6 +359,19 @@ class TestStrictConfig:
         assert capsys.readouterr().err.startswith("error: config: output_dir must be a string")
         assert not (tmp_path / "5").exists()
 
+    @pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+    def test_downsample_must_be_an_integer(self, tmp_path, capsys, value):
+        images, labels = write_idx_pair(tmp_path, np.zeros((40, 4, 4)), [0, 1] * 20)
+        config = small_config(tmp_path)
+        config["dataset"] = {"kind": "idx", "train_images": str(images),
+                             "train_labels": str(labels), "downsample": value}
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset: downsample must be an integer, got {value!r}\n")
+        assert not Path(config["output_dir"]).exists()
+
     def test_readme_minimal_config_builds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S)
@@ -407,6 +420,62 @@ class TestSweepInputs:
         assert main(["run", "--config", str(config_path), *extra]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not Path(config["output_dir"]).exists()
+
+
+class TestFileErrors:
+    """A path the CLI cannot read or write is one ``error:`` line and exit 1."""
+
+    @staticmethod
+    def config_path(tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(small_config(tmp_path)))
+        return path
+
+    @pytest.mark.parametrize("out", ["afile/sub", "afile"], ids=["under_a_file", "a_file"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("kept\n")
+        argv = ["run", "--config", str(self.config_path(tmp_path)), "--out", str(tmp_path / out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out in err
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_gen_topology_output_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("kept\n")
+        argv = ["gen-topology", "--nodes", "10", "--target-avg-degree", "3.3",
+                "--out", str(tmp_path / "afile" / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    def test_csv_that_cannot_be_written(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "4nodes_delta_sum.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(self.config_path(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4nodes_delta_sum.csv" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "4nodes_delta_sum.csv", "4nodes_standard_averaging.csv"]
+        assert not list((out_dir / "4nodes_delta_sum.csv").iterdir())
+
+    def test_summary_that_cannot_be_written(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "summary.json").mkdir(parents=True)
+        assert main(["run", "--config", str(self.config_path(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "4nodes_delta_sum.csv", "4nodes_standard_averaging.csv", "summary.json"]
+        assert not list((out_dir / "summary.json").iterdir())
 
 
 class TestNetmodel:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from deltagossip import gossipsim
-from deltagossip.aggregation import IntegrationStrategy, LambdaSchedule, ModelUpdate
+from deltagossip.aggregation import (
+    STRATEGY_KINDS,
+    IntegrationStrategy,
+    LambdaSchedule,
+    ModelUpdate,
+)
 from deltagossip.dataset import DatasetShard, ShardPlan, shard_equal, synth_classification
 from deltagossip.gossipsim import (
     Forwarding,
@@ -57,13 +62,17 @@ def train(state, epochs, start_epoch=0):
 
 def train_and_package(state, epochs):
     train(state, epochs)
-    return state.package_update(round_index=1, epochs=epochs)
+    return state.package_update(epochs=epochs)
 
 
-def zero_update(node_id, state, round_index=1):
+def zero_update(node_id, state):
     layout = state.model.weights.layout
     zeros = ParameterVector(np.zeros(len(state.model.weights)), layout)
-    return ModelUpdate(node_id, round_index, state.model.weights, zeros, 10)
+    return ModelUpdate(node_id, state.model.weights, zeros, 10)
+
+
+STRATEGIES = [IntegrationStrategy(kind, PASSTHROUGH if kind == "delta_sum" else None)
+              for kind in STRATEGY_KINDS]
 
 
 class TestDisseminate:
@@ -111,19 +120,11 @@ class TestDisseminate:
             delivered = disseminate(graph, sender, fwd)
             assert delivered == expected
 
-    def test_receive_rejects_duplicate_sender_round(self):
-        state = make_state()
-        update = zero_update(1, state)
-        state.receive(update)
-        assert (1, 1) in state.inbox
-        with pytest.raises(SimulationError):
-            state.receive(update)
-
 
 class TestNodeTrainPhase:
     def test_update_without_training_has_zero_delta(self):
         state = make_state()
-        update = state.package_update(round_index=1, epochs=0)
+        update = state.package_update(epochs=0)
         assert np.all(update.delta.values == 0.0)
         assert update.sample_count == 0
 
@@ -150,9 +151,7 @@ class TestIntegrationStep:
         state = make_state()
         update = train_and_package(state, 2)
         before = state.model.weights.values.copy()
-        new = integration_step(
-            state, IntegrationStrategy("standard_averaging"), t=2, local_update=update
-        )
+        new = integration_step(state, IntegrationStrategy("standard_averaging"), 2, update, [])
         assert np.array_equal(new.values, before)
 
     def test_empty_inbox_delta_sum_damps_local_delta(self):
@@ -160,44 +159,47 @@ class TestIntegrationStep:
         state = make_state()
         update = train_and_package(state, 2)
         expected = update.base.values + 0.25 * update.delta.values
-        new = integration_step(
-            state, IntegrationStrategy("delta_sum", schedule), t=2, local_update=update
-        )
+        new = integration_step(state, IntegrationStrategy("delta_sum", schedule), 2, update, [])
         np.testing.assert_allclose(new.values, expected, rtol=0, atol=1e-15)
 
     def test_remote_identical_to_local_changes_nothing_under_averaging(self):
         state = make_state()
         update = train_and_package(state, 2)
-        twin = ModelUpdate(99, 1, update.base, update.delta, update.sample_count)
-        state.receive(twin)
+        twin = ModelUpdate(99, update.base, update.delta, update.sample_count)
         new = integration_step(
-            state, IntegrationStrategy("standard_averaging"), t=2, local_update=update
+            state, IntegrationStrategy("standard_averaging"), 2, update, [twin]
         )
         np.testing.assert_allclose(
             new.values, (update.base + update.delta).values, rtol=0, atol=1e-15
         )
 
-    def test_inbox_cleared_and_snapshot_advanced(self):
+    def test_snapshot_advanced_to_merged_weights(self):
         state = make_state()
         update = train_and_package(state, 2)
-        state.receive(zero_update(5, state))
         new = integration_step(
-            state, IntegrationStrategy("standard_averaging"), t=2, local_update=update
+            state, IntegrationStrategy("standard_averaging"), 2, update, [zero_update(5, state)]
         )
-        assert state.inbox == {}
         assert np.array_equal(state.base_snapshot.values, new.values)
 
     def test_fedavg_uses_base_snapshot_and_counts(self):
         state = make_state()
         update = train_and_package(state, 2)
         base = state.base_snapshot
-        remote = ModelUpdate(7, 1, update.base, update.delta * 3.0, update.sample_count)
-        state.receive(remote)
-        new = integration_step(
-            state, IntegrationStrategy("fedavg"), t=2, local_update=update
-        )
+        remote = ModelUpdate(7, update.base, update.delta * 3.0, update.sample_count)
+        new = integration_step(state, IntegrationStrategy("fedavg"), 2, update, [remote])
         expected = base.values + (update.delta.values + 3.0 * update.delta.values) / 2.0
         np.testing.assert_allclose(new.values, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda strategy: strategy.kind)
+    def test_duplicate_sender_or_own_update_rejected(self, strategy):
+        state = make_state(node_id=2)
+        update = train_and_package(state, 2)
+        weights, snapshot = state.model.weights, state.base_snapshot
+        remote = zero_update(5, state)
+        for remotes in ([remote, remote], [remote, update], [zero_update(2, state)]):
+            with pytest.raises(ValueError, match="duplicate node ids"):
+                integration_step(state, strategy, 2, update, remotes)
+            assert state.model.weights is weights and state.base_snapshot is snapshot
 
 
 class TestConvergenceRound:
@@ -341,11 +343,9 @@ class TestRunSimulation:
         for round_index in range(1, 4):
             for state in states:
                 train(state, 5, start_epoch=5 * (round_index - 1))
-            updates = [s.package_update(round_index, 5) for s in states]
-            states[0].receive(updates[1])
-            states[1].receive(updates[0])
-            for state, update in zip(states, updates):
-                integration_step(state, strategy, t=5 * round_index, local_update=update)
+            updates = [s.package_update(5) for s in states]
+            for state, update, remote in zip(states, updates, updates[::-1]):
+                integration_step(state, strategy, 5 * round_index, update, [remote])
             assert np.array_equal(
                 states[0].model.weights.values, states[1].model.weights.values
             )
@@ -363,12 +363,26 @@ class TestRunSimulation:
 # exactly. The 10-class digest was taken from the last-axis log-softmax
 # evaluation, before evaluation summed class planes in NumPy's pairwise
 # order (8 lanes from 8 classes on): the plane kernel must reproduce it.
+# The standard_averaging, fedavg, sample_weighted and two-hop digests were
+# taken while each node still collected its deliveries in a mailbox, before
+# integration took them as a list: the list engine must reproduce them.
 GOLDEN_CSV_SHA256 = {
     ("delta_sum", 8, 3, 0.1): "8a9a44be0eda30bfaf499e6731b5abf421a29ff9fa3cf12a821451e94c1be757",
     ("variance_corrected", 0, 3, 0.1):
         "e4e4708914ac55d8b31e90de0ef0f5e6c7126037735d0e69055e1592fb2fb8ca",
     ("delta_sum", 0, 10, 1.0): "47074c1d38215173cb9972d8e9bf0702357ec707ff7bc7bf2673dba3c0b69971",
+    ("standard_averaging", 8, 3, 0.1):
+        "6ff349dcb8e5dbb867f1f4e3300279e9203482af6b9e9d69b16b8aaf3c7f0964",
+    ("fedavg", 0, 3, 0.1): "1698f1aca7ba844944629d292c0ff4cba2bb67f3789c2e6ab43833cc8a6ae833",
+    ("sample_weighted", 8, 3, 0.1):
+        "acea210ae51b07fdb5f52050bca71cdf77aa60773bf33a72da5ab21820ba5f6c",
 }
+# The same runs with every update flooded two hops (multi_hop, max_hops=2).
+GOLDEN_TWO_HOP_CSV_SHA256 = {
+    ("delta_sum", 8, 3, 0.1): "bcab6531b67727e59daa401c8fe4939b6a445369a1e6aaf4845214736e472fa1",
+}
+GOLDEN_CASES = ([(case, 1) for case in sorted(GOLDEN_CSV_SHA256)]
+                + [(case, 2) for case in sorted(GOLDEN_TWO_HOP_CSV_SHA256)])
 
 
 def golden_data(classes=3):
@@ -377,24 +391,29 @@ def golden_data(classes=3):
     return synth_classification(classes, 4, 300 // classes, seed=0, noise_sigma=noise_sigma)
 
 
-def golden_id(case):
-    kind, hidden, classes, _ = case
-    return f"{kind}-{hidden}" if classes == 3 else f"{kind}-{hidden}-{classes}classes"
+def golden_id(case_hops):
+    (kind, hidden, classes, _), hops = case_hops
+    name = f"{kind}-{hidden}" if classes == 3 else f"{kind}-{hidden}-{classes}classes"
+    return name if hops == 1 else f"{name}-{hops}hops"
 
 
 class TestGoldenDigest:
-    @pytest.mark.parametrize("case", sorted(GOLDEN_CSV_SHA256), ids=golden_id)
-    def test_csv_bytes_are_pinned(self, tmp_path, case):
+    @pytest.mark.parametrize("case_hops", GOLDEN_CASES, ids=golden_id)
+    def test_csv_bytes_are_pinned(self, tmp_path, case_hops):
+        case, hops = case_hops
         kind, hidden, classes, learning_rate = case
         config = small_sim_config(strategy_kind=kind, nodes=7, hidden=hidden, classes=classes,
                                   learning_rate=learning_rate)
+        if hops > 1:
+            config = dataclasses.replace(config, forwarding=Forwarding("multi_hop", hops))
         data = golden_data(classes)
         per_node, _ = shard_equal(data, config.shard_plan)
         assert sorted({train.size for train, _ in per_node}) == [30, 31]
         path = tmp_path / "run.csv"
         export_csv(aggregate_across_nodes(run_simulation(config, data)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == GOLDEN_CSV_SHA256[case]
+        golden = GOLDEN_CSV_SHA256 if hops == 1 else GOLDEN_TWO_HOP_CSV_SHA256
+        assert digest == golden[case]
 
 
 def first_failure_node_by_node(per_node, model_config, epochs, batch_size=8):
@@ -453,7 +472,7 @@ class TestFailureContext:
         integrate = gossipsim.delta_sum_integrate
 
         def failing(local, remotes, schedule, t):
-            if (local.node_id, local.round) == (2, 2):
+            if (local.node_id, t) == (2, 10):  # round 2 integrates after epoch 10
                 raise FloatingPointError("overflow")
             return integrate(local, remotes, schedule, t)
 
@@ -462,6 +481,17 @@ class TestFailureContext:
             run_simulation(small_sim_config("delta_sum"), tiny_shard(per_class=40))
         assert str(info.value) == "node 2 integration round 2 (delta_sum): overflow"
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_own_update_delivered_back_names_node_round_and_strategy(self, monkeypatch):
+        disseminate_of_run = gossipsim.disseminate
+        monkeypatch.setattr(gossipsim, "disseminate", lambda graph, sender, forwarding:
+                            disseminate_of_run(graph, sender, forwarding) | {sender})
+        with pytest.raises(SimulationError) as info:
+            run_simulation(small_sim_config("standard_averaging"), tiny_shard(per_class=40))
+        assert str(info.value).startswith(
+            "node 0 integration round 1 (standard_averaging): duplicate node ids in one "
+            "integration: [0, 0,")
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_convergence_failure_names_node_round_and_strategy(self, monkeypatch):
         # Under delta_sum only convergence rounds average full models; the
