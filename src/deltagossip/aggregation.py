@@ -10,11 +10,11 @@ order is fixed by sorting on node id so results are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParameterVector, require_same_layout
+from .params import ParameterVector, require_ints, require_same_layout
 
 STRATEGY_KINDS = (
     "standard_averaging",
@@ -48,22 +48,21 @@ class LambdaSchedule:
 
 @dataclass(frozen=True)
 class ModelUpdate:
-    """One node's gossip payload: base snapshot plus training delta."""
+    """One node's gossip payload: base snapshot, training delta and ``full`` = base + delta."""
 
     node_id: int
     base: ParameterVector
     delta: ParameterVector
     sample_count: int
+    full: ParameterVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        require_ints(node_id=self.node_id, sample_count=self.sample_count)
         if not self.base.same_layout(self.delta):
             raise ValueError("base and delta must share one layout")
         if self.sample_count < 0:
             raise ValueError("sample_count must be >= 0")
-
-    def full_model(self) -> ParameterVector:
-        """Reconstruct the node's current weights (base + delta)."""
-        return self.base + self.delta
+        object.__setattr__(self, "full", self.base + self.delta)
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,11 @@ class IntegrationStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}; choose from {STRATEGY_KINDS}")
-        if self.kind == "delta_sum" and self.schedule is None:
-            raise ValueError("delta_sum requires a LambdaSchedule")
+        if self.kind == "delta_sum":
+            if not isinstance(self.schedule, LambdaSchedule):
+                raise ValueError(f"delta_sum requires a LambdaSchedule, got {self.schedule!r}")
+        elif self.schedule is not None:
+            raise ValueError(f"{self.kind} takes no schedule, got {self.schedule!r}")
 
 
 def lambda_value(schedule: LambdaSchedule, t: float) -> float:
@@ -123,6 +125,17 @@ def _sorted_unique(updates) -> list[ModelUpdate]:
     return updates
 
 
+def _ordered_sum(rows, size: int) -> np.ndarray:
+    """The rows added in order onto float64 zeros: the delta strategies' summation order.
+
+    Their bits depend on it, zero start included (0.0 + -0.0 is 0.0).
+    """
+    acc = np.zeros(size)
+    for row in rows:
+        acc += row
+    return acc
+
+
 def _add_weighted_deltas(w: ParameterVector, updates, divisor) -> ParameterVector:
     """w + sum(sample_count * delta) / divisor(total count, update count)."""
     updates = _sorted_unique(updates)
@@ -132,9 +145,7 @@ def _add_weighted_deltas(w: ParameterVector, updates, divisor) -> ParameterVecto
     total = sum(u.sample_count for u in updates)
     if total <= 0:
         raise ValueError("all sample counts are zero")
-    acc = np.zeros(len(w))
-    for u in updates:
-        acc += u.sample_count * u.delta.values
+    acc = _ordered_sum((u.sample_count * u.delta.values for u in updates), len(w))
     return ParameterVector(w.values + acc / divisor(total, len(updates)), w.layout)
 
 
@@ -167,11 +178,8 @@ def delta_sum_integrate(
     """
     updates = _sorted_unique([local, *remote])
     require_same_layout([u.base for u in updates] + [u.delta for u in updates])
-    base_acc = np.zeros(len(local.base))
-    delta_acc = np.zeros(len(local.base))
-    for u in updates:
-        base_acc += u.base.values
-        delta_acc += u.delta.values
+    base_acc = _ordered_sum((u.base.values for u in updates), len(local.base))
+    delta_acc = _ordered_sum((u.delta.values for u in updates), len(local.base))
     factor = lambda_value(schedule, t)
     return ParameterVector(base_acc / len(updates) + factor * delta_acc, local.base.layout)
 
@@ -190,9 +198,7 @@ def delta_alignment(local_delta: ParameterVector, remote_deltas) -> float:
     remote_deltas = list(remote_deltas)
     if remote_deltas:
         require_same_layout([local_delta] + remote_deltas)
-    summed = np.zeros(len(local_delta))
-    for d in remote_deltas:
-        summed += d.values
+    summed = _ordered_sum((d.values for d in remote_deltas), len(local_delta))
     remote_norm = float(np.linalg.norm(summed))
     if remote_norm == 0.0:
         return 0.0

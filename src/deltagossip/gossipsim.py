@@ -122,17 +122,16 @@ class NodeState:
         """Base snapshot plus what training learned since it was taken.
 
         ``epochs`` is how many epochs that was; sample_count is train size
-        times epochs. The model is recomposed as base + delta so that
-        the other nodes reconstruct this node's weights bitwise.
+        times epochs. The node's weights become the update's full model.
         """
-        delta = self.model.weights - self.base_snapshot
-        self.model.weights = self.base_snapshot + delta
-        return ModelUpdate(
+        update = ModelUpdate(
             node_id=self.node_id,
             base=self.base_snapshot,
-            delta=delta,
+            delta=self.model.weights - self.base_snapshot,
             sample_count=self.train_shard.size * epochs,
         )
+        self.model.weights = update.full
+        return update
 
 
 @contextmanager
@@ -165,27 +164,25 @@ def integration_step(
 
     For delta_sum ``local_update``, the node's package for this round,
     contributes its base and delta alongside the remote updates. The
-    averaging baselines reconstruct full models (base + delta) and average
-    those. FedAvg-style strategies apply sample-weighted deltas on top of
-    the node's base snapshot. Afterwards the merged weights become the new
-    base snapshot. A remote sender given twice, or the node's own update
-    among the remotes, is a ValueError under every strategy.
+    averaging baselines average the updates' full models in sender order.
+    FedAvg-style strategies apply sample-weighted deltas on top of the
+    node's base snapshot. Each strategy sorts its updates by sender once;
+    a remote sender given twice, or the node's own update among the
+    remotes, is a ValueError under every strategy. Afterwards the merged
+    weights become the new base snapshot.
     """
-    updates = _sorted_unique([local_update, *remotes])
-
+    updates = [local_update, *remotes]
     kind = strategy.kind
     if kind == "delta_sum":
         new_weights = delta_sum_integrate(local_update, remotes, strategy.schedule, t)
-    elif kind == "standard_averaging":
-        new_weights = average_full_models([u.full_model() for u in updates])
-    elif kind == "variance_corrected":
-        new_weights = variance_corrected_average([u.full_model() for u in updates])
     elif kind == "fedavg":
         new_weights = fedavg_integrate(state.base_snapshot, updates)
     elif kind == "sample_weighted":
         new_weights = sample_weighted_integrate(state.base_snapshot, updates)
-    else:  # pragma: no cover - IntegrationStrategy already validated
-        raise ValueError(f"unknown strategy {kind!r}")
+    elif kind == "standard_averaging":
+        new_weights = average_full_models([u.full for u in _sorted_unique(updates)])
+    else:
+        new_weights = variance_corrected_average([u.full for u in _sorted_unique(updates)])
 
     state.model.weights = new_weights
     state.base_snapshot = new_weights
@@ -212,7 +209,9 @@ def run_simulation(
     """Full training + convergence schedule; one record per node per index.
 
     Indices 1..train_epochs are training epochs; the indices after them up
-    to convergence_until_round are convergence rounds.
+    to convergence_until_round are convergence rounds. A disconnected
+    topology, an empty global_val, or a label in the dataset or global_val
+    that reaches the model's class_count is a ValueError before training.
     """
     graph = config.topology
     report = validate_topology(
@@ -222,6 +221,13 @@ def run_simulation(
         raise ValueError("topology must be connected")
 
     per_node, gval = shard_equal(dataset, config.shard_plan, global_val=global_val)
+    if gval.size < 1:
+        raise ValueError("global_val must hold at least one sample")
+    class_count = config.model_config.class_count
+    for name, shard in (("dataset", dataset), ("global_val", gval)):
+        if shard.labels.max() >= class_count:
+            raise ValueError(f"{name} label {shard.labels.max()} is not below "
+                             f"class_count {class_count}")
     start = init_weights(config.model_config)
     states = [
         NodeState(i, TrainableModel(config.model_config, start), train, lval)

@@ -273,12 +273,23 @@ class TestIntegratePermutationInvariance:
         shuffled = updates[::-1]
         for fn in (fedavg_integrate, sample_weighted_integrate):
             assert np.array_equal(fn(w, updates).values, fn(w, shuffled).values)
-        models = [u.full_model() for u in updates]
+        models = [u.full for u in updates]
         np.testing.assert_allclose(
             average_full_models(models).values,
             average_full_models(models[::-1]).values,
             rtol=0, atol=1e-12,
         )
+
+
+def test_delta_sums_start_from_positive_zero():
+    # Every delta strategy adds its rows onto 0.0, so rows of -0.0 sum to
+    # +0.0; a sum seeded with its first row would keep -0.0 and change bits.
+    passthrough = LambdaSchedule(offset=1.0, slope_divisor=1000.0, cap=1.0)
+    local = update(0, [-0.0], [-0.0])
+    merged = [delta_sum_integrate(local, [], passthrough, t=0)]
+    merged += [fn(pv([-0.0]), [local]) for fn in (fedavg_integrate, sample_weighted_integrate)]
+    for out in merged:
+        assert out.values[0] == 0.0 and not np.signbit(out.values[0])
 
 
 class TestDeltaAlignment:
@@ -302,12 +313,45 @@ class TestDeltaAlignment:
             delta_alignment(pv([0.0, 0.0]), [pv([1.0, 0.0])])
 
 
+class TestModelUpdate:
+    def test_full_is_base_plus_delta_outside_eq_and_repr(self):
+        u = update(3, [0.1, -2.0], [0.7, 1e-17])
+        assert np.array_equal(u.full.values, (u.base + u.delta).values)
+        assert u == ModelUpdate(3, u.base, u.delta, u.sample_count)
+        assert "full" not in repr(u)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sample_count", float("nan")),
+        ("sample_count", 2.5),
+        ("sample_count", True),
+        ("node_id", "a"),
+    ])
+    def test_integer_fields_checked(self, field, value):
+        fields = {"node_id": 0, "base": pv([1.0]), "delta": pv([0.5]), "sample_count": 4}
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            ModelUpdate(**{**fields, field: value})
+
+    def test_non_finite_full_model_rejected_when_built(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            update(0, [1e308], [1e308])
+
+
 class TestIntegrationStrategy:
     def test_delta_sum_requires_schedule(self):
         with pytest.raises(ValueError):
             IntegrationStrategy("delta_sum")
         IntegrationStrategy("delta_sum", REFERENCE_SCHEDULE)
         IntegrationStrategy("standard_averaging")
+
+    def test_delta_sum_schedule_must_be_a_lambda_schedule(self):
+        with pytest.raises(ValueError, match="delta_sum requires a LambdaSchedule"):
+            IntegrationStrategy("delta_sum", schedule={"offset": 0.1})
+
+    @pytest.mark.parametrize("kind", [k for k in STRATEGY_KINDS if k != "delta_sum"])
+    def test_other_kinds_take_no_schedule(self, kind):
+        assert IntegrationStrategy(kind).schedule is None
+        with pytest.raises(ValueError, match=f"{kind} takes no schedule"):
+            IntegrationStrategy(kind, REFERENCE_SCHEDULE)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -396,7 +440,7 @@ class TestAggregationProperties:
     @PROPERTY_SETTINGS
     @given(update_groups(), st.integers(1, 9))
     def test_averaging_identical_models_returns_that_model(self, group, copies):
-        model = group[1][0].full_model()
+        model = group[1][0].full
         for average in (average_full_models, variance_corrected_average):
             out = average([model] * copies)
             np.testing.assert_allclose(out.values, model.values, rtol=1e-12, atol=1e-15)
@@ -404,7 +448,7 @@ class TestAggregationProperties:
 
 def _receiver(w, local):
     """A node whose model is ``local``'s full model and whose snapshot is w."""
-    model = SimpleNamespace(weights=local.full_model())
+    model = SimpleNamespace(weights=local.full)
     state = NodeState(local.node_id, model, train_shard=None, local_val=None)
     state.base_snapshot = w
     return state

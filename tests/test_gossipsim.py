@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deltagossip import gossipsim
+from deltagossip import aggregation, gossipsim
 from deltagossip.aggregation import (
     STRATEGY_KINDS,
     IntegrationStrategy,
@@ -139,6 +143,11 @@ class TestNodeTrainPhase:
         update = train_and_package(state, 4)
         assert update.sample_count == state.train_shard.size * 4
 
+    def test_weights_become_the_update_full_model(self):
+        state = make_state()
+        update = train_and_package(state, 3)
+        assert state.model.weights is update.full
+
     def test_replay_identical_update(self):
         a = train_and_package(make_state(), 20)
         b = train_and_package(make_state(), 20)
@@ -200,6 +209,41 @@ class TestIntegrationStep:
             with pytest.raises(ValueError, match="duplicate node ids"):
                 integration_step(state, strategy, 2, update, remotes)
             assert state.model.weights is weights and state.base_snapshot is snapshot
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda strategy: strategy.kind)
+    def test_each_merge_sorts_its_updates_once(self, strategy, monkeypatch):
+        calls = []
+        sorted_unique = aggregation._sorted_unique
+
+        def counting(updates):
+            calls.append(len(updates))
+            return sorted_unique(updates)
+
+        monkeypatch.setattr(aggregation, "_sorted_unique", counting)
+        monkeypatch.setattr(gossipsim, "_sorted_unique", counting)
+        state = make_state(node_id=2)
+        update = train_and_package(state, 2)
+        integration_step(state, strategy, 2, update, [zero_update(7, state), zero_update(5, state)])
+        assert calls == [3]
+
+    @pytest.mark.parametrize("name, kind", [("average_full_models", "standard_averaging"),
+                                            ("variance_corrected_average", "variance_corrected")])
+    def test_averages_receive_the_full_models_in_sender_order(self, name, kind, monkeypatch):
+        received = []
+        average = getattr(gossipsim, name)
+
+        def capturing(models):
+            received.extend(models)
+            return average(models)
+
+        monkeypatch.setattr(gossipsim, name, capturing)
+        state = make_state(node_id=2)
+        update = train_and_package(state, 2)
+        remotes = [zero_update(7, state), zero_update(0, state)]
+        integration_step(state, IntegrationStrategy(kind), 2, update, remotes)
+        senders = [remotes[1], update, remotes[0]]
+        assert len(received) == 3
+        assert all(model is sender.full for model, sender in zip(received, senders))
 
 
 class TestConvergenceRound:
@@ -310,6 +354,29 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="connected"):
             run_simulation(config, tiny_shard(per_class=40))
 
+    @pytest.mark.parametrize("bad, message", [
+        ("empty_global_val", "global_val must hold at least one sample"),
+        ("global_val_label", "global_val label 3 is not below class_count 3"),
+        ("dataset_label", "dataset label 3 is not below class_count 3"),
+    ])
+    def test_bad_data_rejected_before_training(self, bad, message, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on rejected data")
+
+        monkeypatch.setattr(gossipsim, "train_epochs", no_training)
+        data = tiny_shard(per_class=40)
+        global_val = DatasetShard(data.inputs[:5], data.labels[:5], origin="global_val")
+        if bad == "empty_global_val":
+            global_val = DatasetShard(data.inputs[:0], data.labels[:0], origin="global_val")
+        elif bad == "global_val_label":
+            global_val = DatasetShard(global_val.inputs, global_val.labels + 3)
+        else:
+            data = DatasetShard(data.inputs, np.where(data.labels == 2, 3, data.labels))
+        with pytest.raises(ValueError) as info:
+            run_simulation(small_sim_config(), data, global_val=global_val)
+        assert str(info.value) == message
+        assert not isinstance(info.value, SimulationError)
+
     def test_metrics_cover_every_node_and_index(self):
         config = small_sim_config()
         records = run_simulation(config, tiny_shard(per_class=40))
@@ -414,6 +481,31 @@ class TestGoldenDigest:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         golden = GOLDEN_CSV_SHA256 if hops == 1 else GOLDEN_TWO_HOP_CSV_SHA256
         assert digest == golden[case]
+
+
+class TestGoldenDigestAcrossDispatch:
+    def test_digests_hold_with_every_dispatch_target_off(self):
+        # The CSV bytes are portable across NumPy's SIMD dispatch levels
+        # (the weight bits are not): the digests above must hold at the
+        # baseline level too. NumPy reads NPY_DISABLE_CPU_FEATURES only at
+        # import, so the digests rerun in a fresh interpreter.
+        targets = pytest.importorskip("numpy._core._multiarray_umath").__cpu_dispatch__
+        if not targets:
+            pytest.skip("this NumPy build dispatches to no optional CPU target")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+                   PYTHONPATH=str(root / "src"))
+        script = (
+            "import sys, pytest\n"
+            "from numpy._core._multiarray_umath import __cpu_features__ as on\n"
+            f"assert not any(on[t] for t in {list(targets)!r}), on\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+            "'tests/test_gossipsim.py::TestGoldenDigest']))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert f"{len(GOLDEN_CASES)} passed" in done.stdout
 
 
 def first_failure_node_by_node(per_node, model_config, epochs, batch_size=8):
