@@ -210,8 +210,11 @@ def run_simulation(
 
     Indices 1..train_epochs are training epochs; the indices after them up
     to convergence_until_round are convergence rounds. A disconnected
-    topology, an empty global_val, or a label in the dataset or global_val
-    that reaches the model's class_count is a ValueError before training.
+    topology, an empty global_val, a given global_val whose feature
+    dimension is not the model's input_dim, or a label in the dataset or
+    global_val that reaches the model's class_count is a ValueError before
+    training. A dataset of the wrong dimension fails its first training
+    epoch as a SimulationError.
     """
     graph = config.topology
     report = validate_topology(
@@ -223,6 +226,10 @@ def run_simulation(
     per_node, gval = shard_equal(dataset, config.shard_plan, global_val=global_val)
     if gval.size < 1:
         raise ValueError("global_val must hold at least one sample")
+    input_dim = config.model_config.input_dim
+    if global_val is not None and gval.dim != input_dim:
+        raise ValueError(f"global_val feature dimension {gval.dim} does not match "
+                         f"input_dim {input_dim}")
     class_count = config.model_config.class_count
     for name, shard in (("dataset", dataset), ("global_val", gval)):
         if shard.labels.max() >= class_count:

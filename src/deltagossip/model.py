@@ -246,7 +246,9 @@ def train_epochs(
 
     A failing model (non-finite loss or weights, labels beyond the class
     count) raises TrainingError for the lowest failing row of the first
-    epoch in which any row fails; no model is updated then.
+    epoch in which any row fails; no model is updated then. The loss is
+    checked after every step and the weights once per epoch; a row is
+    labelled by whichever went non-finite first.
     """
     models = list(models)
     if epochs < 1:
@@ -288,14 +290,18 @@ def train_epochs(
                 idx = order[lo : lo + batch_size]
                 x, y = inputs.take(idx, axis=1), labels.take(idx, axis=1)
                 loss = _loss_and_gradient(cfg, w, x, y, grad)
+                if not np.isfinite(loss).all():
+                    # w still holds the pre-step weights: a row that went
+                    # non-finite in an earlier step failed on its weights.
+                    for r in np.flatnonzero(~np.isfinite(loss)):
+                        failures.setdefault(int(r), NON_FINITE_LOSS
+                                            if np.isfinite(w[r]).all() else NON_FINITE_WEIGHTS)
                 grad *= cfg.learning_rate
                 w -= grad
-                if not (np.isfinite(loss).all() and np.isfinite(w).all()):
-                    bad_loss = ~np.isfinite(loss)
-                    for r in np.flatnonzero(bad_loss | ~np.isfinite(w).all(axis=1)):
-                        failures.setdefault(
-                            int(r), NON_FINITE_LOSS if bad_loss[r] else NON_FINITE_WEIGHTS
-                        )
+        # Non-finite weights stay non-finite under w -= grad, so one check
+        # per epoch finds every row whose weights failed with a finite loss.
+        for r in np.flatnonzero(~np.isfinite(w).all(axis=1)):
+            failures.setdefault(int(r), NON_FINITE_WEIGHTS)
         if failures:
             row = min(failures)
             raise TrainingError(row, start_epoch + e, failures[row])
@@ -323,75 +329,40 @@ def centralized_reference_train(
     return model.weights
 
 
-def _class_sum(planes: np.ndarray) -> np.ndarray:
-    """Sum of class planes (k, ...) over axis 0, bitwise equal to ``sum(axis=-1)``
-    of the same values laid out as contiguous rows (..., k).
-
-    NumPy adds a contiguous row pairwise: below 8 terms it adds them in
-    order; up to 128 it keeps 8 running lanes (term i goes to lane i % 8
-    while whole blocks of 8 remain), adds the lanes as a balanced tree
-    ((0+1)+(2+3))+((4+5)+(6+7)) and then the leftover terms in order; past
-    128 it splits at the half rounded down to a multiple of 8 and adds the
-    two halves' sums. The row's sum starts from the identity 0.0, which
-    only turns an all -0.0 row into +0.0. This is the order of NumPy 2.4's
-    pairwise summation; the tests hold the helper to ``np.sum`` on the
-    installed NumPy.
-    """
-    k = len(planes)
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _class_sum(planes[:half]) + _class_sum(planes[half:])
-    if k < 8:
-        total = planes[0] + 0.0
-        for plane in planes[1:]:
-            total += plane
-        return total
-    blocks = k - k % 8
-    lanes = planes[:8].copy()
-    for lo in range(8, blocks, 8):
-        lanes += planes[lo : lo + 8]
-    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
-        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
-    )
-    for plane in planes[blocks:]:
-        total += plane
-    total += 0.0
-    return total
-
-
-def _predict(logits: np.ndarray) -> np.ndarray:
-    """Each row's class of logits (n, k) under ``evaluate``'s rule, as an (n,) array."""
-    planes = logits.T.copy()
-    planes -= planes.max(axis=0)
-    lse = np.log(_class_sum(np.exp(planes)))
-    planes -= lse
-    return (planes == -lse).argmax(axis=0)
-
-
 def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
     """Accuracy on a dataset: the share of samples whose predicted class is the label.
 
-    The prediction is the argmax of the log-softmax, not of the raw logits,
-    and ties go to the lowest class; the log-softmax shift can round two
-    logits to one value, so the two rules are not bitwise interchangeable.
+    The prediction is the argmax of the log-softmax, ``np.argmax(_log_softmax(
+    logits), axis=-1)``, not of the raw logits, and ties go to the lowest
+    class; the log-softmax shift can round two logits to one value, so the
+    two rules are not bitwise interchangeable.
 
-    The result is bitwise that of ``np.argmax(_log_softmax(logits), axis=1)``,
-    but the kernel works on contiguous class planes (k, n), because NumPy
-    reduces a narrow last axis row by row, slowly. Per sample, the shifts
-    are s_j = z_j - max(z) <= 0, lse = log(sum(exp(s))) >= 0, and the
-    log-softmax is fl(s_j - lse). The max class has s = 0 and gives exactly
-    -lse; rounding is monotonic, so every other entry gives a value <= -lse.
-    The argmax is therefore the first class whose entry equals -lse. The
-    sum of exp(s) is added in NumPy's row order (``_class_sum``), so lse,
-    and every rounding that can make a tie, are as in the reference.
-
-    A sample with a NaN or +inf logit, or with every logit -inf, has a NaN
-    log-softmax row: no entry equals -lse, and it predicts class 0, as
-    ``np.argmax`` does on an all-NaN row.
+    Most calls count hits without the log-softmax. On contiguous class
+    planes (k, n), because NumPy reduces a narrow last axis row by row,
+    slowly, each sample's shifts are s_j = z_j - max(z) <= 0, its top class
+    has s = 0, and its log-softmax is fl(s_j - lse) with lse =
+    log(sum(exp(s))). A finite max bounds 0 <= lse <= log(k) + 1, so with
+    T = ulp(log(k) + 1) >= ulp(lse), a class at s_j <= -T lies at least
+    ulp(lse) below the top class's exact -lse, and rounding to nearest
+    keeps it strictly below. So if every max is finite and each sample has
+    exactly one class above -T, that class is the argmax, and a sample is a
+    hit when its label's shift is 0. Otherwise (a near-tie, or a sample
+    with a NaN or +inf logit or with every logit -inf) the whole call takes
+    the definition, whose NaN rows predict class 0 as ``np.argmax`` does.
     """
     if dataset.size < 1:
         raise ValueError("cannot evaluate on an empty dataset")
     if dataset.labels.max() >= model.config.class_count:
         raise ValueError("dataset labels exceed the model class count")
-    predictions = _predict(model.logits(dataset.inputs))
-    return float(np.count_nonzero(predictions == dataset.labels) / dataset.size)
+    logits = model.logits(dataset.inputs)
+    n, k = logits.shape
+    planes = logits.T.copy()
+    top = planes.max(axis=0)
+    planes -= top
+    # A finite max puts at least its own class above -T, so n such entries
+    # in all means exactly one per sample.
+    if np.isfinite(top).all() and np.count_nonzero(planes > -math.ulp(math.log(k) + 1.0)) == n:
+        hits = np.count_nonzero(planes[dataset.labels, np.arange(n)] == 0.0)
+    else:
+        hits = np.count_nonzero(np.argmax(_log_softmax(logits), axis=-1) == dataset.labels)
+    return float(hits / dataset.size)

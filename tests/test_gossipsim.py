@@ -356,6 +356,7 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("bad, message", [
         ("empty_global_val", "global_val must hold at least one sample"),
+        ("global_val_dim", "global_val feature dimension 3 does not match input_dim 4"),
         ("global_val_label", "global_val label 3 is not below class_count 3"),
         ("dataset_label", "dataset label 3 is not below class_count 3"),
     ])
@@ -368,6 +369,8 @@ class TestRunSimulation:
         global_val = DatasetShard(data.inputs[:5], data.labels[:5], origin="global_val")
         if bad == "empty_global_val":
             global_val = DatasetShard(data.inputs[:0], data.labels[:0], origin="global_val")
+        elif bad == "global_val_dim":
+            global_val = DatasetShard(global_val.inputs[:, :3], global_val.labels)
         elif bad == "global_val_label":
             global_val = DatasetShard(global_val.inputs, global_val.labels + 3)
         else:
@@ -376,6 +379,13 @@ class TestRunSimulation:
             run_simulation(small_sim_config(), data, global_val=global_val)
         assert str(info.value) == message
         assert not isinstance(info.value, SimulationError)
+
+    def test_dataset_of_another_dimension_fails_its_first_epoch(self):
+        data = tiny_shard(per_class=40)
+        with pytest.raises(SimulationError) as info:
+            run_simulation(small_sim_config(), DatasetShard(data.inputs[:, :3], data.labels))
+        assert str(info.value) == (
+            "node 0 epoch 1: batch feature dimension does not match the model")
 
     def test_metrics_cover_every_node_and_index(self):
         config = small_sim_config()
@@ -428,8 +438,7 @@ class TestRunSimulation:
 # were taken from the node-by-node trainer before shard-size groups trained
 # as one stacked SGD step: the stacked engine must reproduce its bytes
 # exactly. The 10-class digest was taken from the last-axis log-softmax
-# evaluation, before evaluation summed class planes in NumPy's pairwise
-# order (8 lanes from 8 classes on): the plane kernel must reproduce it.
+# evaluation: evaluation must reproduce it.
 # The standard_averaging, fedavg, sample_weighted and two-hop digests were
 # taken while each node still collected its deliveries in a mailbox, before
 # integration took them as a list: the list engine must reproduce them.

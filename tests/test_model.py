@@ -1,16 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis import seed as hypothesis_seed
 
+from deltagossip import model as model_module
 from deltagossip.dataset import ShardPlan, shard_equal, synth_classification
 from deltagossip.model import (
     Batch,
     ModelConfig,
     TrainableModel,
     TrainingError,
-    _class_sum,
-    _predict,
     centralized_reference_train,
     evaluate,
     init_weights,
@@ -308,6 +309,23 @@ class TestGroupTraining:
             train_epochs(models[:3], inputs[:3], labels[:3], 3, 4, start_epoch=0)
         assert (info.value.row, info.value.epoch) == (1, 1)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+    def test_weights_that_fail_before_the_loss_are_named(self, batch_size):
+        # Zero inputs make the logits the output biases. Row 1's top bias
+        # gives every class-1 sample a finite loss of 1e308 and a bias step
+        # that overflows class 1's bias to +inf; only the next step's loss
+        # is NaN. Row 0 stays finite through epoch 0.
+        cfg = ModelConfig(input_dim=2, class_count=3, learning_rate=1e308, seed=0)
+        models = [TrainableModel(cfg) for _ in range(2)]
+        values = models[1].weights.values.copy()
+        values[-3:] = [1.7e308, 1.6e308, 0.0]
+        models[1].weights = models[1].weights.with_values(values)
+        labels = np.array([[0, 1, 2, 0], [1, 1, 1, 0]])
+        with pytest.raises(TrainingError) as info:
+            train_epochs(models, np.zeros((2, 4, 2)), labels, 2, batch_size)
+        assert (info.value.row, info.value.epoch) == (1, 0)
+        assert str(info.value) == "parameter values must be finite"
+
 
 def frozen_layers(config, w):
     d, h, k = config.input_dim, config.hidden_dim, config.class_count
@@ -549,15 +567,44 @@ class FixedLogits(TrainableModel):
         return self.fixed
 
 
+def evaluates_like_the_reference(logits):
+    """True when evaluate scores every sample of logits as the reference does:
+    labels equal to its predictions give 1.0 and labels one class off 0.0."""
+    n, k = logits.shape
+    model, inputs = FixedLogits(logits), np.zeros((n, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = log_softmax_argmax(logits)
+        hit = evaluate(model, DatasetShard(inputs, expected))
+        miss = evaluate(model, DatasetShard(inputs, (expected + 1) % k))
+    return (hit, miss) == (1.0, 0.0)
+
+
+def tie_bound(k):
+    """evaluate's T: a class at least this far below the top cannot tie it."""
+    return math.ulp(math.log(k) + 1.0)
+
+
+def runner_up_logits(k, gap):
+    """Rows whose top logit is 0.0 and whose runner-up sits gap below it: one
+    runner-up below and one above the top's class, each with the other
+    classes at -50, then every other class at the gap, below and above."""
+    rows = np.full((4, k), -50.0)
+    rows[0, [0, k - 1]] = -gap, 0.0
+    rows[1, [0, 1]] = 0.0, -gap
+    rows[2:] = -gap
+    rows[2, k - 1] = rows[3, 0] = 0.0
+    return rows
+
+
 class TestPlaneKernel:
     @hypothesis_seed(20250301)
     @settings(max_examples=400, deadline=None, database=None)
     @given(adversarial_logits(), st.integers(0, 2**32 - 1))
     def test_predictions_and_accuracy_bitwise_equal_log_softmax_argmax(self, logits, seed):
         n, k = logits.shape
+        assert evaluates_like_the_reference(logits)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = log_softmax_argmax(logits)
-            assert np.array_equal(_predict(logits), expected)
             # labels that agree with the reference on about half the samples
             rng = np.random.default_rng(seed)
             labels = np.where(rng.random(n) < 0.5, expected, rng.integers(0, k, n))
@@ -570,20 +617,39 @@ class TestPlaneKernel:
         # so class 0 ties class 1 there and wins, against the raw argmax.
         logits = np.array([[-1e-17, 0.0, -50.0]])
         assert np.argmax(logits, axis=1)[0] == 1
-        assert log_softmax_argmax(logits)[0] == _predict(logits)[0] == 0
+        assert log_softmax_argmax(logits)[0] == 0
+        model, inputs = FixedLogits(logits), np.zeros((1, 1))
+        assert evaluate(model, DatasetShard(inputs, [0])) == 1.0
+        assert evaluate(model, DatasetShard(inputs, [1])) == 0.0
 
-    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
-    def test_class_sum_equals_numpy_row_sum(self, lead):
-        # Magnitudes spread over 16 decades make the sum depend on the order of
-        # its additions, so only NumPy's own order reproduces its bits.
-        rng = np.random.default_rng(len(lead))
-        for k in range(2, 301):
-            rows = rng.normal(size=(*lead, k)) * 10.0 ** rng.integers(-8, 9, size=(*lead, k))
-            got = _class_sum(np.moveaxis(rows, -1, 0).copy())
-            assert np.asarray(got).tobytes() == rows.sum(axis=-1).tobytes(), k
+    @pytest.mark.parametrize("k", [2, 3, 10, 129, 300])
+    def test_runner_up_at_the_tie_bound(self, k):
+        # At exactly -T the top class must win in the reference too: that is
+        # the bound's claim. Above -T the call takes the definition.
+        bound = tie_bound(k)
+        logits = runner_up_logits(k, bound)
+        assert np.array_equal(log_softmax_argmax(logits), [k - 1, 0, k - 1, 0])
+        assert evaluates_like_the_reference(logits)
+        for gap in (np.nextafter(bound, 0.0), bound / 2, bound / 4, bound / 8, *NEAR_TIE_GAPS):
+            assert evaluates_like_the_reference(runner_up_logits(k, gap)), gap
 
-    def test_class_sum_of_negative_zeros_is_positive_zero(self):
-        for k in (3, 8, 20, 200):
-            rows = np.full((2, k), -0.0)
-            got = _class_sum(np.moveaxis(rows, -1, 0).copy())
-            assert got.tobytes() == rows.sum(axis=-1).tobytes() == np.zeros(2).tobytes()
+    def test_half_the_tie_bound_can_tie(self):
+        # 299 classes at T/2 below the top round to the top's log-prob, so
+        # class 0 wins row 2: a bound of T/2 would miscount it.
+        logits = runner_up_logits(300, tie_bound(300) / 2)
+        assert log_softmax_argmax(logits)[2] == 0
+
+    def test_definition_runs_only_on_a_near_tie(self, monkeypatch):
+        calls, log_softmax = [], model_module._log_softmax
+
+        def spy(logits):
+            calls.append(logits.shape)
+            return log_softmax(logits)
+
+        monkeypatch.setattr(model_module, "_log_softmax", spy)
+        for k in (2, 10, 300):
+            assert evaluates_like_the_reference(runner_up_logits(k, 1e-3))
+            assert evaluates_like_the_reference(runner_up_logits(k, tie_bound(k)))
+        assert calls == []
+        assert evaluates_like_the_reference(runner_up_logits(3, 1e-17))
+        assert calls == [(4, 3), (4, 3)]
