@@ -37,7 +37,6 @@ from .metrics import (
     export_csv,
 )
 from .model import (
-    Batch,
     ModelConfig,
     TrainableModel,
     centralized_reference_train,

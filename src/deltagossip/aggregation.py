@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParameterVector, require_ints, require_same_layout
+from .params import ParameterVector, require_ints, require_positive, require_same_layout
 
 STRATEGY_KINDS = (
     "standard_averaging",
@@ -34,12 +34,9 @@ class LambdaSchedule:
     cap: float = 0.35
 
     def __post_init__(self):
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset}")
-        if not (math.isfinite(self.slope_divisor) and self.slope_divisor > 0):
-            raise ValueError(
-                f"slope_divisor must be positive and finite, got {self.slope_divisor}"
-            )
+        if not (math.isfinite(self.offset) and self.offset >= 0):
+            raise ValueError(f"offset must be non-negative and finite, got {self.offset}")
+        require_positive(slope_divisor=self.slope_divisor)
         if self.offset > self.cap:
             raise ValueError("offset must not exceed cap")
         if not 0.0 < self.cap <= 1.0:

@@ -7,13 +7,12 @@ and keeps one global validation set shared by all nodes.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import require_ints
+from .params import require_ints, require_positive
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -21,7 +20,7 @@ GLOBAL_HOLDOUT_FRACTION = 0.1  # of a dataset with no designated global validati
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX container (bad magic, truncation, count mismatch)."""
+    """Malformed IDX container (bad magic, truncation, count mismatch, no images)."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,7 @@ def synth_classification(
         raise ValueError("need at least 1 sample per class")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not (math.isfinite(noise_sigma) and noise_sigma > 0):
-        raise ValueError(f"noise_sigma must be positive and finite, got {noise_sigma}")
+    require_positive(noise_sigma=noise_sigma)
 
     rng = np.random.default_rng(seed)
     min_dist = 4.0 * noise_sigma
@@ -138,6 +136,8 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
             raise IdxFormatError(
                 f"bad magic 0x{magic:08x} in {images_path} (expected 0x{IDX_IMAGES_MAGIC:08x})"
             )
+        if count == 0:
+            raise IdxFormatError(f"no images in {images_path}")
         pixels = _read_exact(f, count * rows * cols, "image data")
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">II", _read_exact(f, 8, "label header"))

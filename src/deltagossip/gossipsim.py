@@ -201,20 +201,14 @@ def convergence_round(states, graph: TopologyGraph, where: str = "convergence") 
             state.model.weights = average_full_models(group)
 
 
-def run_simulation(
-    config: SimConfig,
-    dataset: DatasetShard,
-    global_val: DatasetShard | None = None,
-) -> list[MetricsRecord]:
-    """Full training + convergence schedule; one record per node per index.
+def prepare_inputs(config: SimConfig, dataset: DatasetShard,
+                   global_val: DatasetShard | None = None):
+    """A run's checked inputs: shard_equal's (per_node, global_val) for the config.
 
-    Indices 1..train_epochs are training epochs; the indices after them up
-    to convergence_until_round are convergence rounds. A disconnected
-    topology, an empty global_val, a given global_val whose feature
+    A disconnected topology, a dataset shard_equal cannot split under the
+    shard plan, an empty global_val, a given global_val whose feature
     dimension is not the model's input_dim, or a label in the dataset or
-    global_val that reaches the model's class_count is a ValueError before
-    training. A dataset of the wrong dimension fails its first training
-    epoch as a SimulationError.
+    global_val that reaches the model's class_count is a ValueError.
     """
     graph = config.topology
     report = validate_topology(
@@ -235,6 +229,23 @@ def run_simulation(
         if shard.labels.max() >= class_count:
             raise ValueError(f"{name} label {shard.labels.max()} is not below "
                              f"class_count {class_count}")
+    return per_node, gval
+
+
+def run_simulation(
+    config: SimConfig,
+    dataset: DatasetShard,
+    global_val: DatasetShard | None = None,
+) -> list[MetricsRecord]:
+    """Full training + convergence schedule; one record per node per index.
+
+    Indices 1..train_epochs are training epochs; the indices after them up
+    to convergence_until_round are convergence rounds. Inputs that
+    prepare_inputs rejects are a ValueError before training; a dataset of
+    the wrong dimension fails its first training epoch as a SimulationError.
+    """
+    graph = config.topology
+    per_node, gval = prepare_inputs(config, dataset, global_val)
     start = init_weights(config.model_config)
     states = [
         NodeState(i, TrainableModel(config.model_config, start), train, lval)

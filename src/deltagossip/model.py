@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetShard, concat_shards
-from .params import ParameterVector, make_layout, require_ints
+from .params import ParameterVector, make_layout, require_ints, require_positive
 
 
 @dataclass(frozen=True)
@@ -34,32 +34,9 @@ class ModelConfig:
             raise ValueError("class_count must be >= 2")
         if self.hidden_dim < 0:
             raise ValueError("hidden_dim must be >= 0")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        require_positive(learning_rate=self.learning_rate)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray  # (size, input_dim)
-    labels: np.ndarray  # (size,)
-
-    def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if inputs.ndim != 2 or labels.ndim != 1:
-            raise ValueError("batch inputs must be (size, dim), labels (size,)")
-        if inputs.shape[0] != labels.shape[0] or labels.shape[0] < 1:
-            raise ValueError("batch needs >= 1 sample with matching labels")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self) -> int:
-        return self.labels.shape[0]
 
 
 def model_layout(config: ModelConfig):
@@ -198,10 +175,12 @@ class TrainableModel:
             )
         return _forward(self.config, self.weights.values, inputs)[1]
 
-    def loss_and_gradient(self, batch: Batch) -> tuple[float, ParameterVector]:
-        """Mean cross-entropy over the batch and its gradient."""
+    def loss_and_gradient(self, batch: DatasetShard) -> tuple[float, ParameterVector]:
+        """Mean cross-entropy over a non-empty batch and its gradient."""
         cfg = self.config
-        if batch.inputs.shape[1] != cfg.input_dim:
+        if batch.size < 1:
+            raise ValueError("cannot compute a loss on an empty batch")
+        if batch.dim != cfg.input_dim:
             raise ValueError(DIM_MISMATCH)
         if batch.labels.max() >= cfg.class_count:
             raise ValueError(LABELS_EXCEED)
@@ -212,7 +191,7 @@ class TrainableModel:
         return float(loss), self.weights.with_values(grad)
 
 
-def sgd_batch_step(model: TrainableModel, batch: Batch) -> ParameterVector:
+def sgd_batch_step(model: TrainableModel, batch: DatasetShard) -> ParameterVector:
     """One descent step w <- w - lr * grad; the model is updated in place."""
     _, grad = model.loss_and_gradient(batch)
     model.weights = model.weights - model.config.learning_rate * grad

@@ -12,31 +12,26 @@ from __future__ import annotations
 
 import math
 
-
-def _require_positive(**values) -> None:
-    """ValueError naming the first value that is not a positive finite number."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+from .params import require_positive
 
 
 def fedavg_rate(update_interval_s: float, sync_every_updates: float) -> float:
     """Updates/s for periodic updates plus one sync every sync_every updates."""
-    _require_positive(update_interval_s=update_interval_s,
-                      sync_every_updates=sync_every_updates)
+    require_positive(update_interval_s=update_interval_s,
+                     sync_every_updates=sync_every_updates)
     # Single division keeps round numbers exact: 1/i + 1/(i*s) == (s+1)/(i*s).
     return (sync_every_updates + 1.0) / (update_interval_s * sync_every_updates)
 
 
 def expected_rate(baseline: float, ref_conn: float, conn_at_n: float) -> float:
     """Baseline scaled by average connectivity (physically growing topology)."""
-    _require_positive(baseline=baseline, ref_conn=ref_conn, conn_at_n=conn_at_n)
+    require_positive(baseline=baseline, ref_conn=ref_conn, conn_at_n=conn_at_n)
     return baseline * conn_at_n / ref_conn
 
 
 def constant_connectivity_rate(baseline: float) -> float:
     """Flat series: connectivity pinned at the reference value."""
-    _require_positive(baseline=baseline)
+    require_positive(baseline=baseline)
     return baseline
 
 
@@ -47,7 +42,7 @@ def connectivity_increase_rate(
     density_exponent: float = 1.0,
 ) -> float:
     """Node density grows in a fixed-size area: baseline * (n/ref_n)^exponent."""
-    _require_positive(baseline=baseline, ref_n=ref_n, n=n)
+    require_positive(baseline=baseline, ref_n=ref_n, n=n)
     if n < ref_n:
         raise ValueError(f"n must be >= the reference node count {ref_n}, got {n}")
     if not (math.isfinite(density_exponent) and density_exponent >= 0):

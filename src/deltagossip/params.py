@@ -2,12 +2,14 @@
 
 Every aggregation rule in this package operates on these vectors. Two
 vectors are combinable only when their layouts are identical; mismatches
-raise instead of silently misaligning weights. ``require_ints`` is the
-integer check every config class and generator shares.
+raise instead of silently misaligning weights. ``require_ints`` and
+``require_positive`` are the integer and positive-and-finite checks every
+config class and generator shares.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
@@ -120,3 +122,10 @@ def require_ints(**fields) -> None:
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def require_positive(**values) -> None:
+    """ValueError naming the first value that is not a positive finite number."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")

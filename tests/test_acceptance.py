@@ -105,7 +105,7 @@ def test_criterion_2_gradient_correctness():
             model.weights = model.weights.with_values(
                 rng.normal(0, 0.6, len(model.weights))
             )
-            batch = dg.Batch(rng.uniform(0, 1, (6, 5)), rng.integers(0, 3, 6))
+            batch = dg.DatasetShard(rng.uniform(0, 1, (6, 5)), rng.integers(0, 3, 6))
             _, grad = model.loss_and_gradient(batch)
             base = model.weights
             numeric = np.zeros(len(base))

@@ -64,6 +64,7 @@ class TestLambdaValue:
     @pytest.mark.parametrize("field, value", [
         ("offset", float("nan")),
         ("offset", float("-inf")),
+        ("offset", -0.1),
         ("slope_divisor", float("nan")),
     ])
     def test_non_finite_field_rejected(self, field, value):

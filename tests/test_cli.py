@@ -397,6 +397,15 @@ def _unshardable_topology(config, tmp_path):
                             {"nodes": 4, "target_avg_degree": 2.5, "seed": 3}]
 
 
+def _test_split_of_another_size(config, tmp_path):
+    # 8x8 training images against a 4x4 test split: input_dim comes from the training split
+    train = write_idx_pair(tmp_path, np.zeros((40, 8, 8)), [0, 1] * 20, prefix="train_")
+    test = write_idx_pair(tmp_path, np.zeros((10, 4, 4)), [0, 1] * 5, prefix="test_")
+    config["dataset"] = {"kind": "idx", "train_images": str(train[0]),
+                         "train_labels": str(train[1]), "test_images": str(test[0]),
+                         "test_labels": str(test[1])}
+
+
 class TestSweepInputs:
     """Inputs that would fail or overwrite a run partway through a sweep."""
 
@@ -408,6 +417,8 @@ class TestSweepInputs:
             (None, ["--strategy", "fedavg", "--strategy", "fedavg"],
              "strategies[1]: 'fedavg' is listed twice"),
             (_unshardable_topology, [], "topologies[1]: shard of 2 samples cannot honour"),
+            (_test_split_of_another_size, [],
+             "topologies[0]: global_val feature dimension 16 does not match input_dim 64"),
         ],
     )
     def test_rejected_before_the_output_directory_exists(self, tmp_path, capsys, mutate,
@@ -563,7 +574,7 @@ class TestThreads:
 
     def test_failing_run_raises_the_same_for_any_threads(self, tmp_path, capsys):
         edges = tmp_path / "split.edges"
-        edges.write_text("0 1\n2 3\n")
+        edges.write_text("0 1\n2 3\n4 5\n")  # 6 nodes: topologies[0] has 4
         config = small_config(tmp_path, strategies=["standard_averaging"])
         config["topologies"].append({"path": str(edges)})
         config_path = tmp_path / "exp.json"

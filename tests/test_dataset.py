@@ -104,6 +104,12 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="count"):
             load_idx(img, lbl)
 
+    def test_no_images(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8), [])
+        with pytest.raises(IdxFormatError, match="no images in ") as excinfo:
+            load_idx(img, lbl)
+        assert str(img) in str(excinfo.value)
+
     def test_downsample_mean_pools(self, tmp_path):
         images = np.arange(16, dtype=np.uint8).reshape(1, 4, 4)
         img, lbl = write_idx_pair(tmp_path, images, [7])

@@ -8,7 +8,6 @@ from hypothesis import seed as hypothesis_seed
 from deltagossip import model as model_module
 from deltagossip.dataset import ShardPlan, shard_equal, synth_classification
 from deltagossip.model import (
-    Batch,
     ModelConfig,
     TrainableModel,
     TrainingError,
@@ -29,7 +28,7 @@ def train_alone(model, shard, epochs, batch_size, start_epoch=0):
 
 
 def random_batch(rng, dim, classes, size=8):
-    return Batch(rng.uniform(0, 1, (size, dim)), rng.integers(0, classes, size))
+    return DatasetShard(rng.uniform(0, 1, (size, dim)), rng.integers(0, classes, size))
 
 
 class TestInitWeights:
@@ -99,7 +98,7 @@ class TestLossAndGradient:
         cfg = ModelConfig(input_dim=4, class_count=3, hidden_dim=4, seed=2)
         model = TrainableModel(cfg)
         batch = random_batch(rng, 4, 3)
-        doubled = Batch(
+        doubled = DatasetShard(
             np.concatenate([batch.inputs, batch.inputs]),
             np.concatenate([batch.labels, batch.labels]),
         )
@@ -111,12 +110,19 @@ class TestLossAndGradient:
     def test_dimension_mismatch(self):
         cfg = ModelConfig(input_dim=4, class_count=3, seed=0)
         model = TrainableModel(cfg)
-        bad = Batch(np.zeros((2, 5)), np.array([0, 1]))
+        bad = DatasetShard(np.zeros((2, 5)), np.array([0, 1]))
         with pytest.raises(ValueError):
             model.loss_and_gradient(bad)
-        out_of_range = Batch(np.zeros((2, 4)), np.array([0, 3]))
+        out_of_range = DatasetShard(np.zeros((2, 4)), np.array([0, 3]))
         with pytest.raises(ValueError):
             model.loss_and_gradient(out_of_range)
+
+    def test_empty_batch_rejected(self):
+        model = TrainableModel(ModelConfig(input_dim=4, class_count=3, seed=0))
+        with pytest.raises(ValueError, match="empty batch"):
+            model.loss_and_gradient(DatasetShard(np.zeros((0, 4)), np.zeros(0)))
+        with pytest.raises(ValueError, match="empty batch"):
+            sgd_batch_step(model, DatasetShard(np.zeros((0, 4)), np.zeros(0)))
 
 
 def finite_difference_gradient(model, batch, step=1e-5):
@@ -153,14 +159,14 @@ class TestSgdBatchStep:
     def test_descends_hand_computed_parabola(self):
         # loss (w-1)^2 at w=0 has slope -2; one step at lr 0.1 lands on 0.2
         model = SquaredLossProbe(learning_rate=0.1)
-        batch = Batch(np.zeros((1, 1)), np.array([0]))
+        batch = DatasetShard(np.zeros((1, 1)), np.array([0]))
         new = sgd_batch_step(model, batch)
         assert new.values[0] == pytest.approx(0.2, abs=1e-15)
 
     def test_zero_gradient_leaves_weights(self):
         model = SquaredLossProbe(learning_rate=0.1)
         model.weights = model.weights.with_values(np.array([1.0]))  # stationary point
-        batch = Batch(np.zeros((1, 1)), np.array([0]))
+        batch = DatasetShard(np.zeros((1, 1)), np.array([0]))
         new = sgd_batch_step(model, batch)
         assert new.values[0] == 1.0
 
@@ -168,7 +174,7 @@ class TestSgdBatchStep:
         data = synth_classification(2, 2, 20, seed=4, noise_sigma=0.02)
         cfg = ModelConfig(input_dim=2, class_count=2, learning_rate=1e-3, seed=1)
         model = TrainableModel(cfg)
-        batch = Batch(data.inputs, data.labels)
+        batch = data
         losses = [model.loss_and_gradient(batch)[0]]
         for _ in range(2):
             sgd_batch_step(model, batch)
@@ -225,7 +231,7 @@ def step_alone(model, inputs, labels, epochs, batch_size, start_epoch=0):
             len(labels))
         for lo in range(0, len(labels), batch_size):
             idx = order[lo : lo + batch_size]
-            sgd_batch_step(model, Batch(inputs[idx], labels[idx]))
+            sgd_batch_step(model, DatasetShard(inputs[idx], labels[idx]))
     delta = model.weights - before
     model.weights = before + delta
     return delta
@@ -426,7 +432,7 @@ class TestFrozenStep:
     def test_single_model_gradient_bitwise_equal_to_the_allocating_step(self, run):
         cfg, weights, inputs, labels, _ = run
         model = TrainableModel(cfg, init_weights(cfg).with_values(weights[0]))
-        loss, grad = model.loss_and_gradient(Batch(inputs[0], labels[0]))
+        loss, grad = model.loss_and_gradient(DatasetShard(inputs[0], labels[0]))
         expected_loss, expected_grad = frozen_loss_and_gradient(cfg, weights[0], inputs[0],
                                                                 labels[0])
         assert loss == float(expected_loss)
