@@ -20,7 +20,8 @@ GLOBAL_HOLDOUT_FRACTION = 0.1  # of a dataset with no designated global validati
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX container (bad magic, truncation, count mismatch, no images)."""
+    """Malformed IDX container (bad magic, truncation, trailing bytes, count mismatch,
+    no images or a zero image side)."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,15 @@ def synth_classification(
 def _read_exact(f, count: int, what: str) -> bytes:
     data = f.read(count)
     if len(data) != count:
-        raise IdxFormatError(f"truncated IDX file while reading {what}")
+        raise IdxFormatError(f"truncated IDX file {f.name} while reading {what}")
+    return data
+
+
+def _read_rest(f, count: int, what: str) -> bytes:
+    """The last ``count`` bytes of an IDX file: its data, with nothing after it."""
+    data = _read_exact(f, count, what)
+    if f.read(1):
+        raise IdxFormatError(f"bytes past the declared {what} in {f.name}")
     return data
 
 
@@ -124,7 +133,15 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
     """Load an IDX image/label file pair into a flat, [0, 1]-scaled shard.
 
     ``downsample`` mean-pools square blocks of that side length; image
-    dimensions must be divisible by it.
+    dimensions must be divisible by it. Each block's pixels are summed
+    exactly in the narrowest unsigned integer that holds 255 * downsample**2,
+    and the sum S is divided once by downsample**2. Every partial sum of at
+    most 255 * downsample**2 is an exact float64, so a float mean over the
+    block gives the same correctly rounded S / downsample**2 in any
+    summation order; at downsample 1 the division is exact and skipped.
+
+    A header with no images or a zero image side, a file shorter than its
+    header declares and bytes past the declared data raise IdxFormatError.
     """
     require_ints(downsample=downsample)
     if downsample < 1:
@@ -138,14 +155,16 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
             )
         if count == 0:
             raise IdxFormatError(f"no images in {images_path}")
-        pixels = _read_exact(f, count * rows * cols, "image data")
+        if rows == 0 or cols == 0:
+            raise IdxFormatError(f"empty {rows}x{cols} images in {images_path}")
+        pixels = _read_rest(f, count * rows * cols, "image data")
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(">II", _read_exact(f, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise IdxFormatError(
                 f"bad magic 0x{magic:08x} in {labels_path} (expected 0x{IDX_LABELS_MAGIC:08x})"
             )
-        raw_labels = _read_exact(f, label_count, "label data")
+        raw_labels = _read_rest(f, label_count, "label data")
     if count != label_count:
         raise IdxFormatError(f"image count {count} != label count {label_count}")
 
@@ -153,9 +172,15 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
     if downsample > 1:
         if rows % downsample or cols % downsample:
             raise ValueError(f"{rows}x{cols} images not divisible by factor {downsample}")
-        r, c = rows // downsample, cols // downsample
-        images = images.reshape(count, r, downsample, c, downsample).mean(axis=(2, 4))
-    inputs = images.reshape(count, -1).astype(np.float64) / 255.0
+        ds = downsample
+        sums = np.zeros((count, rows // ds, cols // ds), np.min_scalar_type(255 * ds * ds))
+        for i in range(ds):
+            for j in range(ds):
+                sums += images[:, i::ds, j::ds]
+        inputs = sums.reshape(count, -1) / (ds * ds)
+        inputs /= 255.0
+    else:
+        inputs = images.reshape(count, -1) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     return DatasetShard(inputs=inputs, labels=labels, origin="train")
 

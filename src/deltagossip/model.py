@@ -205,8 +205,8 @@ def train_epochs(
     epochs: int,
     batch_size: int,
     start_epoch: int = 0,
-) -> list[ParameterVector]:
-    """Mini-batch SGD on a group of models; returns each model's weight delta.
+) -> np.ndarray:
+    """Mini-batch SGD on a group of models; returns their weight deltas (G, P).
 
     The models share one ModelConfig and train on shards of one size,
     stacked as ``inputs`` (G, n, d) and ``labels`` (G, n), row g for
@@ -218,10 +218,11 @@ def train_epochs(
     every model on its own. The group's weights are one private (G, P) copy,
     and each step writes its gradient into one buffer allocated per call and
     updates the weights in place (``grad *= lr; w -= grad``: the roundings
-    of ``w - lr * grad``), so no step allocates a (G, P) float array. Each
-    model's final weights are recomposed as before + delta, which makes the
-    delta apply back bitwise. The caller's inputs, labels and
-    ParameterVectors are not written.
+    of ``w - lr * grad``), so no step allocates a (G, P) float array. The
+    trained weights then become the deltas in place, row g holding after -
+    before for ``models[g]``, and each model gets one new ParameterVector,
+    before + delta, which makes the delta apply back bitwise. The caller's
+    inputs, labels and ParameterVectors are not written.
 
     A failing model (non-finite loss or weights, labels beyond the class
     count) raises TrainingError for the lowest failing row of the first
@@ -285,12 +286,10 @@ def train_epochs(
             row = min(failures)
             raise TrainingError(row, start_epoch + e, failures[row])
 
-    deltas = []
-    for model, after in zip(models, w):
-        delta = model.weights.with_values(after - model.weights.values)
-        model.weights = model.weights + delta
-        deltas.append(delta)
-    return deltas
+    for model, row in zip(models, w):
+        row -= model.weights.values  # now the delta after - before
+        model.weights = model.weights.with_values(model.weights.values + row)
+    return w
 
 
 def centralized_reference_train(

@@ -309,6 +309,10 @@ def read_edge_list(path) -> TopologyGraph:
             i, j = int(parts[0]), int(parts[1])
             edges.append((i, j))
             highest = max(highest, i, j)
+    if highest < 1:
+        raise MalformedGraphError(
+            f"edge list {path} names {highest + 1} nodes; a topology needs at least 2"
+        )
     return TopologyGraph.from_edges(highest + 1, edges)
 
 

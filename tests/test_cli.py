@@ -406,6 +406,18 @@ def _test_split_of_another_size(config, tmp_path):
                          "test_labels": str(test[1])}
 
 
+def _empty_edge_list(config, tmp_path):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    config["topologies"] = [{"path": str(empty)}]
+
+
+def _images_of_zero_rows(config, tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.zeros((40, 0, 4)), [0, 1] * 20)
+    config["dataset"] = {"kind": "idx", "train_images": str(images),
+                         "train_labels": str(labels)}
+
+
 class TestSweepInputs:
     """Inputs that would fail or overwrite a run partway through a sweep."""
 
@@ -419,6 +431,8 @@ class TestSweepInputs:
             (_unshardable_topology, [], "topologies[1]: shard of 2 samples cannot honour"),
             (_test_split_of_another_size, [],
              "topologies[0]: global_val feature dimension 16 does not match input_dim 64"),
+            (_empty_edge_list, [], "topologies[0]: edge list "),
+            (_images_of_zero_rows, [], "dataset: empty 0x4 images in "),
         ],
     )
     def test_rejected_before_the_output_directory_exists(self, tmp_path, capsys, mutate,

@@ -1,7 +1,11 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
 from deltagossip.dataset import (
     DatasetShard,
@@ -68,6 +72,34 @@ def write_idx_pair(tmp_path, images, labels, prefix=""):
     return img_path, lbl_path
 
 
+def frozen_float_pooling(images, downsample):
+    """The float64 mean pooling that load_idx first used, operation for operation."""
+    count, rows, cols = images.shape
+    if downsample > 1:
+        r, c = rows // downsample, cols // downsample
+        images = images.reshape(count, r, downsample, c, downsample).mean(axis=(2, 4))
+    return images.reshape(count, -1).astype(np.float64) / 255.0
+
+
+@st.composite
+def pooling_inputs(draw):
+    """uint8 images (count, rows, cols), mostly not square, and a downsample factor
+    dividing both sides; "rows" makes a block as tall as the image. Some draws set whole
+    images to 0 or 255, the extremes of a block sum."""
+    downsample = draw(st.sampled_from([1, 2, 3, 4, 7, "rows"]))
+    if downsample == "rows":
+        downsample = rows = draw(st.integers(1, 12))
+    else:
+        rows = downsample * draw(st.integers(1, 4))
+    cols = downsample * draw(st.integers(1, 4))
+    count = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = rng.integers(0, 256, (count, rows, cols), dtype=np.uint8)
+    images[rng.random(count) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    images[rng.random(count) < draw(st.sampled_from([0.0, 0.3]))] = 255
+    return images, downsample
+
+
 class TestLoadIdx:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -92,8 +124,9 @@ class TestLoadIdx:
         img, lbl = write_idx_pair(tmp_path, images, [0] * 5)
         raw = img.read_bytes()
         img.write_bytes(raw[:-7])
-        with pytest.raises(IdxFormatError, match="truncated"):
+        with pytest.raises(IdxFormatError, match="truncated") as excinfo:
             load_idx(img, lbl)
+        assert str(img) in str(excinfo.value)
 
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((4, 2, 2), dtype=np.uint8)
@@ -110,6 +143,22 @@ class TestLoadIdx:
             load_idx(img, lbl)
         assert str(img) in str(excinfo.value)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0), (0, 0)])
+    def test_zero_image_side(self, tmp_path, rows, cols):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((3, rows, cols), dtype=np.uint8), [0] * 3)
+        with pytest.raises(IdxFormatError, match=f"empty {rows}x{cols} images in ") as excinfo:
+            load_idx(img, lbl)
+        assert str(img) in str(excinfo.value)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_bytes_past_the_declared_data(self, tmp_path, which):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((5, 2, 2), dtype=np.uint8), [0] * 5)
+        path = img if which == "images" else lbl
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(IdxFormatError, match="bytes past the declared") as excinfo:
+            load_idx(img, lbl)
+        assert str(path) in str(excinfo.value)
+
     def test_downsample_mean_pools(self, tmp_path):
         images = np.arange(16, dtype=np.uint8).reshape(1, 4, 4)
         img, lbl = write_idx_pair(tmp_path, images, [7])
@@ -123,6 +172,19 @@ class TestLoadIdx:
         img, lbl = write_idx_pair(tmp_path, images, [0])
         with pytest.raises(ValueError):
             load_idx(img, lbl, downsample=2)
+
+    @hypothesis_seed(20250501)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(pooling_inputs())
+    def test_downsample_bitwise_equal_to_the_float_mean(self, case):
+        images, downsample = case
+        count = images.shape[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            img, lbl = write_idx_pair(Path(tmp), images, [0] * count)
+            data = load_idx(img, lbl, downsample=downsample)
+        expected = frozen_float_pooling(images, downsample)
+        assert data.inputs.dtype == expected.dtype and data.inputs.shape == expected.shape
+        assert data.inputs.tobytes() == expected.tobytes()
 
     @pytest.mark.skipif(
         "MNIST_DIR" not in __import__("os").environ,

@@ -22,7 +22,7 @@ from deltagossip.params import ParameterVector, make_layout
 
 
 def train_alone(model, shard, epochs, batch_size, start_epoch=0):
-    """Train one model as a group of one; its weight delta."""
+    """Train one model as a group of one; its weight delta (P,)."""
     return train_epochs([model], shard.inputs[None], shard.labels[None], epochs, batch_size,
                         start_epoch)[0]
 
@@ -191,8 +191,8 @@ class TestTrainEpochs:
         model = TrainableModel(self.cfg)
         before = model.weights
         delta = train_alone(model, self.data, epochs=3, batch_size=16)
-        reconstructed = before + delta
-        assert np.array_equal(reconstructed.values, model.weights.values)
+        reconstructed = before.values + delta
+        assert np.array_equal(reconstructed, model.weights.values)
 
     def test_zero_epochs_rejected(self):
         model = TrainableModel(self.cfg)
@@ -208,7 +208,7 @@ class TestTrainEpochs:
     def test_replay_identical_deltas(self):
         d1 = train_alone(TrainableModel(self.cfg), self.data, 4, 16)
         d2 = train_alone(TrainableModel(self.cfg), self.data, 4, 16)
-        assert np.array_equal(d1.values, d2.values)
+        assert np.array_equal(d1, d2)
 
     def test_staggered_epochs_match_single_call(self):
         # four 1-epoch calls at the right start offsets walk the same shuffle
@@ -280,9 +280,9 @@ class TestGroupTraining:
                                        batch_size, start_epoch)
                 reference = step_alone(stepped[g], inputs[g], labels[g], epochs, batch_size,
                                        start_epoch)
-                for other, other_delta in ((alone[g], delta), (stepped[g], reference)):
+                for other, other_delta in ((alone[g], delta), (stepped[g], reference.values)):
                     assert np.array_equal(model.weights.values, other.weights.values)
-                    assert np.array_equal(deltas[g].values, other_delta.values)
+                    assert np.array_equal(deltas[g], other_delta)
 
     def test_failure_names_the_lowest_failing_row_of_the_first_failing_epoch(self):
         cfg = ModelConfig(input_dim=2, class_count=2, learning_rate=0.1, seed=3)
@@ -418,9 +418,10 @@ class TestFrozenStep:
         deltas = train_epochs(models, inputs, labels, epochs, batch_size, start_epoch)
         expected_w, expected_d = frozen_train(cfg, weights, inputs, labels, epochs,
                                               batch_size, start_epoch)
+        assert deltas.shape == expected_d.shape
         for g, model in enumerate(models):
             assert model.weights.values.tobytes() == expected_w[g].tobytes()
-            assert deltas[g].values.tobytes() == expected_d[g].tobytes()
+            assert deltas[g].tobytes() == expected_d[g].tobytes()
 
         assert np.array_equal(inputs, saved[0]) and np.array_equal(labels, saved[1])
         for start, values in zip(starts, saved[2]):

@@ -171,6 +171,14 @@ class TestSerialization:
         assert desc["seed"] == 4
         assert desc["constraints"]["target_avg_degree"] == 2.5
 
+    @pytest.mark.parametrize("text, nodes", [("", 0), ("\n\n", 0), ("0 0\n", 1)])
+    def test_edge_list_of_fewer_than_two_nodes(self, tmp_path, text, nodes):
+        path = tmp_path / "small.edges"
+        path.write_text(text)
+        with pytest.raises(MalformedGraphError, match=f"names {nodes} nodes") as excinfo:
+            read_edge_list(path)
+        assert str(path) in str(excinfo.value)
+
     def test_malformed_edge_line(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n2 3 4\n")
