@@ -9,23 +9,27 @@ SimulationError is reported on stderr and in the summary, the other runs
 go on, and run exits 1. A file that cannot be read or written (an OSError)
 stops any command with an ``error:`` line and exit 1.
 
-Each run config block is built by the dataclass or function whose fields it
-accepts, with that code's defaults (README: "Config blocks"); an unknown key
-or a rejected value is a ConfigError naming the block. So is a sweep whose
-runs would share a CSV, or whose inputs for a topology fail
+run reads every config block with _build (README: "Config blocks"): the
+block's keys are the parameters of the class or function it builds, minus
+those the CLI derives, and a parameter with no default is a required key.
+An unknown or missing key, a value the built code rejects and a file that
+is not there are a ConfigError naming the block. So is a sweep whose runs
+would share a CSV, or whose inputs for a topology fail
 gossipsim.prepare_inputs, the input check run_simulation makes. The CLI
-supplies only what it derives: ModelConfig.input_dim/class_count from the
-dataset, ShardPlan.node_count from the graph, and omitted seeds from the
-master seed (dataset seed+1, topology i seed+2+i, model seed, shards seed+3).
+derives only ModelConfig.input_dim/class_count from the dataset,
+ShardPlan.node_count from the graph, and omitted seeds from the master
+seed (dataset seed+1, topology i seed+2+i, model seed, shards seed+3).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import fields
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 from .aggregation import IntegrationStrategy, LambdaSchedule
 from .dataset import DatasetShard, ShardPlan, load_idx, synth_classification
@@ -36,6 +40,7 @@ from .model import ModelConfig
 from .netmodel import fedavg_rate, scenario_table
 from .params import require_ints
 from .topology import (
+    GenerationBudgetError,
     TopologyConstraints,
     generate_semi_random,
     read_edge_list,
@@ -45,162 +50,151 @@ from .topology import (
     write_edge_list,
 )
 
+_EMPTY = MappingProxyType({})  # a read-only {}: an omitted block, whose keys all take defaults
+
 
 class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
-TOP_KEYS = {"seed", "output_dir", "dataset", "topologies", "strategies", "model",
-            "schedule", "shards", "lambda_schedule", "forwarding"}
-SYNTHETIC_KEYS = {"classes", "dim", "per_class", "seed", "noise_sigma"}
-IDX_KEYS = {"train_images", "train_labels", "test_images", "test_labels", "downsample"}
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing {key!r} in {where}")
-    return mapping[key]
-
-
-def _fields(cls, *derived: str) -> set[str]:
-    """Config keys of a dataclass block: its fields minus those the CLI derives."""
-    return {f.name for f in fields(cls)} - set(derived)
-
-
-def _check_keys(where: str, block, allowed: set[str]) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+def _keys(factory, derived=()) -> dict[str, bool]:
+    """``factory``'s parameters minus ``derived``, each mapped to whether it is
+    required: True when it has no default."""
+    return {name: param.default is param.empty
+            for name, param in inspect.signature(factory).parameters.items()
+            if name not in derived}
 
 
 def _call(where: str, factory, *args, **kwargs):
     try:
         return factory(*args, **kwargs)
-    except (TypeError, ValueError) as err:
+    except ConfigError:
+        raise
+    except FileNotFoundError as err:
+        raise ConfigError(f"{where}: file not found: {err.filename}") from err
+    except (TypeError, ValueError, GenerationBudgetError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _build(where: str, factory, block, allowed: set[str], **defaults):
-    """``factory(**block)`` over the CLI-supplied defaults, keys checked first."""
-    _check_keys(where, block, allowed)
-    return _call(where, factory, **{**defaults, **block})
+def _build(where: str, factory, block, derived=_EMPTY, parts=_EMPTY, **defaults):
+    """``factory(**defaults, **block, **derived)``, the block's keys checked first.
+
+    The block takes the factory's parameters except the ``derived`` ones the
+    CLI supplies; one with no default, in the factory or in ``defaults``, is
+    required. ``parts`` maps a parameter to the class that builds it, by this
+    same rule, from the block's keys that are that class's parameters.
+    """
+    if not isinstance(block, Mapping):
+        raise ConfigError(f"{where} must be a JSON object")
+    own = _keys(factory, {*derived, *parts})
+    part_keys = {name: _keys(cls) for name, cls in parts.items()}
+    allowed = set(own).union(*part_keys.values())
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+    missing = [key for key, required in own.items()
+               if required and key not in block and key not in defaults]
+    if missing:
+        raise ConfigError(f"missing {missing} in {where}")
+    built = {name: _build(where, cls, {k: v for k, v in block.items() if k in part_keys[name]})
+             for name, cls in parts.items()}
+    chosen = {key: value for key, value in block.items() if key in own}
+    return _call(where, factory, **{**defaults, **chosen, **derived, **built})
+
+
+def _idx_dataset(train_images, train_labels, test_images=None, test_labels=None,
+                 downsample: int = 1):
+    """An IDX dataset block: (training set, its test split as global_val or None)."""
+    if (test_images is None) != (test_labels is None):
+        raise ValueError("test_images and test_labels go together")
+    dataset = load_idx(train_images, train_labels, downsample)
+    if test_images is None:
+        return dataset, None
+    test = load_idx(test_images, test_labels, downsample)
+    return dataset, DatasetShard(test.inputs, test.labels, origin="global_val")
 
 
 def _load_dataset(spec, default_seed: int):
-    """Build (dataset, global_val_or_None, class_count) from a config block."""
+    """(dataset, global_val or None, class_count) from the dataset block."""
     if not isinstance(spec, dict):
         raise ConfigError("dataset must be a JSON object")
+    if "kind" not in spec:
+        raise ConfigError("missing ['kind'] in dataset")
     spec = dict(spec)
-    kind = spec.pop("kind", None)
+    kind = spec.pop("kind")
     if kind == "synthetic":
-        data = _build("dataset", synth_classification, spec, SYNTHETIC_KEYS, seed=default_seed)
-        return data, None, int(data.labels.max()) + 1
-    if kind == "idx":
-        _check_keys("dataset", spec, IDX_KEYS)
-        splits = [("train_images", "train_labels")]
-        if "test_images" in spec or "test_labels" in spec:
-            splits.append(("test_images", "test_labels"))
-        options = {key: spec[key] for key in spec.keys() & {"downsample"}}
-        shards = []
-        for images, labels in splits:
-            for key in (images, labels):
-                path = _require(spec, key, "dataset")
-                if not Path(path).exists():
-                    raise ConfigError(f"dataset file not found: {path}")
-            shards.append(_call("dataset", load_idx, spec[images], spec[labels], **options))
-        global_val = None
-        if len(shards) == 2:
-            global_val = DatasetShard(shards[1].inputs, shards[1].labels, origin="global_val")
-        return shards[0], global_val, max(int(s.labels.max()) for s in shards) + 1
-    raise ConfigError(f"dataset 'kind' must be 'synthetic' or 'idx', got {kind!r}")
-
-
-def _generate_topology(nodes, seed, **constraints):
-    require_ints(nodes=nodes, seed=seed)
-    return generate_semi_random(nodes, TopologyConstraints(**constraints), seed=seed)
+        dataset, global_val = _build("dataset", synth_classification, spec,
+                                     seed=default_seed), None
+    elif kind == "idx":
+        dataset, global_val = _build("dataset", _idx_dataset, spec)
+    else:
+        raise ConfigError(f"dataset 'kind' must be 'synthetic' or 'idx', got {kind!r}")
+    class_count = max(int(s.labels.max()) for s in (dataset, global_val) if s is not None) + 1
+    if class_count < 2:
+        raise ConfigError("dataset: every label is 0, so the labels name one class; "
+                          "a model needs at least 2")
+    return dataset, global_val, class_count
 
 
 def _load_topology(spec, where: str, default_seed: int):
-    """One topology entry: inline generation or an edge-list file."""
+    """One topology entry: an edge-list file if it names a path, else a generated graph."""
     if isinstance(spec, dict) and "path" in spec:
-        _check_keys(where, spec, {"path"})
-        if not Path(spec["path"]).exists():
-            raise ConfigError(f"topology file not found: {spec['path']}")
-        return _call(where, read_edge_list, spec["path"])
-    allowed = {"nodes", "seed"} | _fields(TopologyConstraints)
-    return _build(where, _generate_topology, spec, allowed, seed=default_seed)
+        return _build(where, read_edge_list, spec)
+    return _build(where, generate_semi_random, spec, parts={"constraints": TopologyConstraints},
+                  seed=default_seed)
 
 
-def _build_experiment(config: dict, seed_override: int | None):
-    _check_keys("config", config, TOP_KEYS)
-    seed = config.get("seed", 0) if seed_override is None else seed_override
-    _call("config", require_ints, seed=seed)
-    output_dir = config.get("output_dir", ".")
+def _experiment(dataset, topologies, strategies, seed=0, output_dir=".", model=_EMPTY,
+                schedule=_EMPTY, shards=_EMPTY, lambda_schedule=_EMPTY, forwarding=_EMPTY):
+    """The config's top level: (dataset, global_val, runs), one run per topology and strategy."""
+    require_ints(seed=seed)
     if not isinstance(output_dir, str):
-        raise ConfigError(f"config: output_dir must be a string, got {output_dir!r}")
+        raise TypeError(f"output_dir must be a string, got {output_dir!r}")
+    if not isinstance(topologies, list) or not topologies:
+        raise ValueError(f"topologies must be a non-empty list, got {topologies!r}")
+    if not isinstance(strategies, list):
+        raise TypeError(f"strategies must be a list of strategy names, got {strategies!r}")
+    if not strategies:
+        raise ValueError("strategies must name at least one strategy")
 
-    dataset, global_val, class_count = _load_dataset(
-        _require(config, "dataset", "config"), default_seed=seed + 1
-    )
-
-    topo_specs = config.get("topologies")
-    if not topo_specs or not isinstance(topo_specs, list):
-        raise ConfigError("config needs a non-empty 'topologies' list")
+    data, global_val, class_count = _load_dataset(dataset, default_seed=seed + 1)
     # Runs write <N>nodes_<strategy>.csv, so node counts and strategies must be unique.
-    topologies = []
-    for i, spec in enumerate(topo_specs):
+    graphs = []
+    for i, spec in enumerate(topologies):
         graph = _load_topology(spec, f"topologies[{i}]", default_seed=seed + 2 + i)
-        sizes = [earlier.node_count for earlier in topologies]
+        sizes = [earlier.node_count for earlier in graphs]
         if graph.node_count in sizes:
             raise ConfigError(f"topologies[{i}]: {graph.node_count} nodes, as in topologies"
                               f"[{sizes.index(graph.node_count)}]; CSV names need distinct counts")
-        topologies.append(graph)
-
-    strategies = config.get("strategies", [])
-    if not isinstance(strategies, list):
-        raise ConfigError(
-            f"config: strategies must be a list of strategy names, got {strategies!r}"
-        )
-    if not strategies:
-        raise ConfigError("config needs a non-empty 'strategies' list")
+        graphs.append(graph)
+    ramp = _build("lambda_schedule", LambdaSchedule, lambda_schedule)
+    integrations = []
     for j, name in enumerate(strategies):
         if name in strategies[:j]:
             raise ConfigError(f"strategies[{j}]: {name!r} is listed twice")
+        integrations.append(_call(f"strategies[{j}]", IntegrationStrategy, kind=name,
+                                  schedule=ramp if name == "delta_sum" else None))
 
-    schedule_obj = _build("lambda_schedule", LambdaSchedule, config.get("lambda_schedule", {}),
-                          _fields(LambdaSchedule))
-    model_config = _build(
-        "model", ModelConfig, config.get("model", {}),
-        _fields(ModelConfig, "input_dim", "class_count"),
-        input_dim=dataset.dim, class_count=class_count, seed=seed,
-    )
-    sim_schedule = _build("schedule", SimSchedule, config.get("schedule", {}), _fields(SimSchedule))
-    forwarding = _build("forwarding", Forwarding, config.get("forwarding", {}), _fields(Forwarding))
-    shard_spec = config.get("shards", {})
-
+    model_config = _build("model", ModelConfig, model,
+                          {"input_dim": data.dim, "class_count": class_count}, seed=seed)
+    sim_schedule = _build("schedule", SimSchedule, schedule)
+    forwarding_rule = _build("forwarding", Forwarding, forwarding)
     runs = []
-    for i, graph in enumerate(topologies):
-        plan = _build("shards", ShardPlan, shard_spec, _fields(ShardPlan, "node_count"),
-                      node_count=graph.node_count, seed=seed + 3)
-        for name in strategies:
-            strategy = IntegrationStrategy(
-                kind=name,
-                schedule=schedule_obj if name == "delta_sum" else None,
-            )
-            runs.append(
-                SimConfig(
-                    topology=graph,
-                    strategy=strategy,
-                    schedule=sim_schedule,
-                    model_config=model_config,
-                    shard_plan=plan,
-                    forwarding=forwarding,
-                )
-            )
-        _call(f"topologies[{i}]", prepare_inputs, runs[-1], dataset, global_val=global_val)
-    return dataset, global_val, runs
+    for i, graph in enumerate(graphs):
+        plan = _build("shards", ShardPlan, shards, {"node_count": graph.node_count},
+                      seed=seed + 3)
+        runs += [SimConfig(topology=graph, strategy=strategy, schedule=sim_schedule,
+                           model_config=model_config, shard_plan=plan, forwarding=forwarding_rule)
+                 for strategy in integrations]
+        _call(f"topologies[{i}]", prepare_inputs, runs[-1], data, global_val=global_val)
+    return data, global_val, runs
+
+
+def _build_experiment(config: dict, seed_override: int | None):
+    """(dataset, global_val, runs) of a run config; ``seed_override`` replaces its seed."""
+    if seed_override is not None and isinstance(config, dict):
+        config = {**config, "seed": seed_override}
+    return _build("config", _experiment, config)
 
 
 def _reject_constant(name: str):
@@ -224,7 +218,7 @@ def cmd_run(args) -> int:
 
     try:
         dataset, global_val, runs = _build_experiment(config, args.seed)
-    except ValueError as err:  # ConfigError, or a SimConfig or IntegrationStrategy check
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

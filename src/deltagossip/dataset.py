@@ -7,6 +7,7 @@ and keeps one global validation set shared by all nodes.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -142,12 +143,13 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
 
     A header with no images or a zero image side, a file shorter than its
     header declares and bytes past the declared data raise IdxFormatError.
+    A path that is not path-like (a file descriptor number) is a TypeError.
     """
     require_ints(downsample=downsample)
     if downsample < 1:
         raise ValueError("downsample factor must be >= 1")
 
-    with open(images_path, "rb") as f:
+    with open(os.fspath(images_path), "rb") as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:
             raise IdxFormatError(
@@ -158,7 +160,7 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
         if rows == 0 or cols == 0:
             raise IdxFormatError(f"empty {rows}x{cols} images in {images_path}")
         pixels = _read_rest(f, count * rows * cols, "image data")
-    with open(labels_path, "rb") as f:
+    with open(os.fspath(labels_path), "rb") as f:
         magic, label_count = struct.unpack(">II", _read_exact(f, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise IdxFormatError(

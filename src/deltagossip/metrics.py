@@ -100,25 +100,6 @@ def export_csv(rows, path) -> None:
     write_atomic(path, "".join(lines))
 
 
-def read_csv(path):
-    """Parse a file written by export_csv back into AggregateRow objects."""
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        for line in f:
-            parts = line.strip().split(",")
-            values = dict(zip(header, parts))
-            rows.append(
-                AggregateRow(
-                    index=int(values["index"]),
-                    test_acc_min=float(values["test_acc_min"]),
-                    test_acc_median=float(values["test_acc_median"]),
-                    test_acc_max=float(values["test_acc_max"]),
-                )
-            )
-    return rows
-
-
 def accuracy_drop_ratio(
     baseline_final_by_n: dict[int, float],
     candidate_final_by_n: dict[int, float],

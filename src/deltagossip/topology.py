@@ -2,16 +2,20 @@
 
 Generation builds a random spanning tree (connectivity for free), then adds
 random edges under the degree cap until the edge count matches the target
-average degree. Every produced graph passes its own validation.
+average degree. Every produced graph passes its own validation. A
+TopologyGraph checks its own structure when it is built, so no code sees an
+asymmetric or malformed one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .metrics import write_atomic
 from .params import require_ints, require_positive
 
 GENERATION_ATTEMPTS = 100  # seeded retries before GenerationBudgetError
@@ -26,7 +30,7 @@ class GenerationBudgetError(RuntimeError):
 
 
 class MalformedGraphError(ValueError):
-    """Adjacency structure violates symmetry or basic sanity."""
+    """Adjacency structure or an edge-list file violates symmetry or basic sanity."""
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,27 @@ class TopologyGraph:
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]  # sorted neighbor lists, undirected
 
+    def __post_init__(self):
+        n, adjacency = self.node_count, self.adjacency
+        if len(adjacency) != n:
+            raise MalformedGraphError(f"{len(adjacency)} neighbor lists for {n} nodes")
+        for i, adj in enumerate(adjacency):
+            previous = -1
+            for j in adj:
+                if not previous < j < n:
+                    raise MalformedGraphError(
+                        f"neighbors of node {i} are not sorted, unique and in range: {adj}"
+                    )
+                if i == j:
+                    raise MalformedGraphError(f"self-loop at node {i}")
+                if i not in adjacency[j]:
+                    raise MalformedGraphError(f"asymmetric edge ({i}, {j})")
+                previous = j
+
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "TopologyGraph":
         neighbors = [set() for _ in range(node_count)]
         for i, j in edges:
-            if i == j:
-                raise MalformedGraphError(f"self-loop at node {i}")
             if not (0 <= i < node_count and 0 <= j < node_count):
                 raise MalformedGraphError(f"edge ({i}, {j}) out of range")
             neighbors[i].add(j)
@@ -118,39 +137,41 @@ def is_connected(graph: TopologyGraph) -> bool:
 
 
 def generate_semi_random(
-    n: int,
+    nodes: int,
     constraints: TopologyConstraints,
     seed: int,
 ) -> TopologyGraph:
     """Connected graph with degrees in bounds and avg degree within +-0.5 of target.
 
-    Deterministic per (n, constraints, seed). Raises
-    UnsatisfiableConstraintsError when no simple connected graph can land in
-    the +-0.5 band, GenerationBudgetError if all GENERATION_ATTEMPTS stall.
+    Deterministic per (nodes, constraints, seed). ``nodes`` and ``seed`` must
+    be integers. Raises UnsatisfiableConstraintsError when no simple connected
+    graph can land in the +-0.5 band, GenerationBudgetError if all
+    GENERATION_ATTEMPTS stall.
     """
-    if n < 2:
+    require_ints(nodes=nodes, seed=seed)
+    if nodes < 2:
         raise ValueError("need at least 2 nodes")
     target = constraints.target_avg_degree
-    if not constraints.min_degree <= target <= constraints.max_degree or target >= n:
+    if not constraints.min_degree <= target <= constraints.max_degree or target >= nodes:
         raise UnsatisfiableConstraintsError(
             f"target avg degree {target} outside [{constraints.min_degree}, "
-            f"{constraints.max_degree}] or not < n={n}"
+            f"{constraints.max_degree}] or not < nodes={nodes}"
         )
-    # Achievable average degree of a simple connected graph on n nodes.
-    lo = 2.0 * (n - 1) / n
-    hi = float(min(constraints.max_degree, n - 1))
+    # Achievable average degree of a simple connected graph on this many nodes.
+    lo = 2.0 * (nodes - 1) / nodes
+    hi = float(min(constraints.max_degree, nodes - 1))
     if target + 0.5 < lo or target - 0.5 > hi:
         raise UnsatisfiableConstraintsError(
             f"avg degree band [{target - 0.5:.2f}, {target + 0.5:.2f}] misses the "
-            f"achievable range [{lo:.2f}, {hi:.2f}] for n={n}"
+            f"achievable range [{lo:.2f}, {hi:.2f}] for nodes={nodes}"
         )
-    min_edges = n - 1
-    max_edges = min(n * constraints.max_degree // 2, n * (n - 1) // 2)
-    edge_target = int(np.clip(int(round(n * target / 2.0)), min_edges, max_edges))
+    min_edges = nodes - 1
+    max_edges = min(nodes * constraints.max_degree // 2, nodes * (nodes - 1) // 2)
+    edge_target = int(np.clip(int(round(nodes * target / 2.0)), min_edges, max_edges))
 
     for attempt in range(GENERATION_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
-        graph = _attempt(n, constraints, edge_target, rng)
+        graph = _attempt(nodes, constraints, edge_target, rng)
         if graph is None:
             continue
         report = validate(graph, constraints)
@@ -159,7 +180,7 @@ def generate_semi_random(
         ):
             return graph
     raise GenerationBudgetError(
-        f"no valid graph for n={n}, target={target} after {GENERATION_ATTEMPTS} attempts"
+        f"no valid graph for nodes={nodes}, target={target} after {GENERATION_ATTEMPTS} attempts"
     )
 
 
@@ -215,15 +236,7 @@ def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
 
 
 def validate(graph: TopologyGraph, constraints: TopologyConstraints) -> ValidationReport:
-    """Connectivity and degree-bound report; raises on asymmetric adjacency."""
-    for i, adj in enumerate(graph.adjacency):
-        if len(set(adj)) != len(adj):
-            raise MalformedGraphError(f"duplicate neighbors at node {i}")
-        for j in adj:
-            if i == j:
-                raise MalformedGraphError(f"self-loop at node {i}")
-            if i not in graph.adjacency[j]:
-                raise MalformedGraphError(f"asymmetric edge ({i}, {j})")
+    """Connectivity and degree-bound report."""
     violations = [
         i
         for i, d in enumerate(graph.degrees())
@@ -290,23 +303,29 @@ def stats(graph: TopologyGraph) -> GraphStats:
 
 
 def write_edge_list(graph: TopologyGraph, path) -> None:
-    with open(path, "w", newline="") as f:
-        for i, j in graph.edges():
-            f.write(f"{i} {j}\n")
+    """One ``i j`` line per edge (i < j), written atomically."""
+    write_atomic(path, "".join(f"{i} {j}\n" for i, j in graph.edges()))
 
 
 def read_edge_list(path) -> TopologyGraph:
+    """The graph of an edge-list file: one ``i j`` pair of node indices per line.
+
+    Blank lines are skipped. A line that is not two integers, or a file that
+    names fewer than 2 nodes, is a MalformedGraphError naming the file. A
+    path that is not path-like (a file descriptor number) is a TypeError.
+    """
     edges = []
     highest = -1
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+    with open(os.fspath(path)) as f:
+        for number, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise MalformedGraphError(f"bad edge line: {line!r}")
-            i, j = int(parts[0]), int(parts[1])
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise MalformedGraphError(
+                    f"bad edge line {number} in {path}: {line.strip()!r}; need two node indices"
+                ) from None
             edges.append((i, j))
             highest = max(highest, i, j)
     if highest < 1:
@@ -329,6 +348,4 @@ def write_descriptor(
         "constraints": asdict(constraints),
         "edge_list": str(edge_list_path),
     }
-    with open(path, "w", newline="") as f:
-        json.dump(descriptor, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, json.dumps(descriptor, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import multiprocessing.process
 import re
@@ -381,6 +383,124 @@ class TestStrictConfig:
         assert runs[0].schedule.integrate_every == config["schedule"]["integrate_every"]
 
 
+def _ring_file(tmp_path):
+    path = tmp_path / "ring.edges"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n")
+    return str(path)
+
+
+def _idx_block(tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.zeros((40, 4, 4)), [0, 1] * 20)
+    return {"kind": "idx", "train_images": str(images), "train_labels": str(labels)}
+
+
+def _use_idx(config, tmp_path):
+    config["dataset"] = _idx_block(tmp_path)
+
+
+def _use_edge_list(config, tmp_path):
+    config["topologies"] = [{"path": _ring_file(tmp_path)}]
+
+
+def _add_forwarding(config, tmp_path):
+    config["forwarding"] = {}
+
+
+def _drop_idx_images(config, tmp_path):
+    config["dataset"] = _idx_block(tmp_path)
+    del config["dataset"]["train_images"]
+
+
+def _generated_after_file(config, tmp_path):
+    config["topologies"] = [{"path": _ring_file(tmp_path)}, {"target_avg_degree": 2.0}]
+
+
+class TestConfigBlocks:
+    """One rule for every block: its keys are the parameters of the code it builds."""
+
+    @pytest.mark.parametrize(
+        "place, where, builders, derived",
+        [
+            (None, "config", ["_experiment"], []),
+            (None, "dataset", ["synth_classification"], []),
+            (_use_idx, "dataset", ["_idx_dataset"], []),
+            (None, "topologies[0]", ["generate_semi_random", "TopologyConstraints"],
+             ["constraints"]),
+            (_use_edge_list, "topologies[0]", ["read_edge_list"], []),
+            (None, "model", ["ModelConfig"], ["input_dim", "class_count"]),
+            (None, "schedule", ["SimSchedule"], []),
+            (None, "shards", ["ShardPlan"], ["node_count"]),
+            (None, "lambda_schedule", ["LambdaSchedule"], []),
+            (_add_forwarding, "forwarding", ["Forwarding"], []),
+        ],
+        ids=["config", "synthetic", "idx", "generated", "edge_list", "model", "schedule",
+             "shards", "lambda_schedule", "forwarding"],
+    )
+    def test_keys_are_the_builder_parameters(self, tmp_path, capsys, place, where, builders,
+                                             derived):
+        config = small_config(tmp_path)
+        if place is not None:
+            place(config, tmp_path)
+        blocks = {"config": config, "topologies[0]": config["topologies"][0]}
+        blocks.get(where, config.get(where))["zzz"] = 1
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: unknown key\(s\) \['zzz'\] in (\S+); allowed: (.*)\n", err)
+        assert found and found.group(1) == where
+        params = {name for builder in builders
+                  for name in inspect.signature(getattr(cli, builder)).parameters}
+        assert ast.literal_eval(found.group(2)) == sorted(params - set(derived))
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda config, tmp_path: config.pop("dataset"), "missing ['dataset'] in config"),
+            (lambda config, tmp_path: config.pop("topologies"),
+             "missing ['topologies'] in config"),
+            (lambda config, tmp_path: config.pop("strategies"),
+             "missing ['strategies'] in config"),
+            (lambda config, tmp_path: config["dataset"].pop("classes"),
+             "missing ['classes'] in dataset"),
+            (lambda config, tmp_path: config["dataset"].pop("kind"),
+             "missing ['kind'] in dataset"),
+            (_drop_idx_images, "missing ['train_images'] in dataset"),
+            (lambda config, tmp_path: config["topologies"][0].pop("nodes"),
+             "missing ['nodes'] in topologies[0]"),
+            (_generated_after_file, "missing ['nodes'] in topologies[1]"),
+        ],
+        ids=["dataset", "topologies", "strategies", "synthetic", "kind", "idx", "generated",
+             "after_edge_list"],
+    )
+    def test_missing_required_key_names_key_and_block(self, tmp_path, capsys, mutate, message):
+        config = small_config(tmp_path)
+        mutate(config, tmp_path)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path(config["output_dir"]).exists()
+
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            (["delta_sum", "bogus"], "strategies[1]: unknown strategy 'bogus'; "),
+            ([3], "strategies[0]: unknown strategy 3; "),
+            (["fedavg", None], "strategies[1]: unknown strategy None; "),
+            (["fedavg", ["delta_sum"]], "strategies[1]: unknown strategy ['delta_sum']; "),
+        ],
+        ids=["unknown_name", "number", "null", "list"],
+    )
+    def test_unknown_strategy_names_its_entry(self, tmp_path, capsys, strategies, message):
+        config = small_config(tmp_path, strategies=strategies)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not Path(config["output_dir"]).exists()
+
+
 def _second_four_node_topology(config, tmp_path):
     config["topologies"].append({"nodes": 4, "target_avg_degree": 2.0, "seed": 5})
 
@@ -418,6 +538,34 @@ def _images_of_zero_rows(config, tmp_path):
                          "train_labels": str(labels)}
 
 
+def _non_integer_edge_list(config, tmp_path):
+    edges = tmp_path / "letters.edges"
+    edges.write_text("0 1\n1 2\na b\n")
+    config["topologies"] = [{"path": str(edges)}]
+
+
+def _one_class_dataset(config, tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.full((40, 6, 6), 7), [0] * 40)
+    config["dataset"] = {"kind": "idx", "train_images": str(images),
+                         "train_labels": str(labels)}
+
+
+def _test_images_alone(config, tmp_path):
+    config["dataset"] = _idx_block(tmp_path)
+    config["dataset"]["test_images"] = config["dataset"]["train_images"]
+
+
+def _descriptor_number_as_path(config, tmp_path):
+    config["dataset"] = _idx_block(tmp_path)
+    config["dataset"]["train_images"] = 0  # open(0) would read standard input
+
+
+def _generation_budget_spent(config, tmp_path):
+    # no 3-regular graph on 5 nodes exists, and generation gives up after its attempts
+    config["topologies"] = [{"nodes": 5, "min_degree": 3, "max_degree": 3,
+                             "target_avg_degree": 3.0}]
+
+
 class TestSweepInputs:
     """Inputs that would fail or overwrite a run partway through a sweep."""
 
@@ -433,6 +581,11 @@ class TestSweepInputs:
              "topologies[0]: global_val feature dimension 16 does not match input_dim 64"),
             (_empty_edge_list, [], "topologies[0]: edge list "),
             (_images_of_zero_rows, [], "dataset: empty 0x4 images in "),
+            (_non_integer_edge_list, [], "topologies[0]: bad edge line 3 in "),
+            (_one_class_dataset, [], "dataset: every label is 0, so the labels name one class"),
+            (_test_images_alone, [], "dataset: test_images and test_labels go together"),
+            (_descriptor_number_as_path, [], "dataset: expected str, bytes or os.PathLike"),
+            (_generation_budget_spent, [], "topologies[0]: no valid graph for nodes=5"),
         ],
     )
     def test_rejected_before_the_output_directory_exists(self, tmp_path, capsys, mutate,

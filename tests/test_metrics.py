@@ -7,7 +7,6 @@ from deltagossip.metrics import (
     accuracy_drop_ratio,
     aggregate_across_nodes,
     export_csv,
-    read_csv,
     write_atomic,
 )
 
@@ -81,12 +80,15 @@ class TestExportCsv:
         ]
         path = tmp_path / "out.csv"
         export_csv(rows, path)
-        parsed = read_csv(path)
-        for original, loaded in zip(rows, parsed):
-            assert loaded.index == original.index
-            assert abs(loaded.test_acc_min - original.test_acc_min) <= 1e-6
-            assert abs(loaded.test_acc_median - original.test_acc_median) <= 1e-6
-            assert abs(loaded.test_acc_max - original.test_acc_max) <= 1e-6
+        header, *lines = path.read_text().splitlines()
+        assert header == "index,test_acc_min,test_acc_median,test_acc_max"
+        assert len(lines) == len(rows)
+        for original, line in zip(rows, lines):
+            index, *accs = line.split(",")
+            assert int(index) == original.index
+            expected = (original.test_acc_min, original.test_acc_median, original.test_acc_max)
+            for text, value in zip(accs, expected, strict=True):
+                assert abs(float(text) - value) <= 1e-6
 
     def test_bit_stable(self, tmp_path):
         rows = [AggregateRow(3, 0.123456789, 0.5, 0.987654321)]

@@ -88,6 +88,12 @@ class TestGenerateSemiRandom:
         )
         assert sum(graph.degrees()) == 2 * graph.edge_count
 
+    @pytest.mark.parametrize("nodes, seed, name", [(10.0, 0, "nodes"), (10, 1.5, "seed"),
+                                                   (True, 0, "nodes")])
+    def test_integer_arguments_checked(self, nodes, seed, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            generate_semi_random(nodes, TopologyConstraints(), seed=seed)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_target_avg_degree_rejected(self, value):
         with pytest.raises(ValueError, match="target_avg_degree must be positive and finite"):
@@ -114,9 +120,25 @@ class TestValidate:
         assert not report.connected
 
     def test_asymmetric_adjacency_rejected(self):
-        broken = TopologyGraph(3, ((1,), (), (1,)))
-        with pytest.raises(MalformedGraphError):
-            validate(broken, TopologyConstraints(target_avg_degree=1.0))
+        # rejected when built, before stats or write_edge_list can read it
+        for adjacency in [((1,), (), (1,)), ((1,), (0, 2), ())]:
+            with pytest.raises(MalformedGraphError, match="asymmetric edge"):
+                TopologyGraph(3, adjacency)
+
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            (((1,), (0,)), "2 neighbor lists for 3 nodes"),
+            (((2, 1), (0,), (0,)), "not sorted, unique and in range"),
+            (((1, 1), (0,), ()), "not sorted, unique and in range"),
+            (((3,), (), ()), "not sorted, unique and in range"),
+            (((-1,), (), ()), "not sorted, unique and in range"),
+            (((0,), (), ()), "self-loop at node 0"),
+        ],
+    )
+    def test_malformed_adjacency_rejected_at_construction(self, adjacency, message):
+        with pytest.raises(MalformedGraphError, match=message):
+            TopologyGraph(3, adjacency)
 
     def test_self_loop_rejected_at_construction(self):
         with pytest.raises(MalformedGraphError):
@@ -184,3 +206,29 @@ class TestSerialization:
         path.write_text("0 1\n2 3 4\n")
         with pytest.raises(MalformedGraphError):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("line", ["2 3 4", "a b", "1.5 2", "3"])
+    def test_bad_edge_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"0 1\n\n{line}\n")
+        with pytest.raises(MalformedGraphError, match=f"bad edge line 3 in .*'{line}'") as excinfo:
+            read_edge_list(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("write", ["edge_list", "descriptor"])
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch, write):
+        graph = ring(4)
+        constraints = TopologyConstraints(target_avg_degree=2.0)
+        writers = {
+            "edge_list": lambda: write_edge_list(graph, tmp_path / "t.edges"),
+            "descriptor": lambda: write_descriptor(tmp_path / "t.json", graph, 0, constraints,
+                                                   "t.edges"),
+        }
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr("os.replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            writers[write]()
+        assert list(tmp_path.iterdir()) == []
