@@ -76,19 +76,22 @@ def _call(where: str, factory, *args, **kwargs):
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _build(where: str, factory, block, derived=_EMPTY, parts=_EMPTY, **defaults):
+def _build(where: str, factory, block, derived=_EMPTY, parts=_EMPTY, selectors=(),
+           **defaults):
     """``factory(**defaults, **block, **derived)``, the block's keys checked first.
 
     The block takes the factory's parameters except the ``derived`` ones the
     CLI supplies; one with no default, in the factory or in ``defaults``, is
     required. ``parts`` maps a parameter to the class that builds it, by this
     same rule, from the block's keys that are that class's parameters.
+    ``selectors`` are the keys the caller read to choose ``factory`` (the
+    dataset's ``kind``): allowed in the block, and not passed on.
     """
     if not isinstance(block, Mapping):
         raise ConfigError(f"{where} must be a JSON object")
     own = _keys(factory, {*derived, *parts})
     part_keys = {name: _keys(cls) for name, cls in parts.items()}
-    allowed = set(own).union(*part_keys.values())
+    allowed = set(own).union(*part_keys.values(), selectors)
     unknown = sorted(set(block) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
@@ -120,16 +123,15 @@ def _load_dataset(spec, default_seed: int):
         raise ConfigError("dataset must be a JSON object")
     if "kind" not in spec:
         raise ConfigError("missing ['kind'] in dataset")
-    spec = dict(spec)
-    kind = spec.pop("kind")
+    kind = spec["kind"]
     if kind == "synthetic":
-        dataset, global_val = _build("dataset", synth_classification, spec,
+        dataset, global_val = _build("dataset", synth_classification, spec, selectors=["kind"],
                                      seed=default_seed), None
     elif kind == "idx":
-        dataset, global_val = _build("dataset", _idx_dataset, spec)
+        dataset, global_val = _build("dataset", _idx_dataset, spec, selectors=["kind"])
     else:
         raise ConfigError(f"dataset 'kind' must be 'synthetic' or 'idx', got {kind!r}")
-    class_count = max(int(s.labels.max()) for s in (dataset, global_val) if s is not None) + 1
+    class_count = max(s.top_label for s in (dataset, global_val) if s is not None) + 1
     if class_count < 2:
         raise ConfigError("dataset: every label is 0, so the labels name one class; "
                           "a model needs at least 2")

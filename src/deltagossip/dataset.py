@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +28,17 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetShard:
+    """A set of samples. ``labels`` is the shard's own read-only copy, so what
+    is computed from it once (``top_label``, ``label_index``) cannot go stale."""
+
     inputs: np.ndarray  # (n, dim) float64 in [0, 1]
-    labels: np.ndarray  # (n,) int64
+    labels: np.ndarray  # (n,) int64, read-only
     origin: str = "train"  # train | local_val | global_val
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.flags.writeable = False
         if inputs.ndim != 2:
             raise ValueError("inputs must be a 2-d array of feature vectors")
         if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
@@ -50,6 +55,19 @@ class DatasetShard:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
+
+    @cached_property
+    def top_label(self) -> int:
+        """The largest label, or -1 for an empty shard."""
+        return int(self.labels.max()) if self.size else -1
+
+    @cached_property
+    def label_index(self) -> np.ndarray:
+        """Each sample's label entry in the flattened class planes (classes, n) of
+        this shard's logits: ``labels * n + arange(n)``, read-only."""
+        index = self.labels * self.size + np.arange(self.size)
+        index.flags.writeable = False
+        return index
 
 
 @dataclass(frozen=True)

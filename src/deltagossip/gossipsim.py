@@ -226,8 +226,8 @@ def prepare_inputs(config: SimConfig, dataset: DatasetShard,
                          f"input_dim {input_dim}")
     class_count = config.model_config.class_count
     for name, shard in (("dataset", dataset), ("global_val", gval)):
-        if shard.labels.max() >= class_count:
-            raise ValueError(f"{name} label {shard.labels.max()} is not below "
+        if shard.top_label >= class_count:
+            raise ValueError(f"{name} label {shard.top_label} is not below "
                              f"class_count {class_count}")
     return per_node, gval
 

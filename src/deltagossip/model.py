@@ -100,14 +100,32 @@ def _forward(config: ModelConfig, w: np.ndarray, x: np.ndarray):
     ``tanh(x @ w1 + b1)`` and ``hidden @ w2 + b2``.
     """
     w1, b1, w2, b2 = _layers(config, w)
-    hidden = x
-    if w1 is not None:
-        hidden = x @ w1
-        hidden += b1
-        np.tanh(hidden, out=hidden)
+    hidden = _hidden_layer(x, w1, b1)
     logits = hidden @ w2
     logits += b2
     return hidden, logits
+
+
+def _hidden_layer(x: np.ndarray, w1, b1) -> np.ndarray:
+    """``tanh(x @ w1 + b1)``, bias and tanh in place on the matmul result; x at hidden_dim=0."""
+    if w1 is None:
+        return x
+    hidden = x @ w1
+    hidden += b1
+    return np.tanh(hidden, out=hidden)
+
+
+def _class_planes(config: ModelConfig, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One model's logits on x (n, d) as C-contiguous class planes (k, n): row j is class j.
+
+    The matmuls are ``_forward``'s, on the same operands. The output bias is
+    added as a (k, 1) column to the transposed product, not as a (1, k) row
+    over (n, k) logits; the add is elementwise, so every entry is bitwise
+    the logit ``_forward`` gives, and the output is written in plane order
+    without a copy.
+    """
+    w1, b1, w2, b2 = _layers(config, w)
+    return np.add((_hidden_layer(x, w1, b1) @ w2).T, b2.T, order="C")
 
 
 def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -182,7 +200,7 @@ class TrainableModel:
             raise ValueError("cannot compute a loss on an empty batch")
         if batch.dim != cfg.input_dim:
             raise ValueError(DIM_MISMATCH)
-        if batch.labels.max() >= cfg.class_count:
+        if batch.top_label >= cfg.class_count:
             raise ValueError(LABELS_EXCEED)
         grad = np.empty(len(self.weights))
         loss = _loss_and_gradient(cfg, self.weights.values, batch.inputs, batch.labels, grad)
@@ -307,6 +325,37 @@ def centralized_reference_train(
     return model.weights
 
 
+def _count_hits(planes: np.ndarray, dataset: DatasetShard, logits) -> int:
+    """How many samples of ``dataset`` predict their label, from class planes (k, n).
+
+    ``planes`` holds the logits as ``_class_planes`` lays them out and is
+    overwritten. ``logits()`` returns the same logits as an (n, k) array; it
+    is called only when the tie bound below cannot decide.
+
+    Each sample's shifts are s_j = z_j - max(z) <= 0, its top class has s = 0,
+    and its log-softmax is fl(s_j - lse) with lse = log(sum(exp(s))). A
+    finite max bounds 0 <= lse <= log(k) + 1, so with T = ulp(log(k) + 1) >=
+    ulp(lse), a class at s_j <= -T lies at least ulp(lse) below the top
+    class's exact -lse, and rounding to nearest keeps it strictly below. So
+    if every max is finite and each sample has exactly one class above -T,
+    that class is the argmax, and a sample is a hit when its label's entry,
+    read through ``dataset.label_index``, is above -T. Otherwise (a
+    near-tie, or a sample with a NaN or +inf logit or with every logit
+    -inf) the count takes the definition, ``np.argmax(_log_softmax(
+    logits()), axis=-1)``, whose NaN rows predict class 0 as ``np.argmax``
+    does.
+    """
+    k, n = planes.shape
+    top = planes.max(axis=0)
+    planes -= top
+    above = planes > -math.ulp(math.log(k) + 1.0)
+    # A finite max puts at least its own class above -T, so n such entries
+    # in all means exactly one per sample: its top class, whose shift is 0.
+    if np.isfinite(top).all() and np.count_nonzero(above) == n:
+        return np.count_nonzero(above.take(dataset.label_index))
+    return np.count_nonzero(np.argmax(_log_softmax(logits()), axis=-1) == dataset.labels)
+
+
 def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
     """Accuracy on a dataset: the share of samples whose predicted class is the label.
 
@@ -315,32 +364,23 @@ def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
     class; the log-softmax shift can round two logits to one value, so the
     two rules are not bitwise interchangeable.
 
-    Most calls count hits without the log-softmax. On contiguous class
-    planes (k, n), because NumPy reduces a narrow last axis row by row,
-    slowly, each sample's shifts are s_j = z_j - max(z) <= 0, its top class
-    has s = 0, and its log-softmax is fl(s_j - lse) with lse =
-    log(sum(exp(s))). A finite max bounds 0 <= lse <= log(k) + 1, so with
-    T = ulp(log(k) + 1) >= ulp(lse), a class at s_j <= -T lies at least
-    ulp(lse) below the top class's exact -lse, and rounding to nearest
-    keeps it strictly below. So if every max is finite and each sample has
-    exactly one class above -T, that class is the argmax, and a sample is a
-    hit when its label's shift is 0. Otherwise (a near-tie, or a sample
-    with a NaN or +inf logit or with every logit -inf) the whole call takes
-    the definition, whose NaN rows predict class 0 as ``np.argmax`` does.
+    The logits are built as contiguous class planes (k, n) by
+    ``_class_planes``: NumPy reduces a narrow last axis row by row, slowly,
+    and the planes put each reduction on a long axis. ``_count_hits`` counts
+    the hits on them with an exact tie bound. Where the bound cannot decide
+    (a near-tie or a non-finite max) it takes the definition, on logits
+    recomputed by ``_forward``. What depends on the dataset alone is
+    computed once per DatasetShard, whose labels are read-only: the largest
+    label, for the range check, and the flat index of each sample's label
+    entry in its planes.
     """
+    cfg, w, inputs = model.config, model.weights.values, dataset.inputs
     if dataset.size < 1:
         raise ValueError("cannot evaluate on an empty dataset")
-    if dataset.labels.max() >= model.config.class_count:
+    if dataset.dim != cfg.input_dim:
+        raise ValueError("dataset feature dimension does not match the model")
+    if dataset.top_label >= cfg.class_count:
         raise ValueError("dataset labels exceed the model class count")
-    logits = model.logits(dataset.inputs)
-    n, k = logits.shape
-    planes = logits.T.copy()
-    top = planes.max(axis=0)
-    planes -= top
-    # A finite max puts at least its own class above -T, so n such entries
-    # in all means exactly one per sample.
-    if np.isfinite(top).all() and np.count_nonzero(planes > -math.ulp(math.log(k) + 1.0)) == n:
-        hits = np.count_nonzero(planes[dataset.labels, np.arange(n)] == 0.0)
-    else:
-        hits = np.count_nonzero(np.argmax(_log_softmax(logits), axis=-1) == dataset.labels)
+    hits = _count_hits(_class_planes(cfg, w, inputs), dataset,
+                       lambda: _forward(cfg, w, inputs)[1])
     return float(hits / dataset.size)

@@ -144,9 +144,11 @@ def generate_semi_random(
     """Connected graph with degrees in bounds and avg degree within +-0.5 of target.
 
     Deterministic per (nodes, constraints, seed). ``nodes`` and ``seed`` must
-    be integers. Raises UnsatisfiableConstraintsError when no simple connected
-    graph can land in the +-0.5 band, GenerationBudgetError if all
-    GENERATION_ATTEMPTS stall.
+    be integers. Raises UnsatisfiableConstraintsError, before any attempt,
+    when no simple connected graph can land in the +-0.5 band or when
+    min_degree == max_degree asks for a regular graph whose degree sum
+    nodes * degree is odd; GenerationBudgetError if all GENERATION_ATTEMPTS
+    stall.
     """
     require_ints(nodes=nodes, seed=seed)
     if nodes < 2:
@@ -156,6 +158,12 @@ def generate_semi_random(
         raise UnsatisfiableConstraintsError(
             f"target avg degree {target} outside [{constraints.min_degree}, "
             f"{constraints.max_degree}] or not < nodes={nodes}"
+        )
+    degree = constraints.max_degree
+    if constraints.min_degree == degree and nodes * degree % 2:
+        raise UnsatisfiableConstraintsError(
+            f"no {degree}-regular graph on nodes={nodes}: the degree sum "
+            f"{nodes} x {degree} is odd"
         )
     # Achievable average degree of a simple connected graph on this many nodes.
     lo = 2.0 * (nodes - 1) / nodes

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from test_dataset import write_idx_pair
 
-from deltagossip import cli
+from deltagossip import cli, topology
 from deltagossip.cli import _build_experiment, main
 from deltagossip.gossipsim import SimulationError, run_simulation
 from deltagossip.topology import TopologyConstraints, read_edge_list, validate
@@ -419,25 +419,25 @@ class TestConfigBlocks:
     """One rule for every block: its keys are the parameters of the code it builds."""
 
     @pytest.mark.parametrize(
-        "place, where, builders, derived",
+        "place, where, builders, derived, selectors",
         [
-            (None, "config", ["_experiment"], []),
-            (None, "dataset", ["synth_classification"], []),
-            (_use_idx, "dataset", ["_idx_dataset"], []),
+            (None, "config", ["_experiment"], [], []),
+            (None, "dataset", ["synth_classification"], [], ["kind"]),
+            (_use_idx, "dataset", ["_idx_dataset"], [], ["kind"]),
             (None, "topologies[0]", ["generate_semi_random", "TopologyConstraints"],
-             ["constraints"]),
-            (_use_edge_list, "topologies[0]", ["read_edge_list"], []),
-            (None, "model", ["ModelConfig"], ["input_dim", "class_count"]),
-            (None, "schedule", ["SimSchedule"], []),
-            (None, "shards", ["ShardPlan"], ["node_count"]),
-            (None, "lambda_schedule", ["LambdaSchedule"], []),
-            (_add_forwarding, "forwarding", ["Forwarding"], []),
+             ["constraints"], []),
+            (_use_edge_list, "topologies[0]", ["read_edge_list"], [], []),
+            (None, "model", ["ModelConfig"], ["input_dim", "class_count"], []),
+            (None, "schedule", ["SimSchedule"], [], []),
+            (None, "shards", ["ShardPlan"], ["node_count"], []),
+            (None, "lambda_schedule", ["LambdaSchedule"], [], []),
+            (_add_forwarding, "forwarding", ["Forwarding"], [], []),
         ],
         ids=["config", "synthetic", "idx", "generated", "edge_list", "model", "schedule",
              "shards", "lambda_schedule", "forwarding"],
     )
     def test_keys_are_the_builder_parameters(self, tmp_path, capsys, place, where, builders,
-                                             derived):
+                                             derived, selectors):
         config = small_config(tmp_path)
         if place is not None:
             place(config, tmp_path)
@@ -451,7 +451,7 @@ class TestConfigBlocks:
         assert found and found.group(1) == where
         params = {name for builder in builders
                   for name in inspect.signature(getattr(cli, builder)).parameters}
-        assert ast.literal_eval(found.group(2)) == sorted(params - set(derived))
+        assert ast.literal_eval(found.group(2)) == sorted(params - set(derived) | set(selectors))
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -560,8 +560,8 @@ def _descriptor_number_as_path(config, tmp_path):
     config["dataset"]["train_images"] = 0  # open(0) would read standard input
 
 
-def _generation_budget_spent(config, tmp_path):
-    # no 3-regular graph on 5 nodes exists, and generation gives up after its attempts
+def _odd_regular_graph(config, tmp_path):
+    # no 3-regular graph on 5 nodes exists: its degree sum would be odd
     config["topologies"] = [{"nodes": 5, "min_degree": 3, "max_degree": 3,
                              "target_avg_degree": 3.0}]
 
@@ -585,7 +585,7 @@ class TestSweepInputs:
             (_one_class_dataset, [], "dataset: every label is 0, so the labels name one class"),
             (_test_images_alone, [], "dataset: test_images and test_labels go together"),
             (_descriptor_number_as_path, [], "dataset: expected str, bytes or os.PathLike"),
-            (_generation_budget_spent, [], "topologies[0]: no valid graph for nodes=5"),
+            (_odd_regular_graph, [], "topologies[0]: no 3-regular graph on nodes=5"),
         ],
     )
     def test_rejected_before_the_output_directory_exists(self, tmp_path, capsys, mutate,
@@ -597,6 +597,16 @@ class TestSweepInputs:
         config_path.write_text(json.dumps(config))
         assert main(["run", "--config", str(config_path), *extra]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not Path(config["output_dir"]).exists()
+
+    def test_generation_budget_spent(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(topology, "_attempt", lambda *args: None)  # every attempt stalls
+        config = small_config(tmp_path)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: topologies[0]: no valid graph for "
+                                                  "nodes=4")
         assert not Path(config["output_dir"]).exists()
 
 

@@ -275,3 +275,25 @@ class TestConcatShards:
         b = DatasetShard(np.zeros((2, 3)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             concat_shards([a, b])
+
+
+class TestShardLabels:
+    def test_labels_are_a_read_only_copy(self):
+        labels = np.array([2, 0, 1, 2])
+        shard = DatasetShard(np.zeros((4, 3)), labels)
+        assert not shard.labels.flags.writeable
+        with pytest.raises(ValueError):
+            shard.labels[0] = 1
+        labels[0] = 0  # the caller's array stays writable and apart
+        assert labels.flags.writeable and shard.labels[0] == 2
+
+    def test_cached_index_and_top_label_match_fresh_ones(self):
+        shard = synth_classification(5, 2, 7, seed=3)
+        n = shard.size
+        index = shard.label_index
+        assert index is shard.label_index and not index.flags.writeable
+        np.testing.assert_array_equal(index, shard.labels * n + np.arange(n))
+        planes = np.arange(5 * n).reshape(5, n)
+        np.testing.assert_array_equal(planes.take(index), planes[shard.labels, np.arange(n)])
+        assert shard.top_label == 4
+        assert DatasetShard(np.zeros((0, 2)), np.zeros(0, dtype=int)).top_label == -1

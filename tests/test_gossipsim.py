@@ -492,6 +492,23 @@ class TestGoldenDigest:
         assert digest == golden[case]
 
 
+def rerun_golden_digests(env, check=""):
+    """Run TestGoldenDigest in a fresh interpreter whose environment adds ``env``;
+    ``check`` is Python run first, in the child, before the tests."""
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys, pytest\n"
+        f"{check}"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+        "'tests/test_gossipsim.py::TestGoldenDigest']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          env=dict(os.environ, **env, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(GOLDEN_CASES)} passed" in done.stdout
+
+
 class TestGoldenDigestAcrossDispatch:
     def test_digests_hold_with_every_dispatch_target_off(self):
         # The CSV bytes are portable across NumPy's SIMD dispatch levels
@@ -501,20 +518,18 @@ class TestGoldenDigestAcrossDispatch:
         targets = pytest.importorskip("numpy._core._multiarray_umath").__cpu_dispatch__
         if not targets:
             pytest.skip("this NumPy build dispatches to no optional CPU target")
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
-                   PYTHONPATH=str(root / "src"))
-        script = (
-            "import sys, pytest\n"
+        rerun_golden_digests(
+            {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)},
             "from numpy._core._multiarray_umath import __cpu_features__ as on\n"
-            f"assert not any(on[t] for t in {list(targets)!r}), on\n"
-            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
-            "'tests/test_gossipsim.py::TestGoldenDigest']))\n"
+            f"assert not any(on[t] for t in {list(targets)!r}), on\n",
         )
-        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=600)
-        assert done.returncode == 0, done.stdout + done.stderr
-        assert f"{len(GOLDEN_CASES)} passed" in done.stdout
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_digests_hold_at_each_blas_thread_count(self, threads):
+        # Evaluation and training rest on BLAS matmuls; the digests must not
+        # depend on how many threads OpenBLAS splits them over. It reads the
+        # variable only at load, so the digests rerun in a fresh interpreter.
+        rerun_golden_digests({"OPENBLAS_NUM_THREADS": threads})
 
 
 def first_failure_node_by_node(per_node, model_config, epochs, batch_size=8):

@@ -521,6 +521,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, empty)
 
+    def test_dimension_and_label_mismatch_rejected(self):
+        model = TrainableModel(ModelConfig(input_dim=4, class_count=3, seed=0))
+        with pytest.raises(ValueError, match="feature dimension"):
+            evaluate(model, DatasetShard(np.zeros((2, 5)), [0, 1]))
+        with pytest.raises(ValueError, match="labels exceed"):
+            evaluate(model, DatasetShard(np.zeros((2, 4)), [0, 3]))
+
 
 def log_softmax_argmax(logits):
     """The reference rule, verbatim from the last-axis kernel evaluate first used:
@@ -563,27 +570,23 @@ def adversarial_logits(draw):
     return logits
 
 
-class FixedLogits(TrainableModel):
-    """A model whose logits are given, whatever the inputs."""
-
-    def __init__(self, logits):
-        super().__init__(ModelConfig(input_dim=1, class_count=logits.shape[1]))
-        self.fixed = logits
-
-    def logits(self, inputs):
-        return self.fixed
+def kernel_hits(logits, labels):
+    """The hits evaluate's kernel counts on logits (n, k): ``_count_hits`` on
+    their class planes, with the definition's fallback on the same logits."""
+    n = logits.shape[0]
+    shard = DatasetShard(np.zeros((n, 1)), labels)
+    return model_module._count_hits(logits.T.copy(), shard, lambda: logits)
 
 
 def evaluates_like_the_reference(logits):
-    """True when evaluate scores every sample of logits as the reference does:
-    labels equal to its predictions give 1.0 and labels one class off 0.0."""
+    """True when the kernel scores every sample of logits as the reference does:
+    labels equal to its predictions give n hits and labels one class off 0."""
     n, k = logits.shape
-    model, inputs = FixedLogits(logits), np.zeros((n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         expected = log_softmax_argmax(logits)
-        hit = evaluate(model, DatasetShard(inputs, expected))
-        miss = evaluate(model, DatasetShard(inputs, (expected + 1) % k))
-    return (hit, miss) == (1.0, 0.0)
+        hit = kernel_hits(logits, expected)
+        miss = kernel_hits(logits, (expected + 1) % k)
+    return (hit, miss) == (n, 0)
 
 
 def tie_bound(k):
@@ -615,9 +618,8 @@ class TestPlaneKernel:
             # labels that agree with the reference on about half the samples
             rng = np.random.default_rng(seed)
             labels = np.where(rng.random(n) < 0.5, expected, rng.integers(0, k, n))
-            accuracy = evaluate(FixedLogits(logits), DatasetShard(np.zeros((n, 1)), labels))
-        assert type(accuracy) is float
-        assert accuracy == float(np.mean(expected == labels))
+            hits = kernel_hits(logits, labels)
+        assert hits == np.count_nonzero(expected == labels)
 
     def test_near_tie_goes_to_the_lower_class_of_the_log_softmax(self):
         # 1e-17 below the top is lost in the log-softmax (ulp(log 2) ~ 1.1e-16),
@@ -625,9 +627,8 @@ class TestPlaneKernel:
         logits = np.array([[-1e-17, 0.0, -50.0]])
         assert np.argmax(logits, axis=1)[0] == 1
         assert log_softmax_argmax(logits)[0] == 0
-        model, inputs = FixedLogits(logits), np.zeros((1, 1))
-        assert evaluate(model, DatasetShard(inputs, [0])) == 1.0
-        assert evaluate(model, DatasetShard(inputs, [1])) == 0.0
+        assert kernel_hits(logits, [0]) == 1
+        assert kernel_hits(logits, [1]) == 0
 
     @pytest.mark.parametrize("k", [2, 3, 10, 129, 300])
     def test_runner_up_at_the_tie_bound(self, k):
@@ -660,3 +661,48 @@ class TestPlaneKernel:
         assert calls == []
         assert evaluates_like_the_reference(runner_up_logits(3, 1e-17))
         assert calls == [(4, 3), (4, 3)]
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(config, weights, inputs, labels): random models and sets for evaluate, with
+    input_dim 1, hidden_dim 0, 1 and 8, n = 1, k up to 300, strided inputs, and
+    weights scaled or copied across classes so that logits tie or nearly tie."""
+    d = draw(st.sampled_from([1, 2, 5]))
+    h = draw(st.sampled_from([0, 1, 8]))
+    k = draw(st.one_of(st.integers(2, 12), st.integers(13, 300)))
+    n = draw(st.one_of(st.just(1), st.integers(2, 30)))
+    scale = draw(st.sampled_from([0.0, 1e-300, 1e-17, 1e-3, 1.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = ModelConfig(input_dim=d, class_count=k, hidden_dim=h)
+    w = rng.normal(0.0, 1.0, len(init_weights(cfg))) * scale
+    if draw(st.booleans()):
+        # class j copies class 0's output weights, its bias 0-2 ulps lower
+        _, _, w2, b2 = model_module._layers(cfg, w)
+        j = int(rng.integers(1, k))
+        w2[:, j], b2[0, j] = w2[:, 0], b2[0, 0]
+        for _ in range(rng.integers(3)):
+            b2[0, j] = np.nextafter(b2[0, j], -np.inf)
+    if draw(st.booleans()):
+        x = rng.uniform(0.0, 1.0, (n, 2 * d))[:, ::2]  # a non-contiguous view
+    else:
+        x = rng.uniform(0.0, 1.0, (n, d))
+    return cfg, w, x, rng.integers(0, k, n)
+
+
+class TestClassPlanes:
+    @hypothesis_seed(20261019)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(evaluation_cases())
+    def test_planes_and_accuracy_bitwise_equal_the_definition(self, case):
+        cfg, w, x, labels = case
+        planes = model_module._class_planes(cfg, w, x)
+        logits = model_module._forward(cfg, w, x)[1]
+        assert planes.shape == logits.T.shape and planes.flags.c_contiguous
+        assert planes.tobytes() == np.ascontiguousarray(logits.T).tobytes()
+
+        model = TrainableModel(cfg, init_weights(cfg).with_values(w))
+        accuracy = evaluate(model, DatasetShard(x, labels))
+        assert type(accuracy) is float
+        expected = np.count_nonzero(log_softmax_argmax(logits) == labels)
+        assert accuracy == float(expected / len(labels))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from deltagossip import topology
 from deltagossip.topology import (
     GenerationBudgetError,
     MalformedGraphError,
@@ -58,6 +59,22 @@ class TestGenerateSemiRandom:
             generate_semi_random(
                 5, TopologyConstraints(max_degree=8, target_avg_degree=4.9), seed=0
             )
+
+    @pytest.mark.parametrize("nodes, degree", [(5, 3), (7, 1), (9, 5)])
+    def test_odd_degree_sum_of_a_regular_graph_unsatisfiable_before_any_attempt(
+            self, monkeypatch, nodes, degree):
+        attempts = []
+        monkeypatch.setattr(topology, "_attempt", lambda *args: attempts.append(args))
+        constraints = TopologyConstraints(min_degree=degree, max_degree=degree,
+                                          target_avg_degree=float(degree))
+        with pytest.raises(UnsatisfiableConstraintsError, match="-regular graph"):
+            generate_semi_random(nodes, constraints, seed=0)
+        assert attempts == []
+
+    def test_budget_spent_when_every_attempt_stalls(self, monkeypatch):
+        monkeypatch.setattr(topology, "_attempt", lambda *args: None)
+        with pytest.raises(GenerationBudgetError, match="after 100 attempts"):
+            generate_semi_random(10, TopologyConstraints(target_avg_degree=3.0), seed=0)
 
     def test_deterministic(self):
         constraints = TopologyConstraints(target_avg_degree=4.2)
