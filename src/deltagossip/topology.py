@@ -147,8 +147,9 @@ def generate_semi_random(
     be integers. Raises UnsatisfiableConstraintsError, before any attempt,
     when no simple connected graph can land in the +-0.5 band or when
     min_degree == max_degree asks for a regular graph whose degree sum
-    nodes * degree is odd; GenerationBudgetError if all GENERATION_ATTEMPTS
-    stall.
+    nodes * degree is odd, or when max_degree is 1 on more than 2 nodes;
+    GenerationBudgetError if all GENERATION_ATTEMPTS stall. An attempt takes
+    time linear in nodes plus edges, apart from stall fallbacks.
     """
     require_ints(nodes=nodes, seed=seed)
     if nodes < 2:
@@ -164,6 +165,10 @@ def generate_semi_random(
         raise UnsatisfiableConstraintsError(
             f"no {degree}-regular graph on nodes={nodes}: the degree sum "
             f"{nodes} x {degree} is odd"
+        )
+    if nodes > 2 and degree < 2:
+        raise UnsatisfiableConstraintsError(
+            f"a connected graph on nodes={nodes} needs max_degree >= 2, got {degree}"
         )
     # Achievable average degree of a simple connected graph on this many nodes.
     lo = 2.0 * (nodes - 1) / nodes
@@ -204,12 +209,18 @@ def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
         degrees[b] += 1
 
     # Random spanning tree: attach each node to an earlier one with headroom.
+    # open_ holds the placed nodes below the cap in placement order. It is
+    # never empty: past 2 nodes max_deg >= 2, so each new node joins it.
     order = [int(x) for x in rng.permutation(n)]
-    for i in range(1, n):
-        candidates = [order[j] for j in range(i) if degrees[order[j]] < max_deg]
-        if not candidates:
-            return None
-        connect(order[i], candidates[rng.integers(len(candidates))])
+    open_ = [order[0]]
+    for node in order[1:]:
+        k = int(rng.integers(len(open_)))
+        parent = open_[k]
+        connect(node, parent)
+        if degrees[parent] == max_deg:
+            del open_[k]
+        if degrees[node] < max_deg:
+            open_.append(node)
 
     edge_count = n - 1
     stalls = 0
@@ -223,13 +234,14 @@ def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
             continue
         stalls += 1
         if stalls >= 50:
-            # Random picks keep missing; enumerate the remaining candidates.
+            # Random picks keep missing; enumerate the remaining candidates,
+            # pairing only the nodes below the cap, in ascending order.
+            below = [i for i in range(n) if degrees[i] < max_deg]
             pool = [
                 (i, j)
-                for i in range(n)
-                if degrees[i] < max_deg
-                for j in range(i + 1, n)
-                if degrees[j] < max_deg and j not in neighbors[i]
+                for x, i in enumerate(below)
+                for j in below[x + 1:]
+                if j not in neighbors[i]
             ]
             if not pool:
                 return None

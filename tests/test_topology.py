@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
 from deltagossip import topology
 from deltagossip.topology import (
@@ -27,6 +29,85 @@ def complete(n):
     return TopologyGraph.from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n)]
     )
+
+
+def quadratic_attempt(n, constraints, edge_target, rng, fallbacks):
+    """The generator's attempt as it was before its candidate lists were kept
+    up to date: the spanning tree rescans every placed node for each new one,
+    and each stall fallback scans all node pairs. It appends to ``fallbacks``
+    each time that fallback runs. The reference the differential test
+    compares ``topology._attempt`` against."""
+    max_deg = constraints.max_degree
+    neighbors = [set() for _ in range(n)]
+    degrees = [0] * n
+
+    def connect(a, b):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+        degrees[a] += 1
+        degrees[b] += 1
+
+    order = [int(x) for x in rng.permutation(n)]
+    for i in range(1, n):
+        candidates = [order[j] for j in range(i) if degrees[order[j]] < max_deg]
+        if not candidates:
+            return None
+        connect(order[i], candidates[rng.integers(len(candidates))])
+
+    edge_count = n - 1
+    stalls = 0
+    while edge_count < edge_target:
+        a = int(rng.integers(n))
+        b = int(rng.integers(n))
+        if a != b and degrees[a] < max_deg and degrees[b] < max_deg and b not in neighbors[a]:
+            connect(a, b)
+            edge_count += 1
+            stalls = 0
+            continue
+        stalls += 1
+        if stalls >= 50:
+            fallbacks.append(n)
+            pool = [
+                (i, j)
+                for i in range(n)
+                if degrees[i] < max_deg
+                for j in range(i + 1, n)
+                if degrees[j] < max_deg and j not in neighbors[i]
+            ]
+            if not pool:
+                return None
+            i, j = pool[rng.integers(len(pool))]
+            connect(i, j)
+            edge_count += 1
+            stalls = 0
+
+    if min(degrees) < constraints.min_degree:
+        return None
+    return TopologyGraph(n, tuple(tuple(sorted(s)) for s in neighbors))
+
+
+def generation_outcome(nodes, constraints, seed):
+    """The adjacency generate_semi_random returns, or its exception's type and text."""
+    try:
+        return generate_semi_random(nodes, constraints, seed).adjacency
+    except (UnsatisfiableConstraintsError, GenerationBudgetError) as error:
+        return type(error), str(error)
+
+
+@st.composite
+def generation_cases(draw):
+    """(nodes, constraints, seed): mostly 2 to 80 nodes, some of 200 to 500,
+    and about half the targets within 0.15 of max_degree, where the random
+    edge picks stall."""
+    nodes = draw(st.integers(2, 80) if draw(st.integers(0, 9)) else st.integers(200, 500))
+    max_degree = draw(st.integers(2, 8))
+    min_degree = draw(st.integers(1, max_degree))
+    if draw(st.booleans()):
+        target = max_degree - draw(st.floats(0.0, 0.15))
+    else:
+        target = draw(st.floats(float(min_degree), float(max_degree)))
+    constraints = TopologyConstraints(min_degree, max_degree, max(target, float(min_degree)))
+    return nodes, constraints, draw(st.integers(0, 2**32 - 1))
 
 
 class TestGenerateSemiRandom:
@@ -70,6 +151,40 @@ class TestGenerateSemiRandom:
         with pytest.raises(UnsatisfiableConstraintsError, match="-regular graph"):
             generate_semi_random(nodes, constraints, seed=0)
         assert attempts == []
+
+    @pytest.mark.parametrize("nodes", [4, 6])
+    def test_max_degree_one_past_two_nodes_unsatisfiable_before_any_attempt(
+            self, monkeypatch, nodes):
+        attempts = []
+        monkeypatch.setattr(topology, "_attempt", lambda *args: attempts.append(args))
+        constraints = TopologyConstraints(min_degree=1, max_degree=1, target_avg_degree=1.0)
+        with pytest.raises(UnsatisfiableConstraintsError,
+                           match=f"nodes={nodes} needs max_degree >= 2"):
+            generate_semi_random(nodes, constraints, seed=0)
+        assert attempts == []
+
+    def test_max_degree_one_on_two_nodes_is_one_edge(self):
+        constraints = TopologyConstraints(min_degree=1, max_degree=1, target_avg_degree=1.0)
+        assert generate_semi_random(2, constraints, seed=0).edges() == [(0, 1)]
+
+    def test_same_graphs_and_errors_as_the_quadratic_attempt(self):
+        fallbacks = []
+
+        def frozen(n, constraints, edge_target, rng):
+            return quadratic_attempt(n, constraints, edge_target, rng, fallbacks)
+
+        @hypothesis_seed(20261020)
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(generation_cases())
+        def same_outcome(case):
+            nodes, constraints, seed = case
+            outcome = generation_outcome(nodes, constraints, seed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(topology, "_attempt", frozen)
+                assert generation_outcome(nodes, constraints, seed) == outcome
+
+        same_outcome()
+        assert fallbacks, "no example reached the stall fallback"
 
     def test_budget_spent_when_every_attempt_stalls(self, monkeypatch):
         monkeypatch.setattr(topology, "_attempt", lambda *args: None)
