@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParameterVector, require_ints, require_positive, require_same_layout
+from .params import (ParameterVector, require_non_negative_ints, require_positive,
+                     require_same_layout)
 
 STRATEGY_KINDS = (
     "standard_averaging",
@@ -54,12 +55,8 @@ class ModelUpdate:
     full: ParameterVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        require_ints(node_id=self.node_id, sample_count=self.sample_count)
-        if not self.base.same_layout(self.delta):
-            raise ValueError("base and delta must share one layout")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be >= 0")
-        object.__setattr__(self, "full", self.base + self.delta)
+        require_non_negative_ints(node_id=self.node_id, sample_count=self.sample_count)
+        object.__setattr__(self, "full", self.base + self.delta)  # LayoutError on a mismatch
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def delta_sum_integrate(
     base + lambda(t) * local delta.
     """
     updates = _sorted_unique([local, *remote])
-    require_same_layout([u.base for u in updates] + [u.delta for u in updates])
+    require_same_layout([u.base for u in updates])  # each delta shares its base's layout
     base_acc = _ordered_sum((u.base.values for u in updates), len(local.base))
     delta_acc = _ordered_sum((u.delta.values for u in updates), len(local.base))
     factor = lambda_value(schedule, t)

@@ -38,7 +38,7 @@ from .gossipsim import (Forwarding, SimConfig, SimSchedule, SimulationError, pre
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv, write_atomic
 from .model import ModelConfig
 from .netmodel import fedavg_rate, scenario_table
-from .params import require_ints
+from .params import require_non_negative_ints
 from .topology import (
     GenerationBudgetError,
     TopologyConstraints,
@@ -149,7 +149,7 @@ def _load_topology(spec, where: str, default_seed: int):
 def _experiment(dataset, topologies, strategies, seed=0, output_dir=".", model=_EMPTY,
                 schedule=_EMPTY, shards=_EMPTY, lambda_schedule=_EMPTY, forwarding=_EMPTY):
     """The config's top level: (dataset, global_val, runs), one run per topology and strategy."""
-    require_ints(seed=seed)
+    require_non_negative_ints(seed=seed)
     if not isinstance(output_dir, str):
         raise TypeError(f"output_dir must be a string, got {output_dir!r}")
     if not isinstance(topologies, list) or not topologies:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import require_ints, require_positive
+from .params import require_ints, require_non_negative_ints, require_positive
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -79,13 +79,12 @@ class ShardPlan:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(node_count=self.node_count, seed=self.seed)
+        require_ints(node_count=self.node_count)
+        require_non_negative_ints(seed=self.seed)
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def synth_classification(
@@ -101,7 +100,8 @@ def synth_classification(
     pair is at least 4*noise_sigma apart, so the clusters stay separable.
     Samples are clipped to [0, 1].
     """
-    require_ints(classes=classes, dim=dim, per_class=per_class, seed=seed)
+    require_ints(classes=classes, dim=dim, per_class=per_class)
+    require_non_negative_ints(seed=seed)
     if classes < 2:
         raise ValueError("need at least 2 classes")
     if per_class < 1:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetShard, concat_shards
-from .params import ParameterVector, make_layout, require_ints, require_positive
+from .params import (ParameterVector, make_layout, require_ints, require_non_negative_ints,
+                     require_positive)
 
 
 @dataclass(frozen=True)
@@ -26,17 +27,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(input_dim=self.input_dim, class_count=self.class_count,
-                     hidden_dim=self.hidden_dim, seed=self.seed)
+        require_ints(input_dim=self.input_dim, class_count=self.class_count)
+        require_non_negative_ints(hidden_dim=self.hidden_dim, seed=self.seed)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if self.class_count < 2:
             raise ValueError("class_count must be >= 2")
-        if self.hidden_dim < 0:
-            raise ValueError("hidden_dim must be >= 0")
         require_positive(learning_rate=self.learning_rate)
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def model_layout(config: ModelConfig):
@@ -184,14 +181,6 @@ class TrainableModel:
         elif weights.layout != expected:
             raise ValueError("weights do not match the model layout")
         self.weights = weights
-
-    def logits(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"expected inputs of shape (n, {self.config.input_dim}), got {inputs.shape}"
-            )
-        return _forward(self.config, self.weights.values, inputs)[1]
 
     def loss_and_gradient(self, batch: DatasetShard) -> tuple[float, ParameterVector]:
         """Mean cross-entropy over a non-empty batch and its gradient."""

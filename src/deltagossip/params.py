@@ -2,9 +2,9 @@
 
 Every aggregation rule in this package operates on these vectors. Two
 vectors are combinable only when their layouts are identical; mismatches
-raise instead of silently misaligning weights. ``require_ints`` and
-``require_positive`` are the integer and positive-and-finite checks every
-config class and generator shares.
+raise instead of silently misaligning weights. The ``require_*`` checks
+(integers, non-negative integers, positive finite numbers) are shared by
+every config class and generator.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ class ParameterVector:
                 return self.values[seg.offset : seg.offset + seg.length]
         raise KeyError(name)
 
-    def same_layout(self, other: "ParameterVector") -> bool:
-        return self.layout == other.layout
-
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         """New vector with the same layout and different values."""
         return ParameterVector(values, self.layout)
@@ -88,7 +85,7 @@ class ParameterVector:
     def _coerced(self, other: "ParameterVector") -> "ParameterVector":
         if not isinstance(other, ParameterVector):
             raise TypeError(f"expected ParameterVector, got {type(other).__name__}")
-        if not self.same_layout(other):
+        if self.layout != other.layout:
             raise LayoutError("parameter vectors have different layouts")
         return other
 
@@ -122,6 +119,14 @@ def require_ints(**fields) -> None:
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def require_non_negative_ints(**fields) -> None:
+    """``require_ints``, then ValueError naming the first field below 0 and its value."""
+    require_ints(**fields)
+    for name, value in fields.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 def require_positive(**values) -> None:

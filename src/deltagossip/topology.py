@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .metrics import write_atomic
-from .params import require_ints, require_positive
+from .params import require_ints, require_non_negative_ints, require_positive
 
 GENERATION_ATTEMPTS = 100  # seeded retries before GenerationBudgetError
 
@@ -143,15 +143,16 @@ def generate_semi_random(
 ) -> TopologyGraph:
     """Connected graph with degrees in bounds and avg degree within +-0.5 of target.
 
-    Deterministic per (nodes, constraints, seed). ``nodes`` and ``seed`` must
-    be integers. Raises UnsatisfiableConstraintsError, before any attempt,
-    when no simple connected graph can land in the +-0.5 band or when
-    min_degree == max_degree asks for a regular graph whose degree sum
-    nodes * degree is odd, or when max_degree is 1 on more than 2 nodes;
-    GenerationBudgetError if all GENERATION_ATTEMPTS stall. An attempt takes
-    time linear in nodes plus edges, apart from stall fallbacks.
+    Deterministic per (nodes, constraints, seed); nodes and seed are integers, seed >= 0.
+    Raises UnsatisfiableConstraintsError, before any attempt, when no simple
+    connected graph can land in the +-0.5 band or when min_degree ==
+    max_degree asks for a regular graph whose degree sum nodes * degree is
+    odd, or when max_degree is 1 on more than 2 nodes; GenerationBudgetError
+    if all GENERATION_ATTEMPTS stall. An attempt takes time linear in nodes
+    plus edges, apart from stall fallbacks.
     """
-    require_ints(nodes=nodes, seed=seed)
+    require_ints(nodes=nodes)
+    require_non_negative_ints(seed=seed)
     if nodes < 2:
         raise ValueError("need at least 2 nodes")
     target = constraints.target_avg_degree
@@ -330,12 +331,15 @@ def write_edge_list(graph: TopologyGraph, path) -> None:
 def read_edge_list(path) -> TopologyGraph:
     """The graph of an edge-list file: one ``i j`` pair of node indices per line.
 
-    Blank lines are skipped. A line that is not two integers, or a file that
-    names fewer than 2 nodes, is a MalformedGraphError naming the file. A
-    path that is not path-like (a file descriptor number) is a TypeError.
+    Blank lines are skipped. A line that is not two integers >= 0, a file
+    naming fewer than 2 nodes, then a self-loop line, is a MalformedGraphError
+    naming the file (and the line). A path that is not path-like (a file
+    descriptor number) is a TypeError.
     """
-    edges = []
-    highest = -1
+    def bad_line(number, line, reason):
+        return MalformedGraphError(f"bad edge line {number} in {path}: {line.strip()!r}; {reason}")
+
+    edges, highest, self_loop = [], -1, None
     with open(os.fspath(path)) as f:
         for number, line in enumerate(f, 1):
             if not line.strip():
@@ -343,15 +347,19 @@ def read_edge_list(path) -> TopologyGraph:
             try:
                 i, j = map(int, line.split())
             except ValueError:
-                raise MalformedGraphError(
-                    f"bad edge line {number} in {path}: {line.strip()!r}; need two node indices"
-                ) from None
+                raise bad_line(number, line, "need two node indices") from None
+            if min(i, j) < 0:
+                raise bad_line(number, line, "node indices must be non-negative")
+            if i == j:
+                self_loop = self_loop or bad_line(number, line, f"self-loop at node {i}")
             edges.append((i, j))
             highest = max(highest, i, j)
     if highest < 1:
         raise MalformedGraphError(
             f"edge list {path} names {highest + 1} nodes; a topology needs at least 2"
         )
+    if self_loop:
+        raise self_loop
     return TopologyGraph.from_edges(highest + 1, edges)
 
 

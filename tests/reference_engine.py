@@ -1,0 +1,148 @@
+"""gossipsim.run_simulation written as the plainest per-node loops: the oracle for its wiring.
+
+Nothing here shares the engine's wiring. Each node trains alone, as a
+group of one, node after node and epoch after epoch (the stacked training
+of a group is held to this by its own test). The reach sets come from a
+breadth-first walk of their own, packaging is ``delta = w - base`` and then
+``w = base + delta``, the delta strategies add onto zeros in ascending
+sender order, averages are ``np.stack(...).mean(axis=0)``, and accuracy is
+the definition, ``argmax(log_softmax(logits))``. ``run_reference`` returns
+what the engine should: its records, and the weight bytes each evaluation
+sees, in the engine's evaluation order.
+"""
+
+import numpy as np
+
+from deltagossip.gossipsim import SimulationError
+from deltagossip.metrics import MetricsRecord
+from deltagossip.model import TrainableModel, TrainingError, init_weights, train_epochs
+
+
+def log_softmax_argmax(logits):
+    """The prediction rule of ``evaluate``: the argmax of the log-softmax of logits (n, k)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return np.argmax(log_probs, axis=1)
+
+
+def segments(config):
+    """Slices of the flat weights: hidden_w, hidden_b, out_w, out_b (out_* alone at hidden 0)."""
+    d, h, k = config.input_dim, config.hidden_dim, config.class_count
+    bounds = np.cumsum([0] + ([d * h, h, h * k, k] if h else [d * k, k]))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def accuracy(config, w, shard):
+    d, h, k = config.input_dim, config.hidden_dim, config.class_count
+    x = shard.inputs
+    if h:
+        x = np.tanh(x @ w[: d * h].reshape(d, h) + w[d * h : d * h + h])
+    logits = x @ w[d * h + h : -k].reshape(-1, k) + w[-k:]
+    return float(np.count_nonzero(log_softmax_argmax(logits) == shard.labels) / shard.size)
+
+
+def reach(adjacency, sender, max_hops):
+    """Every node within max_hops of the sender, the sender left out."""
+    seen, frontier = {sender}, [sender]
+    for _ in range(max_hops):
+        nxt = []
+        for node in frontier:
+            for neighbor in adjacency[node]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    nxt.append(neighbor)
+        frontier = nxt
+    return seen - {sender}
+
+
+def variance_corrected(fulls, config):
+    """aggregation.variance_corrected_average, copied, on plain arrays."""
+    stacked = np.stack(fulls, axis=0)
+    averaged = stacked.mean(axis=0)
+    corrected = averaged.copy()
+    for sl in segments(config):
+        sigma_avg = float(np.std(averaged[sl]))
+        if sigma_avg == 0.0:
+            continue
+        sigma_target = float(np.sqrt(np.mean(np.var(stacked[:, sl], axis=1))))
+        seg_mean = float(np.mean(averaged[sl]))
+        corrected[sl] = seg_mean + (averaged[sl] - seg_mean) * (sigma_target / sigma_avg)
+    return corrected
+
+
+def integrate(config, t, node, senders, bases, deltas, counts):
+    """Merged weights of ``node`` from ``senders``: its contributors, itself included, ascending."""
+    kind = config.strategy.kind
+    if kind == "delta_sum":
+        base_sum, delta_sum = np.zeros(len(bases[node])), np.zeros(len(bases[node]))
+        for j in senders:
+            base_sum += bases[j]
+            delta_sum += deltas[j]
+        ramp = config.strategy.schedule
+        lam = min(ramp.offset + t / ramp.slope_divisor, ramp.cap)
+        return base_sum / len(senders) + lam * delta_sum
+    if kind in ("fedavg", "sample_weighted"):
+        weighted = np.zeros(len(bases[node]))
+        for j in senders:
+            weighted += counts[j] * deltas[j]
+        total = sum(counts[j] for j in senders)
+        return bases[node] + weighted / (total if kind == "fedavg" else total / len(senders))
+    fulls = [bases[j] + deltas[j] for j in senders]
+    if kind == "standard_averaging":
+        return np.stack(fulls, axis=0).mean(axis=0)
+    return variance_corrected(fulls, config.model_config)
+
+
+def run_reference(config, per_node, global_val):
+    """(records, evaluated): the run's records and the weight bytes at each evaluation.
+
+    ``per_node`` and ``global_val`` are what ``shard_equal`` returns for the
+    run. Each node records its local, then its global accuracy, so a node
+    logs two weight byte strings per index. The first TrainingError, in
+    node-after-node, epoch-after-epoch order, is a SimulationError naming
+    the node and epoch.
+    """
+    cfg, schedule, adjacency = config.model_config, config.schedule, config.topology.adjacency
+    nodes = range(len(per_node))
+    start = init_weights(cfg)
+    models = [TrainableModel(cfg, start) for _ in nodes]
+    bases = [start.values for _ in nodes]
+    reached = [reach(adjacency, s, config.forwarding.max_hops) for s in nodes]
+    heard = [[s for s in nodes if i in reached[s] or s == i] for i in nodes]
+    counts = [train.size * schedule.integrate_every for train, _ in per_node]
+    records, evaluated = [], []
+
+    def set_weights(i, w):
+        models[i].weights = models[i].weights.with_values(w)
+
+    def record(index):
+        for i, (_, local_val) in enumerate(per_node):
+            w = models[i].weights.values
+            accuracies = []
+            for shard in (local_val, global_val):
+                evaluated.append(w.tobytes())
+                accuracies.append(accuracy(cfg, w, shard))
+            records.append(MetricsRecord(i, index, *accuracies))
+
+    for epoch in range(1, schedule.train_epochs + 1):
+        for i, (train, _) in enumerate(per_node):
+            try:
+                train_epochs([models[i]], train.inputs[None], train.labels[None], 1,
+                             schedule.batch_size, start_epoch=epoch - 1)
+            except TrainingError as err:
+                raise SimulationError(f"node {i} epoch {epoch}: {err}") from err
+        if epoch % schedule.integrate_every == 0:
+            deltas = [models[i].weights.values - bases[i] for i in nodes]
+            merged = [integrate(config, epoch, i, heard[i], bases, deltas, counts) for i in nodes]
+            for i in nodes:
+                set_weights(i, merged[i])
+                bases[i] = merged[i]
+        record(epoch)
+
+    for rnd in range(schedule.train_epochs + 1, schedule.convergence_until_round + 1):
+        snapshot = [models[i].weights.values for i in nodes]
+        for i in nodes:
+            group = [snapshot[i]] + [snapshot[j] for j in adjacency[i]]
+            set_weights(i, np.stack(group, axis=0).mean(axis=0))
+        record(rnd)
+    return records, evaluated

@@ -332,6 +332,16 @@ class TestModelUpdate:
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             ModelUpdate(**{**fields, field: value})
 
+    @pytest.mark.parametrize("field", ["node_id", "sample_count"])
+    def test_negative_integer_fields_named(self, field):
+        fields = {"node_id": 0, "base": pv([1.0]), "delta": pv([0.5]), "sample_count": 4}
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -1$"):
+            ModelUpdate(**{**fields, field: -1})
+
+    def test_layout_mismatch_is_a_layout_error(self):
+        with pytest.raises(LayoutError):
+            ModelUpdate(0, pv([1.0]), pv([0.5], make_layout([("x", 1)])), sample_count=1)
+
     def test_non_finite_full_model_rejected_when_built(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
             update(0, [1e308], [1e308])

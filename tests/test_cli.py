@@ -87,6 +87,13 @@ class TestGenTopology:
         assert capsys.readouterr().err.startswith("error: target_avg_degree must be positive")
         assert not list(tmp_path.iterdir())
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        code = main(["gen-topology", "--nodes", "6", "--target-avg-degree", "2.5",
+                     "--seed", "-3", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -3\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestRun:
     def test_end_to_end_artifacts(self, tmp_path, capsys):
@@ -319,6 +326,27 @@ class TestStrictConfig:
         assert main(["run", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {block}: {key} ")
+        assert not Path(config["output_dir"]).exists()
+
+    @pytest.mark.parametrize("block", ["config", "dataset", "topologies[0]", "model", "shards"])
+    def test_negative_seed_names_its_block(self, tmp_path, capsys, block):
+        config = small_config(tmp_path)
+        blocks = {"config": config, "topologies[0]": config["topologies"][0]}
+        blocks.get(block, config.get(block))["seed"] = -5
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {block}: seed must be non-negative, got -5\n"
+        assert not Path(config["output_dir"]).exists()
+
+    def test_negative_master_seed_is_named_before_any_derived_seed(self, tmp_path, capsys):
+        # Without the check the dataset seed, -7 + 1, would take the blame.
+        config = small_config(tmp_path)
+        del config["dataset"]["seed"]
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path), "--seed", "-7"]) == 1
+        assert capsys.readouterr().err == "error: config: seed must be non-negative, got -7\n"
         assert not Path(config["output_dir"]).exists()
 
     @pytest.mark.parametrize(

@@ -54,6 +54,10 @@ class TestSynthClassification:
         with pytest.raises(ValueError, match="noise_sigma must be positive and finite"):
             synth_classification(3, 2, 10, seed=0, noise_sigma=value)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -6$"):
+            synth_classification(3, 2, 10, seed=-6)
+
     def test_impossible_separation_reported(self):
         with pytest.raises(ValueError, match="cluster means"):
             synth_classification(10, 1, 5, seed=0, noise_sigma=0.3)
@@ -249,6 +253,10 @@ class TestShardEqual:
         for (ta, va), (tb, vb) in zip(a, b):
             assert np.array_equal(ta.inputs, tb.inputs)
             assert np.array_equal(va.inputs, vb.inputs)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            ShardPlan(node_count=4, seed=-1)
 
     def test_too_many_nodes_rejected(self):
         data = synth_classification(2, 2, 5, seed=0)

@@ -29,9 +29,11 @@ from deltagossip.gossipsim import (
     run_simulation,
 )
 from deltagossip.metrics import aggregate_across_nodes, export_csv
-from deltagossip.model import ModelConfig, TrainableModel, TrainingError, train_epochs
+from deltagossip.model import ModelConfig, TrainableModel, train_epochs
 from deltagossip.params import ParameterVector, make_layout
 from deltagossip.topology import TopologyConstraints, TopologyGraph, generate_semi_random
+
+from reference_engine import run_reference
 
 PASSTHROUGH = LambdaSchedule(offset=1.0, slope_divisor=1000.0, cap=1.0)
 
@@ -532,28 +534,14 @@ class TestGoldenDigestAcrossDispatch:
         rerun_golden_digests({"OPENBLAS_NUM_THREADS": threads})
 
 
-def first_failure_node_by_node(per_node, model_config, epochs, batch_size=8):
-    """What the first failure is when each node trains alone, node after node, epoch after epoch."""
-    models = [TrainableModel(model_config) for _ in per_node]
-    for epoch in range(1, epochs + 1):
-        for node, ((train, _), model) in enumerate(zip(per_node, models)):
-            try:
-                train_epochs([model], train.inputs[None], train.labels[None], 1, batch_size,
-                             start_epoch=epoch - 1)
-            except TrainingError as err:
-                return f"node {node} epoch {epoch}: {err}"
-    return None
-
-
 class TestFailureContext:
     def test_divergence_names_the_node_and_epoch_of_node_by_node_training(self, monkeypatch):
         # One huge input in the train shards of nodes 1 and 3 (same shard
         # size, one training group) overflows their logits at its second
         # visit, in epoch 2. Node 3 meets it at batch 0 of that epoch and
         # node 1 only at batch 2, yet node 1 is the node to name: the engine
-        # must report what training node after node would have hit first.
-        # No integration precedes the failure (integrate_every is
-        # train_epochs), so training alone is the whole oracle.
+        # must report what the reference engine, which trains node after
+        # node, hits first.
         hot_rows = {1: 19, 3: 3}
         shard_equal_of_run = gossipsim.shard_equal
 
@@ -573,11 +561,13 @@ class TestFailureContext:
                                  convergence_until_round=6, batch_size=8),
         )
         data = golden_data()
-        per_node, _ = gossipsim.shard_equal(data, config.shard_plan)
+        per_node, gval = gossipsim.shard_equal(data, config.shard_plan)
         order = np.random.default_rng([config.model_config.seed, 1]).permutation(31)
         assert [int(np.flatnonzero(order == hot_rows[n])[0]) // 8 for n in (1, 3)] == [2, 0]
 
-        expected = first_failure_node_by_node(per_node, config.model_config, epochs=6)
+        with pytest.raises(SimulationError) as reference:
+            run_reference(config, per_node, gval)
+        expected = str(reference.value)
         assert expected == "node 1 epoch 2: non-finite loss"
 
         with pytest.raises(SimulationError) as info:

@@ -20,6 +20,8 @@ from deltagossip.model import (
 from deltagossip.dataset import DatasetShard
 from deltagossip.params import ParameterVector, make_layout
 
+from reference_engine import log_softmax_argmax
+
 
 def train_alone(model, shard, epochs, batch_size, start_epoch=0):
     """Train one model as a group of one; its weight delta (P,)."""
@@ -68,6 +70,11 @@ class TestInitWeights:
     def test_non_finite_learning_rate_rejected(self, value):
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
             ModelConfig(input_dim=4, class_count=3, learning_rate=value)
+
+    @pytest.mark.parametrize("field", ["hidden_dim", "seed"])
+    def test_negative_field_named(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -2$"):
+            ModelConfig(input_dim=4, class_count=3, **{field: -2})
 
 
 class TestLossAndGradient:
@@ -527,14 +534,6 @@ class TestEvaluate:
             evaluate(model, DatasetShard(np.zeros((2, 5)), [0, 1]))
         with pytest.raises(ValueError, match="labels exceed"):
             evaluate(model, DatasetShard(np.zeros((2, 4)), [0, 3]))
-
-
-def log_softmax_argmax(logits):
-    """The reference rule, verbatim from the last-axis kernel evaluate first used:
-    np.argmax(_log_softmax(logits), axis=1)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return np.argmax(log_probs, axis=1)
 
 
 # Absolute gaps below a row's top logit, each then widened by 0-2 ulps:

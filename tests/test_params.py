@@ -7,6 +7,7 @@ from deltagossip.params import (
     Segment,
     make_layout,
     require_ints,
+    require_non_negative_ints,
     require_same_layout,
 )
 
@@ -92,6 +93,14 @@ def test_require_ints_names_the_first_non_integer():
     for bad in (10.0, True, "8", None):
         with pytest.raises(TypeError, match=r"^b must be an integer"):
             require_ints(a=1, b=bad)
+
+
+def test_require_non_negative_ints_names_the_field_and_value():
+    require_non_negative_ints(a=0, b=np.int64(7))
+    with pytest.raises(ValueError, match=r"^b must be non-negative, got -1$"):
+        require_non_negative_ints(a=0, b=-1)
+    with pytest.raises(TypeError, match=r"^b must be an integer"):
+        require_non_negative_ints(a=0, b=-1.0)
 
 
 def test_with_values():

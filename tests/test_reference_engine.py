@@ -1,0 +1,98 @@
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
+
+from deltagossip import gossipsim
+from deltagossip.aggregation import STRATEGY_KINDS, IntegrationStrategy, LambdaSchedule
+from deltagossip.dataset import ShardPlan, shard_equal, synth_classification
+from deltagossip.gossipsim import Forwarding, SimConfig, SimSchedule, run_simulation
+from deltagossip.model import ModelConfig
+from deltagossip.topology import GenerationBudgetError, TopologyConstraints, generate_semi_random
+
+from reference_engine import run_reference
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def topologies(draw):
+    n = draw(st.integers(2, 12))
+    if n == 2:
+        constraints = TopologyConstraints(min_degree=1, max_degree=1, target_avg_degree=1.0)
+    else:
+        max_degree = draw(st.integers(2, min(n - 1, 6)))
+        lo, hi = 2.0 * (n - 1) / n, float(max_degree)
+        target = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        constraints = TopologyConstraints(max_degree=max_degree, target_avg_degree=target)
+    try:
+        return generate_semi_random(n, constraints, draw(seeds))
+    except GenerationBudgetError:
+        reject()
+
+
+@st.composite
+def strategies(draw):
+    kind = draw(st.sampled_from(STRATEGY_KINDS))
+    if kind != "delta_sum":
+        return IntegrationStrategy(kind)
+    offset = draw(st.sampled_from([0.0, 0.15, 0.5]))
+    ramp = LambdaSchedule(offset=offset, slope_divisor=draw(st.sampled_from([1.0, 7.0, 1000.0])),
+                          cap=draw(st.sampled_from([c for c in (0.35, 0.6, 1.0) if c >= offset])))
+    return IntegrationStrategy(kind, ramp)
+
+
+@st.composite
+def runs(draw):
+    """(config, dataset, global_val or None) over every strategy, forwarding and model shape."""
+    graph = draw(topologies())
+    n = graph.node_count
+    k = draw(st.integers(2, 10))
+    d = draw(st.integers(3, 8) | (st.just(1) if k == 2 else st.nothing()))
+    # synth_classification must place k means 4 sigma apart in [0.15, 0.85]^d.
+    sigma = 0.02 if d < 3 or k > 4 else 0.08
+    # Each node's chunk needs 3 samples for a train and a validation split.
+    per_class = draw(st.integers(4 * n // k + 2, 4 * n // k + 8))
+    data = synth_classification(k, d, per_class, seed=draw(seeds), noise_sigma=sigma)
+    global_val = draw(st.none() | st.builds(synth_classification, st.just(k), st.just(d),
+                                            st.integers(1, 6), seeds, st.just(sigma)))
+    every = draw(st.integers(1, 3))
+    epochs = every * draw(st.integers(1, 3))
+    schedule = SimSchedule(train_epochs=epochs, integrate_every=every,
+                           convergence_until_round=epochs + draw(st.integers(0, 3)),
+                           batch_size=draw(st.integers(1, 8)))
+    max_hops = draw(st.integers(1, 3))
+    forwarding = draw(st.sampled_from(
+        [Forwarding("first_hop"), Forwarding("multi_hop", 1)] if max_hops == 1
+        else [Forwarding("multi_hop", max_hops)]))
+    model = ModelConfig(input_dim=d, class_count=k, hidden_dim=draw(st.sampled_from([0, 1, 3, 8])),
+                        learning_rate=draw(st.sampled_from([0.02, 0.1, 0.4, 1.0])),
+                        seed=draw(seeds))
+    config = SimConfig(topology=graph, strategy=draw(strategies()), schedule=schedule,
+                       model_config=model, shard_plan=ShardPlan(n, seed=draw(seeds)),
+                       forwarding=forwarding)
+    return config, data, global_val
+
+
+class TestReferenceEngine:
+    @hypothesis_seed(20261019)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(runs())
+    def test_records_and_evaluated_weights_bitwise_equal_the_reference(self, run):
+        # Accuracy is too coarse to show a changed summation order, so the
+        # weight bytes every evaluation sees are compared as well.
+        config, data, global_val = run
+        evaluated = []
+        evaluate = gossipsim.evaluate
+
+        def logged(model, dataset):
+            evaluated.append(model.weights.values.tobytes())
+            return evaluate(model, dataset)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gossipsim, "evaluate", logged)
+            records = run_simulation(config, data, global_val)
+        per_node, gval = shard_equal(data, config.shard_plan, global_val=global_val)
+        expected_records, expected_evaluated = run_reference(config, per_node, gval)
+        assert len(evaluated) == 2 * len(records)
+        assert records == expected_records
+        assert evaluated == expected_evaluated
