@@ -10,7 +10,8 @@ order is fixed by sorting on node id so results are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,17 +47,25 @@ class LambdaSchedule:
 
 @dataclass(frozen=True)
 class ModelUpdate:
-    """One node's gossip payload: base snapshot, training delta and ``full`` = base + delta."""
+    """One node's gossip payload: base snapshot and training delta. A layout
+    mismatch is a LayoutError and a non-finite base + delta a ValueError when
+    the update is built."""
 
     node_id: int
     base: ParameterVector
     delta: ParameterVector
     sample_count: int
-    full: ParameterVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         require_non_negative_ints(node_id=self.node_id, sample_count=self.sample_count)
-        object.__setattr__(self, "full", self.base + self.delta)  # LayoutError on a mismatch
+        require_same_layout([self.base, self.delta])
+        if not np.isfinite(self.base.values + self.delta.values).all():
+            raise ValueError(f"node {self.node_id}: base + delta must be finite")
+
+    @cached_property
+    def full(self) -> ParameterVector:
+        """base + delta, built on first read: only the averaging strategies read it."""
+        return self.base + self.delta
 
 
 @dataclass(frozen=True)

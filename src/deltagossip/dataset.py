@@ -148,16 +148,46 @@ def _read_rest(f, count: int, what: str) -> bytes:
     return data
 
 
+def _block_sums(images: np.ndarray, ds: int) -> np.ndarray:
+    """Exact (count, rows/ds, cols/ds) pixel sums of the ds x ds blocks of uint8 images,
+    in the narrowest unsigned dtype that holds 255 * ds**2.
+
+    Each block's ds rows are added into a (count, rows/ds, cols) band, one whole
+    contiguous row per add, then the band's ds column phases into the sums. Images
+    go through in chunks, reusing one band that holds no more bytes than the float64
+    inputs the sums become (unless one image's band alone holds more); the band is
+    freed on return.
+    """
+    count, rows, cols = images.shape
+    dtype = np.min_scalar_type(255 * ds * ds)
+    sums = np.empty((count, rows // ds, cols // ds), dtype)
+    chunk = min(count, max(1, 8 * count // (ds * dtype.itemsize)))
+    whole_band = np.empty((chunk, rows // ds, cols), dtype)
+    for start in range(0, count, chunk):
+        blocks = images[start:start + chunk].reshape(-1, rows // ds, ds, cols)
+        band = whole_band[:len(blocks)]
+        np.add(blocks[:, :, 0], blocks[:, :, 1], out=band, dtype=dtype)
+        for i in range(2, ds):
+            band += blocks[:, :, i]
+        out = sums[start:start + chunk]
+        np.add(band[..., 0::ds], band[..., 1::ds], out=out)
+        for j in range(2, ds):
+            out += band[..., j::ds]
+    return sums
+
+
 def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
     """Load an IDX image/label file pair into a flat, [0, 1]-scaled shard.
 
     ``downsample`` mean-pools square blocks of that side length; image
     dimensions must be divisible by it. Each block's pixels are summed
-    exactly in the narrowest unsigned integer that holds 255 * downsample**2,
-    and the sum S is divided once by downsample**2. Every partial sum of at
-    most 255 * downsample**2 is an exact float64, so a float mean over the
-    block gives the same correctly rounded S / downsample**2 in any
-    summation order; at downsample 1 the division is exact and skipped.
+    exactly (see _block_sums). Every partial sum of at most
+    255 * downsample**2 is an exact float64, so a float mean over the block
+    gives the same correctly rounded S / downsample**2 in any summation
+    order, and the input is that mean divided by 255. When downsample is a
+    power of two (1 included), S / downsample**2 is exact, so one division
+    S / (255 * downsample**2) gives the same bits; any other factor divides
+    by downsample**2 and then by 255, rounding twice as the mean does.
 
     A header with no images or a zero image side, a file shorter than its
     header declares and bytes past the declared data raise IdxFormatError.
@@ -188,19 +218,17 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
     if count != label_count:
         raise IdxFormatError(f"image count {count} != label count {label_count}")
 
-    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)
-    if downsample > 1:
-        if rows % downsample or cols % downsample:
-            raise ValueError(f"{rows}x{cols} images not divisible by factor {downsample}")
-        ds = downsample
-        sums = np.zeros((count, rows // ds, cols // ds), np.min_scalar_type(255 * ds * ds))
-        for i in range(ds):
-            for j in range(ds):
-                sums += images[:, i::ds, j::ds]
+    if rows % downsample or cols % downsample:
+        raise ValueError(f"{rows}x{cols} images not divisible by factor {downsample}")
+    ds = downsample
+    sums = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows, cols)  # blocks of 1
+    if ds > 1:
+        sums = _block_sums(sums, ds)
+    if ds & (ds - 1) == 0:
+        inputs = sums.reshape(count, -1) / (255.0 * ds * ds)
+    else:
         inputs = sums.reshape(count, -1) / (ds * ds)
         inputs /= 255.0
-    else:
-        inputs = images.reshape(count, -1) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
     return DatasetShard(inputs=inputs, labels=labels, origin="train")
 

@@ -122,16 +122,14 @@ class NodeState:
         """Base snapshot plus what training learned since it was taken.
 
         ``epochs`` is how many epochs that was; sample_count is train size
-        times epochs. The node's weights become the update's full model.
+        times epochs. The node's weights are left as trained.
         """
-        update = ModelUpdate(
+        return ModelUpdate(
             node_id=self.node_id,
             base=self.base_snapshot,
             delta=self.model.weights - self.base_snapshot,
             sample_count=self.train_shard.size * epochs,
         )
-        self.model.weights = update.full
-        return update
 
 
 @contextmanager

@@ -112,8 +112,8 @@ class GraphStats:
 def hop_distances(graph: TopologyGraph, start: int, max_hops: int | None = None):
     """{node: hops from start} for every node within max_hops (all when None).
 
-    The package's one breadth-first walk: connectivity, the diameter and
-    gossip dissemination all use it.
+    The package's one breadth-first walk: connectivity and gossip
+    dissemination use it.
     """
     if not 0 <= start < graph.node_count:
         raise ValueError(f"unknown node {start}")
@@ -306,19 +306,37 @@ def _count_bridges(graph: TopologyGraph) -> int:
     return bridges
 
 
+def _diameter(graph: TopologyGraph) -> int:
+    """Rounds until every node's reach set covers the graph; never ends on a
+    disconnected one.
+
+    Each reach set is an int bitmask of the nodes within that many hops, and a
+    round ORs every mask with its neighbours' masks.
+    """
+    everyone = (1 << graph.node_count) - 1
+    reach = [1 << node for node in range(graph.node_count)]
+    rounds = 0
+    while any(mask != everyone for mask in reach):
+        grown = []
+        for mask, adj in zip(reach, graph.adjacency):
+            for nb in adj:
+                mask |= reach[nb]
+            grown.append(mask)
+        reach = grown
+        rounds += 1
+    return rounds
+
+
 def stats(graph: TopologyGraph) -> GraphStats:
-    """Degree summary plus diameter (a hop walk from every node) and bridge count."""
+    """Degree summary plus diameter and bridge count."""
     if not is_connected(graph):
         raise ValueError("diameter undefined: graph is disconnected")
     degrees = graph.degrees()
-    diameter = max(
-        max(hop_distances(graph, start).values()) for start in range(graph.node_count)
-    )
     return GraphStats(
         avg_degree=graph.avg_degree,
         min_degree=min(degrees),
         max_degree=max(degrees),
-        diameter=diameter,
+        diameter=_diameter(graph),
         bridge_count=_count_bridges(graph),
     )
 

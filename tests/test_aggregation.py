@@ -321,6 +321,11 @@ class TestModelUpdate:
         assert u == ModelUpdate(3, u.base, u.delta, u.sample_count)
         assert "full" not in repr(u)
 
+    def test_full_is_built_once_on_first_read(self):
+        u = update(3, [0.1, -2.0], [0.7, 1e-17])
+        assert "full" not in vars(u)
+        assert u.full is u.full
+
     @pytest.mark.parametrize("field, value", [
         ("sample_count", float("nan")),
         ("sample_count", 2.5),

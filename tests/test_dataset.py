@@ -88,9 +88,11 @@ def frozen_float_pooling(images, downsample):
 @st.composite
 def pooling_inputs(draw):
     """uint8 images (count, rows, cols), mostly not square, and a downsample factor
-    dividing both sides; "rows" makes a block as tall as the image. Some draws set whole
-    images to 0 or 255, the extremes of a block sum."""
-    downsample = draw(st.sampled_from([1, 2, 3, 4, 7, "rows"]))
+    dividing both sides; "rows" makes a block as tall as the image. Factor 17 sums its
+    blocks in uint32 (255 * 17**2 > 65535), and factors of 5 and up pool their images
+    in several chunks. Some draws set whole images to 0 or 255, the extremes of a
+    block sum."""
+    downsample = draw(st.sampled_from([1, 2, 3, 4, 7, 17, "rows"]))
     if downsample == "rows":
         downsample = rows = draw(st.integers(1, 12))
     else:
@@ -189,6 +191,14 @@ class TestLoadIdx:
         expected = frozen_float_pooling(images, downsample)
         assert data.inputs.dtype == expected.dtype and data.inputs.shape == expected.shape
         assert data.inputs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("downsample", [1, 2, 4, 8, 16])
+    def test_one_rounding_equals_two_for_power_of_two_factors(self, downsample):
+        area = downsample * downsample
+        sums = np.arange(255 * area + 1)
+        once = sums / (255.0 * area)
+        twice = sums / area / 255.0
+        assert once.tobytes() == twice.tobytes()
 
     @pytest.mark.skipif(
         "MNIST_DIR" not in __import__("os").environ,

@@ -134,21 +134,24 @@ class TestNodeTrainPhase:
         assert np.all(update.delta.values == 0.0)
         assert update.sample_count == 0
 
-    def test_base_plus_delta_reproduces_weights_exactly(self):
+    def test_delta_is_trained_weights_minus_base(self):
         state = make_state()
+        base = state.base_snapshot
         update = train_and_package(state, 3)
-        recomposed = update.base + update.delta
-        assert np.array_equal(recomposed.values, state.model.weights.values)
+        assert update.base is base
+        assert np.array_equal(update.delta.values, state.model.weights.values - base.values)
 
     def test_sample_count_scales_with_epochs(self):
         state = make_state()
         update = train_and_package(state, 4)
         assert update.sample_count == state.train_shard.size * 4
 
-    def test_weights_become_the_update_full_model(self):
+    def test_packaging_leaves_the_trained_weights_alone(self):
         state = make_state()
-        update = train_and_package(state, 3)
-        assert state.model.weights is update.full
+        train(state, 3)
+        trained = state.model.weights
+        state.package_update(epochs=3)
+        assert state.model.weights is trained
 
     def test_replay_identical_update(self):
         a = train_and_package(make_state(), 20)
@@ -161,9 +164,8 @@ class TestIntegrationStep:
     def test_empty_inbox_averaging_keeps_local_model(self):
         state = make_state()
         update = train_and_package(state, 2)
-        before = state.model.weights.values.copy()
         new = integration_step(state, IntegrationStrategy("standard_averaging"), 2, update, [])
-        assert np.array_equal(new.values, before)
+        assert np.array_equal(new.values, (update.base + update.delta).values)
 
     def test_empty_inbox_delta_sum_damps_local_delta(self):
         schedule = LambdaSchedule(offset=0.25, slope_divisor=10**9, cap=0.25)

@@ -31,6 +31,28 @@ def complete(n):
     )
 
 
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs of 1 to 40 nodes: paths, rings, stars, complete graphs,
+    and random spanning trees with random extra edges."""
+    kind = draw(st.sampled_from(["path", "ring", "star", "complete", "random"]))
+    n = draw(st.integers(3 if kind == "ring" else 1, 40))
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "ring":
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    elif kind == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif kind == "complete":
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        edges = [(i, int(rng.integers(i))) for i in range(1, n)]
+        edges += [tuple(map(int, rng.integers(n, size=2))) for _ in range(draw(st.integers(0, n)))]
+        edges = [(i, j) for i, j in edges if i != j]
+    return TopologyGraph.from_edges(n, edges)
+
+
 def quadratic_attempt(n, constraints, edge_target, rng, fallbacks):
     """The generator's attempt as it was before its candidate lists were kept
     up to date: the spanning tree rescans every placed node for each new one,
@@ -304,6 +326,13 @@ class TestStats:
         graph = TopologyGraph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             stats(graph)
+
+    @hypothesis_seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(connected_graphs())
+    def test_diameter_is_the_largest_hop_distance(self, graph):
+        walks = (topology.hop_distances(graph, s) for s in range(graph.node_count))
+        assert stats(graph).diameter == max(max(dist.values()) for dist in walks)
 
 
 class TestSerialization:
