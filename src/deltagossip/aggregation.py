@@ -59,13 +59,15 @@ class ModelUpdate:
     def __post_init__(self):
         require_non_negative_ints(node_id=self.node_id, sample_count=self.sample_count)
         require_same_layout([self.base, self.delta])
-        if not np.isfinite(self.base.values + self.delta.values).all():
+        full = self.base.values + self.delta.values
+        if not np.isfinite(full).all():
             raise ValueError(f"node {self.node_id}: base + delta must be finite")
+        object.__setattr__(self, "_full_values", full)
 
     @cached_property
     def full(self) -> ParameterVector:
-        """base + delta, built on first read: only the averaging strategies read it."""
-        return self.base + self.delta
+        """The checked base + delta, wrapped on first read: only averaging strategies read it."""
+        return ParameterVector(self._full_values, self.base.layout)
 
 
 @dataclass(frozen=True)

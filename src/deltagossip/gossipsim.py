@@ -10,6 +10,12 @@ models with neighbors until the cluster agrees. After every epoch and
 every convergence round each node records two accuracies: on its local
 validation shard and on the shared global validation set.
 
+run_simulation calls one module global per phase, looked up at call time:
+train_epochs trains a group in place, package_round returns the nodes'
+ModelUpdates in node order, integrate_round merges one round and returns
+its deliveries, convergence_round averages in place and evaluate_population
+returns each model's accuracy on the global set.
+
 Rounds are barriers: all sends are computed from pre-round state, and every
 node is at the same epoch or round, so run_simulation's loop counters are
 the only record of where a run is. Nodes share ModelConfig.seed, so nodes
@@ -78,10 +84,12 @@ class SimSchedule:
 
 @dataclass(frozen=True)
 class Forwarding:
-    mode: str = "first_hop"  # first_hop | multi_hop
+    mode: str | None = None  # first_hop | multi_hop; None follows from max_hops
     max_hops: int = 1
 
     def __post_init__(self):
+        if self.mode is None:
+            object.__setattr__(self, "mode", "first_hop" if self.max_hops == 1 else "multi_hop")
         if self.mode not in ("first_hop", "multi_hop"):
             raise ValueError(f"unknown forwarding mode {self.mode!r}")
         require_ints(max_hops=self.max_hops)
@@ -187,6 +195,24 @@ def integration_step(
     return new_weights
 
 
+def package_round(states, epochs: int) -> list[ModelUpdate]:
+    """Every node's update after ``epochs`` epochs of training, in node order."""
+    return [state.package_update(epochs) for state in states]
+
+
+def integrate_round(states, updates, config: SimConfig, t: int, where: str) -> int:
+    """Merge into each node its own update and those disseminate delivers to it, in sender
+    order; return the delivery count. A failed merge is a SimulationError naming ``where``."""
+    delivered = [[] for _ in states]  # filled in sender order
+    for state, update in zip(states, updates):
+        for target in disseminate(config.topology, state.node_id, config.forwarding):
+            delivered[target].append(update)
+    for state, update, remotes in zip(states, updates, delivered):
+        with _failing_node(state.node_id, where):
+            integration_step(state, config.strategy, t, update, remotes)
+    return sum(len(remotes) for remotes in delivered)
+
+
 def convergence_round(states, graph: TopologyGraph, where: str = "convergence") -> None:
     """One synchronous round of plain full-model neighborhood averaging.
 
@@ -197,6 +223,11 @@ def convergence_round(states, graph: TopologyGraph, where: str = "convergence") 
         group = [snapshot[i]] + [snapshot[j] for j in graph.adjacency[i]]
         with _failing_node(state.node_id, where):
             state.model.weights = average_full_models(group)
+
+
+def evaluate_population(models, dataset: DatasetShard) -> list[float]:
+    """Each model's accuracy on ``dataset``, in the order the models are given."""
+    return [evaluate(model, dataset) for model in models]
 
 
 def prepare_inputs(config: SimConfig, dataset: DatasetShard,
@@ -242,7 +273,6 @@ def run_simulation(
     prepare_inputs rejects are a ValueError before training; a dataset of
     the wrong dimension fails its first training epoch as a SimulationError.
     """
-    graph = config.topology
     per_node, gval = prepare_inputs(config, dataset, global_val)
     start = init_weights(config.model_config)
     states = [
@@ -263,10 +293,10 @@ def run_simulation(
     records: list[MetricsRecord] = []
 
     def record_all(index: int) -> None:
-        for state in states:
-            local_acc = evaluate(state.model, state.local_val)
-            global_acc = evaluate(state.model, gval)
-            records.append(MetricsRecord(state.node_id, index, local_acc, global_acc))
+        local = [evaluate(state.model, state.local_val) for state in states]
+        shared = evaluate_population([state.model for state in states], gval)
+        records.extend(MetricsRecord(state.node_id, index, local_acc, global_acc)
+                       for state, local_acc, global_acc in zip(states, local, shared))
 
     for epoch in range(1, schedule.train_epochs + 1):
         failures = []
@@ -281,20 +311,13 @@ def run_simulation(
             raise SimulationError(f"node {node_id} epoch {epoch}: {err}") from err
 
         if epoch % schedule.integrate_every == 0:
-            updates = [s.package_update(schedule.integrate_every) for s in states]
-            delivered = [[] for _ in states]  # filled in sender order
-            for state, update in zip(states, updates):
-                for target in disseminate(graph, state.node_id, config.forwarding):
-                    delivered[target].append(update)
-            where = f"integration round {epoch // schedule.integrate_every} ({kind})"
-            for state, update, remotes in zip(states, updates, delivered):
-                with _failing_node(state.node_id, where):
-                    integration_step(state, config.strategy, epoch, update, remotes)
-
+            updates = package_round(states, schedule.integrate_every)
+            integrate_round(states, updates, config, epoch,
+                            f"integration round {epoch // schedule.integrate_every} ({kind})")
         record_all(epoch)
 
     for rnd in range(schedule.train_epochs + 1, schedule.convergence_until_round + 1):
-        convergence_round(states, graph, f"convergence round {rnd} ({kind})")
+        convergence_round(states, config.topology, f"convergence round {rnd} ({kind})")
         record_all(rnd)
 
     return records

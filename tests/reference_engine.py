@@ -97,10 +97,10 @@ def run_reference(config, per_node, global_val):
     """(records, evaluated): the run's records and the weight bytes at each evaluation.
 
     ``per_node`` and ``global_val`` are what ``shard_equal`` returns for the
-    run. Each node records its local, then its global accuracy, so a node
-    logs two weight byte strings per index. The first TrainingError, in
-    node-after-node, epoch-after-epoch order, is a SimulationError naming
-    the node and epoch.
+    run. Each index logs every node's weight bytes for its local-val
+    evaluation, in node order, then again for its global-val evaluation.
+    The first TrainingError, in node-after-node, epoch-after-epoch order,
+    is a SimulationError naming the node and epoch.
     """
     cfg, schedule, adjacency = config.model_config, config.schedule, config.topology.adjacency
     nodes = range(len(per_node))
@@ -116,13 +116,11 @@ def run_reference(config, per_node, global_val):
         models[i].weights = models[i].weights.with_values(w)
 
     def record(index):
+        weights = [models[i].weights.values for i in nodes]
+        evaluated.extend(2 * [w.tobytes() for w in weights])  # local-val, then global-val
         for i, (_, local_val) in enumerate(per_node):
-            w = models[i].weights.values
-            accuracies = []
-            for shard in (local_val, global_val):
-                evaluated.append(w.tobytes())
-                accuracies.append(accuracy(cfg, w, shard))
-            records.append(MetricsRecord(i, index, *accuracies))
+            records.append(MetricsRecord(i, index, accuracy(cfg, weights[i], local_val),
+                                         accuracy(cfg, weights[i], global_val)))
 
     for epoch in range(1, schedule.train_epochs + 1):
         for i, (train, _) in enumerate(per_node):

@@ -326,6 +326,15 @@ class TestModelUpdate:
         assert "full" not in vars(u)
         assert u.full is u.full
 
+    def test_full_reuses_the_sum_checked_at_construction(self, monkeypatch):
+        u = update(3, [0.1, -2.0], [0.7, 1e-17])
+
+        def no_second_addition(self, other):
+            raise AssertionError("base + delta added again")
+
+        monkeypatch.setattr(ParameterVector, "__add__", no_second_addition)
+        assert u.full.values.tobytes() == (u.base.values + u.delta.values).tobytes()
+
     @pytest.mark.parametrize("field, value", [
         ("sample_count", float("nan")),
         ("sample_count", 2.5),

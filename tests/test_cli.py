@@ -184,6 +184,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "not found" in err and "nope-images" in err
 
+    def test_max_hops_alone_sets_the_forwarding(self, tmp_path):
+        for name, forwarding in (("alone", {"max_hops": 2}),
+                                 ("explicit", {"mode": "multi_hop", "max_hops": 2})):
+            config = small_config(tmp_path)
+            config["forwarding"] = forwarding
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            assert main(["run", "--config", str(config_path), "--out", str(tmp_path / name)]) == 0
+        for csv in ("4nodes_standard_averaging.csv", "4nodes_delta_sum.csv"):
+            assert (tmp_path / "alone" / csv).read_bytes() == (
+                tmp_path / "explicit" / csv).read_bytes()
+
     def test_idx_dataset_with_test_split(self, tmp_path):
         rng = np.random.default_rng(0)
         train = write_idx_pair(tmp_path, rng.integers(0, 256, (40, 4, 4)),

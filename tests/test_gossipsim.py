@@ -25,7 +25,9 @@ from deltagossip.gossipsim import (
     SimulationError,
     convergence_round,
     disseminate,
+    integrate_round,
     integration_step,
+    package_round,
     run_simulation,
 )
 from deltagossip.metrics import aggregate_across_nodes, export_csv
@@ -33,7 +35,7 @@ from deltagossip.model import ModelConfig, TrainableModel, train_epochs
 from deltagossip.params import ParameterVector, make_layout
 from deltagossip.topology import TopologyConstraints, TopologyGraph, generate_semi_random
 
-from reference_engine import run_reference
+from reference_engine import reach, run_reference
 
 PASSTHROUGH = LambdaSchedule(offset=1.0, slope_divisor=1000.0, cap=1.0)
 
@@ -125,6 +127,30 @@ class TestDisseminate:
             fwd = Forwarding(mode="multi_hop", max_hops=max_hops)
             delivered = disseminate(graph, sender, fwd)
             assert delivered == expected
+
+    def test_integrate_round_counts_one_delivery_per_reached_node(self):
+        # The graphs of the test above, each at 1-4 hops, against the
+        # reference engine's breadth-first reach sets.
+        rng = np.random.default_rng(21)
+        shard = tiny_shard()
+        for _ in range(25):
+            n = int(rng.integers(4, 13))
+            graph = generate_semi_random(
+                n, TopologyConstraints(target_avg_degree=min(3.0, n - 1.2)),
+                seed=int(rng.integers(10**6)),
+            )
+            rng.integers(n), rng.integers(1, 5)  # the sender and hops drawn above
+            states = [make_state(node_id=i, shard=shard) for i in range(n)]
+            for max_hops in range(1, 5):
+                config = SimConfig(
+                    topology=graph, strategy=IntegrationStrategy("standard_averaging"),
+                    schedule=SimSchedule(1, 1, 1, 8), model_config=states[0].model.config,
+                    shard_plan=ShardPlan(n, seed=0), forwarding=Forwarding(max_hops=max_hops),
+                )
+                updates = package_round(states, 1)
+                delivered = integrate_round(states, updates, config, 1, "round")
+                assert delivered == sum(len(reach(graph.adjacency, sender, max_hops))
+                                        for sender in range(n))
 
 
 class TestNodeTrainPhase:
@@ -400,6 +426,34 @@ class TestRunSimulation:
             nodes = sorted(r.node_id for r in records if r.index == index)
             assert nodes == [0, 1, 2, 3]
 
+    def test_each_phase_is_one_seam_call(self, monkeypatch):
+        config = small_sim_config(nodes=7)
+        data = golden_data()
+        expected = run_simulation(config, data)
+        per_node, _ = shard_equal(data, config.shard_plan)
+        groups = len({train.size for train, _ in per_node})
+        assert groups == 2
+        calls = dict.fromkeys(["train_epochs", "package_round", "integrate_round",
+                               "convergence_round", "evaluate_population"], 0)
+
+        def counted(name, seam):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return seam(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(gossipsim, name, counted(name, getattr(gossipsim, name)))
+        assert run_simulation(config, data) == expected
+        schedule = config.schedule
+        assert calls == {
+            "train_epochs": groups * schedule.train_epochs,
+            "package_round": schedule.train_epochs // schedule.integrate_every,
+            "integrate_round": schedule.train_epochs // schedule.integrate_every,
+            "convergence_round": schedule.convergence_until_round - schedule.train_epochs,
+            "evaluate_population": schedule.convergence_until_round,
+        }
+
     def test_bit_identical_reruns(self):
         config = small_sim_config()
         data = tiny_shard(per_class=40)
@@ -642,3 +696,9 @@ class TestScheduleValidation:
             Forwarding(mode="multi_hop", max_hops=0)
         with pytest.raises(ValueError, match="multi_hop"):
             Forwarding(mode="first_hop", max_hops=3)
+
+    def test_forwarding_mode_follows_max_hops_when_omitted(self):
+        assert Forwarding() == Forwarding("first_hop", 1) == Forwarding(max_hops=1)
+        assert Forwarding(max_hops=3) == Forwarding("multi_hop", 3)
+        with pytest.raises(ValueError):
+            Forwarding(max_hops=0)

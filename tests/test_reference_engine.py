@@ -62,8 +62,8 @@ def runs(draw):
                            batch_size=draw(st.integers(1, 8)))
     max_hops = draw(st.integers(1, 3))
     forwarding = draw(st.sampled_from(
-        [Forwarding("first_hop"), Forwarding("multi_hop", 1)] if max_hops == 1
-        else [Forwarding("multi_hop", max_hops)]))
+        [Forwarding("first_hop"), Forwarding("multi_hop", 1), Forwarding(max_hops=1)]
+        if max_hops == 1 else [Forwarding("multi_hop", max_hops), Forwarding(max_hops=max_hops)]))
     model = ModelConfig(input_dim=d, class_count=k, hidden_dim=draw(st.sampled_from([0, 1, 3, 8])),
                         learning_rate=draw(st.sampled_from([0.02, 0.1, 0.4, 1.0])),
                         seed=draw(seeds))
@@ -80,16 +80,26 @@ class TestReferenceEngine:
     def test_records_and_evaluated_weights_bitwise_equal_the_reference(self, run):
         # Accuracy is too coarse to show a changed summation order, so the
         # weight bytes every evaluation sees are compared as well.
+        # The spy sits on the seams: each local-val evaluate call, and the
+        # models handed to each evaluate_population call, whatever its body
+        # calls (evaluate is left unlogged inside it).
         config, data, global_val = run
         evaluated = []
-        evaluate = gossipsim.evaluate
+        evaluate, evaluate_population = gossipsim.evaluate, gossipsim.evaluate_population
 
         def logged(model, dataset):
             evaluated.append(model.weights.values.tobytes())
             return evaluate(model, dataset)
 
+        def logged_population(models, dataset):
+            evaluated.extend(model.weights.values.tobytes() for model in models)
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(gossipsim, "evaluate", evaluate)
+                return evaluate_population(models, dataset)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gossipsim, "evaluate", logged)
+            patch.setattr(gossipsim, "evaluate_population", logged_population)
             records = run_simulation(config, data, global_val)
         per_node, gval = shard_equal(data, config.shard_plan, global_val=global_val)
         expected_records, expected_evaluated = run_reference(config, per_node, gval)
