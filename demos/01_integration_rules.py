@@ -21,8 +21,8 @@ local_delta = vec(0.9, -0.3, 0.6)
 remote_delta = vec(0.8, -0.2, 0.5)
 
 print("== full-model averaging divides combined progress ==")
-local_model = w0 + local_delta
-remote_model = w0 + remote_delta
+local_model = w0.with_values(w0.values + local_delta.values)
+remote_model = w0.with_values(w0.values + remote_delta.values)
 averaged = dg.average_full_models([local_model, remote_model])
 print("local progress  :", local_delta.values)
 print("remote progress :", remote_delta.values)
@@ -47,7 +47,7 @@ for t in (0, 100, 200, 500):
 print("\n== alignment diagnostic between local and remote progress ==")
 for name, remote in (
     ("aligned", remote_delta),
-    ("opposed", -1.0 * remote_delta),
+    ("opposed", remote_delta.with_values(-1.0 * remote_delta.values)),
 ):
     score = dg.delta_alignment(local_delta, [remote])
     print(f"{name}: cosine = {score:+.3f}")

@@ -84,13 +84,14 @@ class SimSchedule:
 
 @dataclass(frozen=True)
 class Forwarding:
-    mode: str | None = None  # first_hop | multi_hop; None follows from max_hops
+    """An update reaches every node within ``max_hops`` of its sender. ``mode`` (first_hop |
+    multi_hop) is optional and only checked against max_hops; equality and hash ignore it."""
+
+    mode: str | None = field(default=None, compare=False)
     max_hops: int = 1
 
     def __post_init__(self):
-        if self.mode is None:
-            object.__setattr__(self, "mode", "first_hop" if self.max_hops == 1 else "multi_hop")
-        if self.mode not in ("first_hop", "multi_hop"):
+        if self.mode not in (None, "first_hop", "multi_hop"):
             raise ValueError(f"unknown forwarding mode {self.mode!r}")
         require_ints(max_hops=self.max_hops)
         if self.max_hops < 1:
@@ -132,12 +133,10 @@ class NodeState:
         ``epochs`` is how many epochs that was; sample_count is train size
         times epochs. The node's weights are left as trained.
         """
-        return ModelUpdate(
-            node_id=self.node_id,
-            base=self.base_snapshot,
-            delta=self.model.weights - self.base_snapshot,
-            sample_count=self.train_shard.size * epochs,
-        )
+        weights, base = self.model.weights, self.base_snapshot
+        return ModelUpdate(node_id=self.node_id, base=base,
+                           delta=weights.with_values(weights.values - base.values),
+                           sample_count=self.train_shard.size * epochs)
 
 
 @contextmanager

@@ -201,7 +201,8 @@ class TrainableModel:
 def sgd_batch_step(model: TrainableModel, batch: DatasetShard) -> ParameterVector:
     """One descent step w <- w - lr * grad; the model is updated in place."""
     _, grad = model.loss_and_gradient(batch)
-    model.weights = model.weights - model.config.learning_rate * grad
+    w = model.weights
+    model.weights = w.with_values(w.values - grad.values * float(model.config.learning_rate))
     return model.weights
 
 

@@ -71,36 +71,9 @@ class ParameterVector:
         names = ",".join(seg.name for seg in self.layout)
         return f"ParameterVector(len={len(self)}, segments=[{names}])"
 
-    def segment(self, name: str) -> np.ndarray:
-        """Read-only view of one named segment."""
-        for seg in self.layout:
-            if seg.name == name:
-                return self.values[seg.offset : seg.offset + seg.length]
-        raise KeyError(name)
-
     def with_values(self, values: np.ndarray) -> "ParameterVector":
         """New vector with the same layout and different values."""
         return ParameterVector(values, self.layout)
-
-    def _coerced(self, other: "ParameterVector") -> "ParameterVector":
-        if not isinstance(other, ParameterVector):
-            raise TypeError(f"expected ParameterVector, got {type(other).__name__}")
-        if self.layout != other.layout:
-            raise LayoutError("parameter vectors have different layouts")
-        return other
-
-    def __add__(self, other: "ParameterVector") -> "ParameterVector":
-        other = self._coerced(other)
-        return ParameterVector(self.values + other.values, self.layout)
-
-    def __sub__(self, other: "ParameterVector") -> "ParameterVector":
-        other = self._coerced(other)
-        return ParameterVector(self.values - other.values, self.layout)
-
-    def __mul__(self, factor: float) -> "ParameterVector":
-        return ParameterVector(self.values * float(factor), self.layout)
-
-    __rmul__ = __mul__
 
 
 def require_same_layout(vectors: Sequence[ParameterVector]) -> tuple[Segment, ...]:

@@ -191,7 +191,7 @@ class TestIntegrationStep:
         state = make_state()
         update = train_and_package(state, 2)
         new = integration_step(state, IntegrationStrategy("standard_averaging"), 2, update, [])
-        assert np.array_equal(new.values, (update.base + update.delta).values)
+        assert np.array_equal(new.values, update.base.values + update.delta.values)
 
     def test_empty_inbox_delta_sum_damps_local_delta(self):
         schedule = LambdaSchedule(offset=0.25, slope_divisor=10**9, cap=0.25)
@@ -209,7 +209,7 @@ class TestIntegrationStep:
             state, IntegrationStrategy("standard_averaging"), 2, update, [twin]
         )
         np.testing.assert_allclose(
-            new.values, (update.base + update.delta).values, rtol=0, atol=1e-15
+            new.values, update.base.values + update.delta.values, rtol=0, atol=1e-15
         )
 
     def test_snapshot_advanced_to_merged_weights(self):
@@ -224,7 +224,8 @@ class TestIntegrationStep:
         state = make_state()
         update = train_and_package(state, 2)
         base = state.base_snapshot
-        remote = ModelUpdate(7, update.base, update.delta * 3.0, update.sample_count)
+        tripled = update.delta.with_values(update.delta.values * 3.0)
+        remote = ModelUpdate(7, update.base, tripled, update.sample_count)
         new = integration_step(state, IntegrationStrategy("fedavg"), 2, update, [remote])
         expected = base.values + (update.delta.values + 3.0 * update.delta.values) / 2.0
         np.testing.assert_allclose(new.values, expected, rtol=0, atol=1e-12)
@@ -700,5 +701,6 @@ class TestScheduleValidation:
     def test_forwarding_mode_follows_max_hops_when_omitted(self):
         assert Forwarding() == Forwarding("first_hop", 1) == Forwarding(max_hops=1)
         assert Forwarding(max_hops=3) == Forwarding("multi_hop", 3)
+        assert hash(Forwarding(max_hops=3)) == hash(Forwarding("multi_hop", 3))
         with pytest.raises(ValueError):
             Forwarding(max_hops=0)

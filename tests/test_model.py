@@ -55,8 +55,9 @@ class TestInitWeights:
     def test_biases_zero(self):
         cfg = ModelConfig(input_dim=4, class_count=3, hidden_dim=5, seed=7)
         w = init_weights(cfg)
-        assert np.all(w.segment("hidden_b") == 0.0)
-        assert np.all(w.segment("out_b") == 0.0)
+        part = {seg.name: w.values[seg.offset : seg.offset + seg.length] for seg in w.layout}
+        assert np.all(part["hidden_b"] == 0.0)
+        assert np.all(part["out_b"] == 0.0)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -239,8 +240,9 @@ def step_alone(model, inputs, labels, epochs, batch_size, start_epoch=0):
         for lo in range(0, len(labels), batch_size):
             idx = order[lo : lo + batch_size]
             sgd_batch_step(model, DatasetShard(inputs[idx], labels[idx]))
-    delta = model.weights - before
-    model.weights = before + delta
+    after = model.weights
+    delta = after.with_values(after.values - before.values)
+    model.weights = before.with_values(before.values + delta.values)
     return delta
 
 
