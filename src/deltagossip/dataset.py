@@ -98,7 +98,8 @@ def synth_classification(
 
     Cluster means are drawn inside [0.15, 0.85]^dim and redrawn until every
     pair is at least 4*noise_sigma apart, so the clusters stay separable.
-    Samples are clipped to [0, 1].
+    Samples are clipped to [0, 1]. The returned inputs are the one array the
+    noise is drawn into, so the call's peak memory is about that array.
     """
     require_ints(classes=classes, dim=dim, per_class=per_class)
     require_non_negative_ints(seed=seed)
@@ -127,10 +128,14 @@ def synth_classification(
             "reduce noise_sigma or class count"
         )
 
+    # Class-major, as the labels run: a seed gives the same noise values, in the
+    # same sample order, as a flat (classes * per_class, dim) draw.
+    inputs = rng.normal(0.0, noise_sigma, size=(classes, per_class, dim))
+    inputs += means[:, None, :]
+    np.clip(inputs, 0.0, 1.0, out=inputs)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    noise = rng.normal(0.0, noise_sigma, size=(classes * per_class, dim))
-    inputs = np.clip(means[labels] + noise, 0.0, 1.0)
-    return DatasetShard(inputs=inputs, labels=labels, origin="train")
+    return DatasetShard(inputs=inputs.reshape(classes * per_class, dim), labels=labels,
+                        origin="train")
 
 
 def _read_exact(f, count: int, what: str) -> bytes:

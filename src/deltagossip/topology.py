@@ -181,7 +181,7 @@ def generate_semi_random(
         )
     min_edges = nodes - 1
     max_edges = min(nodes * constraints.max_degree // 2, nodes * (nodes - 1) // 2)
-    edge_target = int(np.clip(int(round(nodes * target / 2.0)), min_edges, max_edges))
+    edge_target = min(max(round(nodes * target / 2.0), min_edges), max_edges)
 
     for attempt in range(GENERATION_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
@@ -350,9 +350,10 @@ def read_edge_list(path) -> TopologyGraph:
     """The graph of an edge-list file: one ``i j`` pair of node indices per line.
 
     Blank lines are skipped. A line that is not two integers >= 0, a file
-    naming fewer than 2 nodes, then a self-loop line, is a MalformedGraphError
-    naming the file (and the line). A path that is not path-like (a file
-    descriptor number) is a TypeError.
+    naming fewer than 2 nodes, then a self-loop line, then an index below the
+    highest that no edge touches, is a MalformedGraphError naming the file
+    (and the line, or the lowest such node), raised before any graph is built.
+    A path that is not path-like (a file descriptor number) is a TypeError.
     """
     def bad_line(number, line, reason):
         return MalformedGraphError(f"bad edge line {number} in {path}: {line.strip()!r}; {reason}")
@@ -378,6 +379,13 @@ def read_edge_list(path) -> TopologyGraph:
         )
     if self_loop:
         raise self_loop
+    touched = {node for edge in edges for node in edge}
+    if len(touched) <= highest:
+        lowest = next(node for node in range(highest + 1) if node not in touched)
+        raise MalformedGraphError(
+            f"edge list {path} has no edge at node {lowest}; the nodes must be "
+            f"0..{highest} with no index left out"
+        )
     return TopologyGraph.from_edges(highest + 1, edges)
 
 

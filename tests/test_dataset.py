@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,52 @@ from deltagossip.dataset import (
 from deltagossip.model import ModelConfig, TrainableModel, evaluate, train_epochs
 
 
+def frozen_synth_classification(classes, dim, per_class, seed, noise_sigma):
+    """synth_classification's first arithmetic: a gather of each sample's mean, a
+    sum with a (classes * per_class, dim) noise array and a clipped copy."""
+    rng = np.random.default_rng(seed)
+    min_dist = 4.0 * noise_sigma
+    for _ in range(1000):
+        candidate = rng.uniform(0.15, 0.85, size=(classes, dim))
+        diffs = candidate[:, None, :] - candidate[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        np.fill_diagonal(dists, np.inf)
+        if dists.min() >= min_dist:
+            means = candidate
+            break
+    else:
+        return None
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    noise = rng.normal(0.0, noise_sigma, size=(classes * per_class, dim))
+    return np.clip(means[labels] + noise, 0.0, 1.0), labels
+
+
 class TestSynthClassification:
+    @hypothesis_seed(20261019)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(st.integers(2, 12), st.integers(1, 20), st.integers(1, 300),
+           st.sampled_from([0.01, 0.05, 0.1, 0.2]), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_the_gather_and_copy(self, classes, dim, per_class,
+                                                  noise_sigma, seed):
+        expected = frozen_synth_classification(classes, dim, per_class, seed, noise_sigma)
+        if expected is None:
+            with pytest.raises(ValueError, match="could not place"):
+                synth_classification(classes, dim, per_class, seed, noise_sigma)
+            return
+        data = synth_classification(classes, dim, per_class, seed, noise_sigma)
+        for got, want in zip((data.inputs, data.labels), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_about_the_inputs(self):
+        tracemalloc.start()
+        try:
+            data = synth_classification(10, 50, 2000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * data.inputs.nbytes
+
     def test_deterministic(self):
         a = synth_classification(3, 5, 40, seed=12)
         b = synth_classification(3, 5, 40, seed=12)

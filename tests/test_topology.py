@@ -208,6 +208,19 @@ class TestGenerateSemiRandom:
         same_outcome()
         assert fallbacks, "no example reached the stall fallback"
 
+    @pytest.mark.parametrize("nodes, max_degree, target, edges", [
+        (10, 8, 1.6, 9),   # round(8.0) = 8 is below a spanning tree's 9 edges
+        (20, 8, 1.5, 19),  # round(15.0) = 15
+        (5, 3, 3.0, 7),    # round(7.5) = 8 is above the degree cap's 5 * 3 // 2 = 7
+        (9, 3, 3.0, 13),   # round(13.5) = 14, cap 13
+        (4, 8, 3.4, 6),    # round(6.8) = 7 is above the complete graph's 6
+    ])
+    def test_edge_target_clamped_to_what_the_graph_can_hold(self, nodes, max_degree,
+                                                            target, edges):
+        constraints = TopologyConstraints(max_degree=max_degree, target_avg_degree=target)
+        for seed in range(5):
+            assert generate_semi_random(nodes, constraints, seed).edge_count == edges
+
     def test_budget_spent_when_every_attempt_stalls(self, monkeypatch):
         monkeypatch.setattr(topology, "_attempt", lambda *args: None)
         with pytest.raises(GenerationBudgetError, match="after 100 attempts"):
@@ -366,6 +379,18 @@ class TestSerialization:
             read_edge_list(path)
         assert str(path) in str(excinfo.value)
 
+    def test_index_no_edge_touches_rejected_before_any_graph(self, tmp_path, monkeypatch):
+        path = tmp_path / "sparse.edges"
+        path.write_text("0 1\n1 300000\n")
+        built = []
+        monkeypatch.setattr(TopologyGraph, "from_edges",
+                            classmethod(lambda cls, *args: built.append(args)))
+        with pytest.raises(MalformedGraphError) as excinfo:
+            read_edge_list(path)
+        assert str(excinfo.value) == (f"edge list {path} has no edge at node 2; the nodes "
+                                      f"must be 0..300000 with no index left out")
+        assert built == []
+
     def test_malformed_edge_line(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n2 3 4\n")
@@ -379,7 +404,8 @@ class TestSerialization:
         ("3", "need two node indices"),
         ("1 -1", "node indices must be non-negative"),
         ("1 1", "self-loop at node 1"),
-    ], ids=["2 3 4", "a b", "1.5 2", "3", "1 -1", "1 1"])
+        ("3 3", "self-loop at node 3"),  # before node 2, which no edge touches
+    ], ids=["2 3 4", "a b", "1.5 2", "3", "1 -1", "1 1", "3 3"])
     def test_bad_edge_line_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "bad.edges"
         path.write_text(f"0 1\n\n{line}\n")
