@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import (ParameterVector, require_non_negative_ints, require_positive,
+from .params import (ParameterVector, require_non_negative_ints, require_positive, require_real,
                      require_same_layout)
 
 STRATEGY_KINDS = (
@@ -36,6 +36,7 @@ class LambdaSchedule:
     cap: float = 0.35
 
     def __post_init__(self):
+        require_real(offset=self.offset, cap=self.cap)
         if not (math.isfinite(self.offset) and self.offset >= 0):
             raise ValueError(f"offset must be non-negative and finite, got {self.offset}")
         require_positive(slope_divisor=self.slope_divisor)

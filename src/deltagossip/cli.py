@@ -51,6 +51,8 @@ from .topology import (
 )
 
 _EMPTY = MappingProxyType({})  # a read-only {}: an omitted block, whose keys all take defaults
+# scenario_table's defaults, the paper's reference scenario, are the netmodel flags' defaults
+_SCENARIO = {name: p.default for name, p in inspect.signature(scenario_table).parameters.items()}
 
 
 class ConfigError(ValueError):
@@ -309,8 +311,8 @@ def cmd_gen_topology(args) -> int:
 
 
 def cmd_netmodel(args) -> int:
-    node_counts = args.nodes or [10, 25, 50]
-    conns = args.conn or [3.3, 3.2, 4.2]
+    node_counts = args.nodes or _SCENARIO["node_counts"]
+    conns = args.conn or _SCENARIO["conns"]
     if len(node_counts) != len(conns):
         print("error: need one --conn per --nodes value", file=sys.stderr)
         return 1
@@ -392,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_net = sub.add_parser("netmodel", help="print analytical throughput scenarios")
-    p_net.add_argument("--baseline", type=float, default=1.77065882205598)
-    p_net.add_argument("--ref-n", type=int, default=10)
-    p_net.add_argument("--ref-conn", type=float, default=3.3)
+    p_net.add_argument("--baseline", type=float, default=_SCENARIO["baseline"])
+    p_net.add_argument("--ref-n", type=int, default=_SCENARIO["ref_n"])
+    p_net.add_argument("--ref-conn", type=float, default=_SCENARIO["ref_conn"])
     p_net.add_argument("--nodes", action="append", type=int)
     p_net.add_argument("--conn", action="append", type=float)
-    p_net.add_argument("--density-exponent", type=float, default=1.0)
-    p_net.add_argument("--fedavg-interval", type=float, default=5.0)
-    p_net.add_argument("--fedavg-sync-every", type=float, default=20.0)
+    p_net.add_argument("--density-exponent", type=float, default=_SCENARIO["density_exponent"])
+    p_net.add_argument("--fedavg-interval", type=float, default=_SCENARIO["update_interval_s"])
+    p_net.add_argument("--fedavg-sync-every", type=float, default=_SCENARIO["sync_every_updates"])
     p_net.add_argument("--csv", help="also export the grid as CSV")
     p_net.set_defaults(func=cmd_netmodel)
     return parser

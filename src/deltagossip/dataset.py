@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import require_ints, require_non_negative_ints, require_positive
+from .params import require_ints, require_non_negative_ints, require_positive, require_real
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -83,6 +83,7 @@ class ShardPlan:
         require_non_negative_ints(seed=self.seed)
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
+        require_real(train_fraction=self.train_fraction)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
 
@@ -158,26 +159,22 @@ def _block_sums(images: np.ndarray, ds: int) -> np.ndarray:
     in the narrowest unsigned dtype that holds 255 * ds**2.
 
     Each block's ds rows are added into a (count, rows/ds, cols) band, one whole
-    contiguous row per add, then the band's ds column phases into the sums. Images
-    go through in chunks, reusing one band that holds no more bytes than the float64
-    inputs the sums become (unless one image's band alone holds more); the band is
-    freed on return.
+    contiguous row per add, then the band's ds column phases into the sums. The band
+    holds itemsize/ds of the image bytes, which the caller holds anyway, and is freed
+    on return.
     """
     count, rows, cols = images.shape
     dtype = np.min_scalar_type(255 * ds * ds)
+    # The sums are allocated before the band: allocated after it, repeated load_idx
+    # calls on 6,000 28 x 28 images at ds 2 took 2-3x as long (heap layout).
     sums = np.empty((count, rows // ds, cols // ds), dtype)
-    chunk = min(count, max(1, 8 * count // (ds * dtype.itemsize)))
-    whole_band = np.empty((chunk, rows // ds, cols), dtype)
-    for start in range(0, count, chunk):
-        blocks = images[start:start + chunk].reshape(-1, rows // ds, ds, cols)
-        band = whole_band[:len(blocks)]
-        np.add(blocks[:, :, 0], blocks[:, :, 1], out=band, dtype=dtype)
-        for i in range(2, ds):
-            band += blocks[:, :, i]
-        out = sums[start:start + chunk]
-        np.add(band[..., 0::ds], band[..., 1::ds], out=out)
-        for j in range(2, ds):
-            out += band[..., j::ds]
+    blocks = images.reshape(count, rows // ds, ds, cols)
+    band = np.add(blocks[:, :, 0], blocks[:, :, 1], dtype=dtype)
+    for i in range(2, ds):
+        band += blocks[:, :, i]
+    np.add(band[..., 0::ds], band[..., 1::ds], out=sums)
+    for j in range(2, ds):
+        sums += band[..., j::ds]
     return sums
 
 

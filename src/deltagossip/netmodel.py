@@ -4,15 +4,16 @@ Gossip traffic scales with how many neighbors each node talks to, so the
 scenarios extrapolate a measured baseline rate by average connectivity
 (physically growing topology), hold it constant, or grow it with node
 density. The federated baseline is periodic updates plus a synchronization
-every fixed number of updates. A ValueError names any argument that is not
-positive and finite (the density exponent: not non-negative and finite).
+every fixed number of updates. A TypeError names any argument that is not
+a number, and a ValueError any that is not positive and finite (the density
+exponent: not non-negative and finite).
 """
 
 from __future__ import annotations
 
 import math
 
-from .params import require_positive
+from .params import require_positive, require_real
 
 
 def fedavg_rate(update_interval_s: float, sync_every_updates: float) -> float:
@@ -45,6 +46,7 @@ def connectivity_increase_rate(
     require_positive(baseline=baseline, ref_n=ref_n, n=n)
     if n < ref_n:
         raise ValueError(f"n must be >= the reference node count {ref_n}, got {n}")
+    require_real(density_exponent=density_exponent)
     if not (math.isfinite(density_exponent) and density_exponent >= 0):
         raise ValueError(f"density_exponent must be non-negative and finite, "
                          f"got {density_exponent!r}")
@@ -52,16 +54,16 @@ def connectivity_increase_rate(
 
 
 def scenario_table(
-    baseline: float,
-    ref_n: int,
-    ref_conn: float,
-    node_counts,
-    conns,
+    baseline: float = 1.77065882205598,  # measured updates/s on the 10-node reference
+    ref_n: int = 10,
+    ref_conn: float = 3.3,
+    node_counts=(10, 25, 50),
+    conns=(3.3, 3.2, 4.2),
     density_exponent: float = 1.0,
     update_interval_s: float = 5.0,
     sync_every_updates: float = 20.0,
 ):
-    """All scenario series over a (node count, connectivity) grid.
+    """All scenario series over a (node count, connectivity) grid, by default the paper's.
 
     Returns a list of dict rows keyed n, conn, expected,
     constant_connectivity, connectivity_increase, fedavg.

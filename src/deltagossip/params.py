@@ -3,15 +3,15 @@
 Every aggregation rule in this package operates on these vectors. Two
 vectors are combinable only when their layouts are identical; mismatches
 raise instead of silently misaligning weights. The ``require_*`` checks
-(integers, non-negative integers, positive finite numbers) are shared by
-every config class and generator.
+(integers, non-negative integers, real numbers, positive finite numbers)
+are shared by every config class and generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -102,8 +102,17 @@ def require_non_negative_ints(**fields) -> None:
             raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
+def require_real(**fields) -> None:
+    """TypeError naming the first field whose value is not a real number (bools are not)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 def require_positive(**values) -> None:
-    """ValueError naming the first value that is not a positive finite number."""
+    """``require_real``, then ValueError naming the first value that is not a
+    positive finite number."""
+    require_real(**values)
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")

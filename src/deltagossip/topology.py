@@ -2,9 +2,9 @@
 
 Generation builds a random spanning tree (connectivity for free), then adds
 random edges under the degree cap until the edge count matches the target
-average degree. Every produced graph passes its own validation. A
-TopologyGraph checks its own structure when it is built, so no code sees an
-asymmetric or malformed one.
+average degree, so a generated graph meets its constraints by construction
+and generation does not validate it. A TopologyGraph checks its own
+structure when it is built, so no code sees an asymmetric or malformed one.
 """
 
 from __future__ import annotations
@@ -150,6 +150,10 @@ def generate_semi_random(
     odd, or when max_degree is 1 on more than 2 nodes; GenerationBudgetError
     if all GENERATION_ATTEMPTS stall. An attempt takes time linear in nodes
     plus edges, apart from stall fallbacks.
+
+    The first attempt that does not stall is returned unchecked: a spanning
+    tree plus edges under the degree cap, no degree below min_degree, and
+    edge_target edges, which the checks below keep within 0.5 of the target.
     """
     require_ints(nodes=nodes)
     require_non_negative_ints(seed=seed)
@@ -184,14 +188,8 @@ def generate_semi_random(
     edge_target = min(max(round(nodes * target / 2.0), min_edges), max_edges)
 
     for attempt in range(GENERATION_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        graph = _attempt(nodes, constraints, edge_target, rng)
-        if graph is None:
-            continue
-        report = validate(graph, constraints)
-        if report.connected and not report.degree_violations and (
-            abs(report.avg_degree - target) <= 0.5
-        ):
+        graph = _attempt(nodes, constraints, edge_target, np.random.default_rng([seed, attempt]))
+        if graph is not None:
             return graph
     raise GenerationBudgetError(
         f"no valid graph for nodes={nodes}, target={target} after {GENERATION_ATTEMPTS} attempts"
@@ -200,14 +198,11 @@ def generate_semi_random(
 
 def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
     max_deg = constraints.max_degree
-    neighbors = [set() for _ in range(n)]
-    degrees = [0] * n
+    neighbors = [set() for _ in range(n)]  # a node's degree is the size of its set
 
     def connect(a, b):
         neighbors[a].add(b)
         neighbors[b].add(a)
-        degrees[a] += 1
-        degrees[b] += 1
 
     # Random spanning tree: attach each node to an earlier one with headroom.
     # open_ holds the placed nodes below the cap in placement order. It is
@@ -218,26 +213,23 @@ def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
         k = int(rng.integers(len(open_)))
         parent = open_[k]
         connect(node, parent)
-        if degrees[parent] == max_deg:
+        if len(neighbors[parent]) == max_deg:
             del open_[k]
-        if degrees[node] < max_deg:
+        if len(neighbors[node]) < max_deg:
             open_.append(node)
 
-    edge_count = n - 1
-    stalls = 0
-    while edge_count < edge_target:
-        a = int(rng.integers(n))
-        b = int(rng.integers(n))
-        if a != b and degrees[a] < max_deg and degrees[b] < max_deg and b not in neighbors[a]:
-            connect(a, b)
-            edge_count += 1
-            stalls = 0
-            continue
-        stalls += 1
-        if stalls >= 50:
-            # Random picks keep missing; enumerate the remaining candidates,
+    for _ in range(n - 1, edge_target):
+        for _ in range(50):
+            a = int(rng.integers(n))
+            b = int(rng.integers(n))
+            if (a != b and len(neighbors[a]) < max_deg and len(neighbors[b]) < max_deg
+                    and b not in neighbors[a]):
+                connect(a, b)
+                break
+        else:
+            # 50 random picks missed; enumerate the remaining candidates,
             # pairing only the nodes below the cap, in ascending order.
-            below = [i for i in range(n) if degrees[i] < max_deg]
+            below = [i for i in range(n) if len(neighbors[i]) < max_deg]
             pool = [
                 (i, j)
                 for x, i in enumerate(below)
@@ -246,12 +238,9 @@ def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
             ]
             if not pool:
                 return None
-            i, j = pool[rng.integers(len(pool))]
-            connect(i, j)
-            edge_count += 1
-            stalls = 0
+            connect(*pool[rng.integers(len(pool))])
 
-    if min(degrees) < constraints.min_degree:
+    if min(map(len, neighbors)) < constraints.min_degree:
         return None
     return TopologyGraph(n, tuple(tuple(sorted(s)) for s in neighbors))
 

@@ -327,6 +327,10 @@ class TestStrictConfig:
             ("topologies[0]", "nodes", 4.0),
             ("config", "seed", 1.5),
             ("dataset", "seed", 1.5),
+            ("model", "learning_rate", True),
+            ("lambda_schedule", "cap", True),
+            ("topologies[0]", "target_avg_degree", "2"),
+            ("shards", "train_fraction", "0.5"),
         ],
     )
     def test_wrong_typed_value_is_a_config_error(self, tmp_path, capsys, block, key, value):

@@ -12,6 +12,7 @@ from deltagossip.dataset import (
     DatasetShard,
     IdxFormatError,
     ShardPlan,
+    _block_sums,
     concat_shards,
     load_idx,
     shard_equal,
@@ -135,9 +136,8 @@ def frozen_float_pooling(images, downsample):
 def pooling_inputs(draw):
     """uint8 images (count, rows, cols), mostly not square, and a downsample factor
     dividing both sides; "rows" makes a block as tall as the image. Factor 17 sums its
-    blocks in uint32 (255 * 17**2 > 65535), and factors of 5 and up pool their images
-    in several chunks. Some draws set whole images to 0 or 255, the extremes of a
-    block sum."""
+    blocks in uint32 (255 * 17**2 > 65535). Some draws set whole images to 0 or 255,
+    the extremes of a block sum."""
     downsample = draw(st.sampled_from([1, 2, 3, 4, 7, 17, "rows"]))
     if downsample == "rows":
         downsample = rows = draw(st.integers(1, 12))
@@ -245,6 +245,19 @@ class TestLoadIdx:
         once = sums / (255.0 * area)
         twice = sums / area / 255.0
         assert once.tobytes() == twice.tobytes()
+
+    def test_pooling_peak_memory_stays_within_the_image_bytes(self):
+        # At factor 7 the uint16 row band holds 2/7 of the image bytes, which
+        # load_idx holds anyway; a float64 band would hold 8/7 of them.
+        images = np.random.default_rng(0).integers(0, 256, (3000, 28, 28), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            sums = _block_sums(images, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sums.shape == (3000, 4, 4)
+        assert peak <= images.nbytes
 
     @pytest.mark.skipif(
         "MNIST_DIR" not in __import__("os").environ,

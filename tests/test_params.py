@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import deltagossip as dg
 from deltagossip.params import (
     LayoutError,
     ParameterVector,
@@ -80,6 +83,33 @@ def test_require_non_negative_ints_names_the_field_and_value():
         require_non_negative_ints(a=0, b=-1)
     with pytest.raises(TypeError, match=r"^b must be an integer"):
         require_non_negative_ints(a=0, b=-1.0)
+
+
+# (builder, its other arguments, a float parameter): every float field and argument
+FLOAT_FIELDS = [
+    (dg.ModelConfig, {"input_dim": 2, "class_count": 2}, "learning_rate"),
+    (dg.LambdaSchedule, {}, "offset"),
+    (dg.LambdaSchedule, {}, "slope_divisor"),
+    (dg.LambdaSchedule, {}, "cap"),
+    (dg.ShardPlan, {"node_count": 2}, "train_fraction"),
+    (dg.TopologyConstraints, {}, "target_avg_degree"),
+    (dg.synth_classification, {"classes": 2, "dim": 2, "per_class": 2, "seed": 0},
+     "noise_sigma"),
+    (dg.scenario_table, {}, "baseline"),
+    (dg.scenario_table, {}, "ref_conn"),
+    (dg.scenario_table, {}, "density_exponent"),
+    (dg.scenario_table, {}, "update_interval_s"),
+    (dg.scenario_table, {}, "sync_every_updates"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+@pytest.mark.parametrize("builder, kwargs, name", FLOAT_FIELDS,
+                         ids=[f"{case[0].__name__}.{case[2]}" for case in FLOAT_FIELDS])
+def test_float_field_rejects_a_bool_or_a_string_by_name(builder, kwargs, name, value):
+    message = f"{name} must be a number, got {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        builder(**kwargs, **{name: value})
 
 
 def test_with_values():

@@ -208,6 +208,46 @@ class TestGenerateSemiRandom:
         same_outcome()
         assert fallbacks, "no example reached the stall fallback"
 
+    def test_every_generated_graph_meets_its_constraints(self):
+        # generate_semi_random returns its first unstalled attempt unchecked.
+        graphs = []
+
+        @hypothesis_seed(20261021)
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(generation_cases())
+        def valid(case):
+            nodes, constraints, seed = case
+            try:
+                graph = generate_semi_random(nodes, constraints, seed)
+            except (UnsatisfiableConstraintsError, GenerationBudgetError):
+                return
+            report = validate(graph, constraints)
+            assert report.connected and not report.degree_violations
+            assert abs(report.avg_degree - constraints.target_avg_degree) <= 0.5
+            graphs.append(graph)
+
+        valid()
+        assert graphs, "no example gave a graph"
+
+    def test_edge_target_within_half_a_degree_of_every_accepted_target(self):
+        # Targets on a 0.1 grid; the clamp corners of the test below are among them.
+        accepted = set()
+        for nodes in (2, 3, 4, 5, 9, 10, 20):
+            for max_degree in (1, 2, 3, 8):
+                for tenths in range(10, 10 * max_degree + 1):
+                    target = tenths / 10
+                    constraints = TopologyConstraints(max_degree=max_degree,
+                                                      target_avg_degree=target)
+                    try:
+                        graph = generate_semi_random(nodes, constraints, seed=0)
+                    except UnsatisfiableConstraintsError:
+                        continue
+                    report = validate(graph, constraints)
+                    assert report.connected and not report.degree_violations
+                    assert abs(2 * graph.edge_count / nodes - target) <= 0.5
+                    accepted.add((nodes, max_degree, target))
+        assert {(10, 8, 1.6), (20, 8, 1.5), (5, 3, 3.0), (9, 3, 3.0), (4, 8, 3.4)} <= accepted
+
     @pytest.mark.parametrize("nodes, max_degree, target, edges", [
         (10, 8, 1.6, 9),   # round(8.0) = 8 is below a spanning tree's 9 edges
         (20, 8, 1.5, 19),  # round(15.0) = 15
