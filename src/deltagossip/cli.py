@@ -4,10 +4,12 @@ Subcommands: gen-topology (write a constrained random graph), run (full
 training/convergence experiment from a JSON config, one metrics CSV per
 strategy plus a summary), netmodel (analytical throughput table).
 All randomness flows from config seeds, and every run executes serially in
-this process, so run's --threads never changes output. A run that raises a
-SimulationError is reported on stderr and in the summary, the other runs
-go on, and run exits 1. A file that cannot be read or written (an OSError)
-stops any command with an ``error:`` line and exit 1.
+this process, so run's --threads never changes output. run's --seed,
+--strategy and --out each replace the config's seed, strategies and
+output_dir before the config is read. A run that raises a SimulationError
+is reported on stderr and in the summary, the other runs go on, and run
+exits 1. A file that cannot be read or written (an OSError) stops any
+command with an ``error:`` line and exit 1.
 
 run reads every config block with _build (README: "Config blocks"): the
 block's keys are the parameters of the class or function it builds, minus
@@ -37,7 +39,7 @@ from .gossipsim import (Forwarding, SimConfig, SimSchedule, SimulationError, pre
                         run_simulation)
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv, write_atomic
 from .model import ModelConfig
-from .netmodel import fedavg_rate, scenario_table
+from .netmodel import scenario_table
 from .params import require_non_negative_ints
 from .topology import (
     GenerationBudgetError,
@@ -150,7 +152,8 @@ def _load_topology(spec, where: str, default_seed: int):
 
 def _experiment(dataset, topologies, strategies, seed=0, output_dir=".", model=_EMPTY,
                 schedule=_EMPTY, shards=_EMPTY, lambda_schedule=_EMPTY, forwarding=_EMPTY):
-    """The config's top level: (dataset, global_val, runs), one run per topology and strategy."""
+    """The config's top level: (dataset, global_val, runs, out_dir), one run per
+    topology and strategy."""
     require_non_negative_ints(seed=seed)
     if not isinstance(output_dir, str):
         raise TypeError(f"output_dir must be a string, got {output_dir!r}")
@@ -191,14 +194,7 @@ def _experiment(dataset, topologies, strategies, seed=0, output_dir=".", model=_
                            model_config=model_config, shard_plan=plan, forwarding=forwarding_rule)
                  for strategy in integrations]
         _call(f"topologies[{i}]", prepare_inputs, runs[-1], data, global_val=global_val)
-    return data, global_val, runs
-
-
-def _build_experiment(config: dict, seed_override: int | None):
-    """(dataset, global_val, runs) of a run config; ``seed_override`` replaces its seed."""
-    if seed_override is not None and isinstance(config, dict):
-        config = {**config, "seed": seed_override}
-    return _build("config", _experiment, config)
+    return data, global_val, runs, Path(output_dir)
 
 
 def _reject_constant(name: str):
@@ -217,16 +213,14 @@ def cmd_run(args) -> int:
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return 1
 
-    if args.strategy and isinstance(config, dict):
-        config["strategies"] = args.strategy
-
+    flags = {"seed": args.seed, "strategies": args.strategy, "output_dir": args.out}
+    if isinstance(config, dict):
+        config = {**config, **{key: value for key, value in flags.items() if value is not None}}
     try:
-        dataset, global_val, runs = _build_experiment(config, args.seed)
+        dataset, global_val, runs, out_dir = _build("config", _experiment, config)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    out_dir = Path(args.out or config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {"runs": [], "drop_ratios": {}}
@@ -333,7 +327,7 @@ def cmd_netmodel(args) -> int:
             f"{row['constant_connectivity']:>10.5f} "
             f"{row['connectivity_increase']:>10.5f} {row['fedavg']:>8.3f}"
         )
-    ratio = args.baseline / fedavg_rate(args.fedavg_interval, args.fedavg_sync_every)
+    ratio = rows[0]["constant_connectivity"] / rows[0]["fedavg"]
     print(
         f"gossip/federated per-node rate at reference point: {ratio:.2f}x "
         "(nominal cluster-wide traffic multiple: ~5x)"
@@ -377,13 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument(
-        "--strategy",
-        action="append",
-        help="strategy to run (repeatable; overrides config list)",
-    )
-    p_run.add_argument("--seed", type=int, help="override the master seed")
+    p_run.add_argument("--out", help="output directory (replaces output_dir)")
+    p_run.add_argument("--strategy", action="append",
+                       help="strategy to run (repeatable; replaces strategies)")
+    p_run.add_argument("--seed", type=int, help="master seed (replaces seed)")
     p_run.add_argument(
         "--threads",
         type=_positive_int,

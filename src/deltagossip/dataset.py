@@ -26,6 +26,19 @@ class IdxFormatError(ValueError):
     no images or a zero image side)."""
 
 
+def _require_class_indices(labels: np.ndarray) -> None:
+    """A ValueError naming the first label the int64 cast would change: any
+    string, or a float that is fractional, NaN, infinite or out of range."""
+    if labels.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to an arbitrary integer
+            changed = np.flatnonzero(labels.astype(np.int64) != labels)
+    else:
+        changed = [0]
+    if len(changed):
+        raise ValueError(f"labels must be integer class indices, "
+                         f"got {labels.flat[changed[0]].item()!r}")
+
+
 @dataclass(frozen=True)
 class DatasetShard:
     """A set of samples. ``labels`` is the shard's own read-only copy, so what
@@ -37,7 +50,10 @@ class DatasetShard:
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        raw = np.asarray(self.labels)
+        if raw.dtype.kind in "fUS" and raw.size:  # integer and bool labels cast exactly
+            _require_class_indices(raw)
+        labels = np.array(raw, dtype=np.int64)
         labels.flags.writeable = False
         if inputs.ndim != 2:
             raise ValueError("inputs must be a 2-d array of feature vectors")

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 import multiprocessing.process
 import re
@@ -10,7 +11,7 @@ import pytest
 from test_dataset import write_idx_pair
 
 from deltagossip import cli, topology
-from deltagossip.cli import _build_experiment, main
+from deltagossip.cli import _build, _experiment, main
 from deltagossip.gossipsim import SimulationError, run_simulation
 from deltagossip.topology import TopologyConstraints, read_edge_list, validate
 
@@ -207,7 +208,7 @@ class TestRun:
         config["dataset"] = {"kind": "idx", "train_images": str(train[0]),
                              "train_labels": str(train[1]), "test_images": str(test[0]),
                              "test_labels": str(test[1]), "downsample": 2}
-        _, global_val, runs = _build_experiment(config, None)
+        _, global_val, runs, _ = _build("config", _experiment, config)
         assert global_val.labels.tolist() == test_labels and global_val.dim == 4
         assert runs[0].model_config.class_count == 3
 
@@ -422,7 +423,7 @@ class TestStrictConfig:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S)
         config = json.loads(block.group(1))
-        _, _, runs = _build_experiment(config, None)
+        _, _, runs, _ = _build("config", _experiment, config)
         assert len(runs) == len(config["topologies"]) * len(config["strategies"])
         assert runs[0].schedule.integrate_every == config["schedule"]["integrate_every"]
 
@@ -652,6 +653,61 @@ class TestSweepInputs:
         assert capsys.readouterr().err.startswith("error: topologies[0]: no valid graph for "
                                                   "nodes=4")
         assert not Path(config["output_dir"]).exists()
+
+
+def _spied_run(tmp_path, monkeypatch, name, config, flags=()):
+    """``main(["run", ...])`` on ``config`` written to ``name``: its exit code and
+    the runs it built, each as (node count, strategy, model seed)."""
+    built = []
+
+    def spy(sim, *args, **kwargs):
+        built.append((sim.topology.node_count, sim.strategy.kind, sim.model_config.seed))
+        return run_simulation(sim, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", spy)
+    config_path = tmp_path / name
+    config_path.write_text(json.dumps(config))
+    return main(["run", "--config", str(config_path), *flags]), built
+
+
+class TestFlagsReplaceKeys:
+    """run's --seed, --strategy and --out replace the seed, strategies and
+    output_dir keys before the config is read, so each means what its key means."""
+
+    @pytest.mark.parametrize("seed, strategy, out", itertools.product([False, True], repeat=3))
+    def test_a_flag_means_its_key(self, tmp_path, monkeypatch, capsys, seed, strategy, out):
+        config = small_config(tmp_path)
+        del config["model"]["seed"]  # the model seed is then the master seed
+        out_dir = str(tmp_path / "flag_out")
+        given = {"seed": (["--seed", "5"], 5),
+                 "strategies": (["--strategy", "fedavg"], ["fedavg"]),
+                 "output_dir": (["--out", out_dir], out_dir)}
+        chosen = [key for key, on in zip(given, (seed, strategy, out)) if on]
+        flags = [text for key in chosen for text in given[key][0]]
+        keyed = {**config, **{key: given[key][1] for key in chosen}}
+
+        code, built = _spied_run(tmp_path, monkeypatch, "flags.json", config, flags)
+        printed = capsys.readouterr().out
+        assert (code, built) == _spied_run(tmp_path, monkeypatch, "keys.json", keyed)
+        assert capsys.readouterr().out == printed
+        assert code == 0
+        assert built == [(4, name, keyed["seed"]) for name in keyed["strategies"]]
+        assert printed.endswith(f"wrote {Path(keyed['output_dir']) / 'summary.json'}\n")
+
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [("seed", -1, ["--seed", "1"]), ("strategies", "x", ["--strategy", "fedavg"]),
+         ("output_dir", 5, ["--out", "rescued"])],
+        ids=["seed", "strategies", "output_dir"],
+    )
+    def test_a_flag_rescues_an_invalid_key(self, tmp_path, monkeypatch, capsys, key, value,
+                                           flag):
+        monkeypatch.chdir(tmp_path)
+        config = {**small_config(tmp_path), key: value}
+        assert _spied_run(tmp_path, monkeypatch, "exp.json", config, flag)[0] == 0
+        assert capsys.readouterr().err == ""
+        out_dir = tmp_path / ("rescued" if key == "output_dir" else "out")
+        assert (out_dir / "summary.json").exists()
 
 
 class TestFileErrors:

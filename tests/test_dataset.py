@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -374,3 +375,24 @@ class TestShardLabels:
         np.testing.assert_array_equal(planes.take(index), planes[shard.labels, np.arange(n)])
         assert shard.top_label == 4
         assert DatasetShard(np.zeros((0, 2)), np.zeros(0, dtype=int)).top_label == -1
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [([0.5, 1.7, 2.9], "0.5"), ([1.0, 2.5, 0.0], "2.5"), (["1", "0"], "'1'"),
+         ([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf"), ([-np.inf, 0.0], "-inf"),
+         (np.array([1, 2], dtype="S1"), "b'1'"), (np.array([0.0, 1e20]), "1e+20")],
+        ids=["fractions", "one_fraction", "strings", "nan", "inf", "minus_inf", "bytes",
+             "too_large"],
+    )
+    def test_labels_the_int_cast_would_change_are_named(self, labels, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels must be integer class indices, got {bad}")):
+            DatasetShard(np.zeros((len(labels), 2)), labels)
+
+    @pytest.mark.parametrize("labels", [[0.0, 2.0], np.array([1, 0], dtype=np.float32),
+                                        [True, False], np.zeros(0)],
+                             ids=["floats", "float32", "bools", "empty"])
+    def test_integer_valued_labels_are_kept(self, labels):
+        shard = DatasetShard(np.zeros((len(labels), 2)), labels)
+        assert shard.labels.dtype == np.int64
+        assert shard.labels.tolist() == [int(x) for x in labels]
