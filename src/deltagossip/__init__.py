@@ -57,9 +57,9 @@ from .topology import (
     TopologyConstraints,
     TopologyGraph,
     generate_semi_random,
+    is_connected,
     read_edge_list,
     stats,
-    validate,
     write_edge_list,
 )
 

@@ -7,6 +7,7 @@ and keeps one global validation set shared by all nodes.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -27,16 +28,21 @@ class IdxFormatError(ValueError):
 
 
 def _require_class_indices(labels: np.ndarray) -> None:
-    """A ValueError naming the first label the int64 cast would change: any
-    string, or a float that is fractional, NaN, infinite or out of range."""
-    if labels.dtype.kind == "f":
+    """A ValueError naming the first label that is not an integer class index:
+    a float the int64 cast would change (fractional, NaN, infinite or out of
+    range), an object that is not a numbers.Integral, and any label of every
+    other dtype (strings, bytes, complex numbers, datetimes)."""
+    kind = labels.dtype.kind
+    if kind == "f":
         with np.errstate(invalid="ignore"):  # NaN and inf cast to an arbitrary integer
-            changed = np.flatnonzero(labels.astype(np.int64) != labels)
+            bad = np.flatnonzero(labels.astype(np.int64) != labels)[:1]
+    elif kind == "O":
+        bad = [i for i, x in enumerate(labels.flat) if not isinstance(x, numbers.Integral)][:1]
     else:
-        changed = [0]
-    if len(changed):
+        bad = [0]
+    if len(bad):
         raise ValueError(f"labels must be integer class indices, "
-                         f"got {labels.flat[changed[0]].item()!r}")
+                         f"got {labels.flat[bad].tolist()[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class DatasetShard:
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
         raw = np.asarray(self.labels)
-        if raw.dtype.kind in "fUS" and raw.size:  # integer and bool labels cast exactly
+        if raw.dtype.kind not in "iub" and raw.size:  # integer and bool labels cast exactly
             _require_class_indices(raw)
         labels = np.array(raw, dtype=np.int64)
         labels.flags.writeable = False

@@ -55,8 +55,9 @@ from .model import (
     train_epochs,
 )
 from .params import ParameterVector, require_ints
-from .topology import TopologyConstraints, TopologyGraph, hop_distances
-from .topology import validate as validate_topology
+from .topology import TopologyGraph, hop_distances
+# bench/spans.py patches is_connected under this name
+from .topology import is_connected as validate_topology
 
 
 class SimulationError(RuntimeError):
@@ -238,11 +239,7 @@ def prepare_inputs(config: SimConfig, dataset: DatasetShard,
     dimension is not the model's input_dim, or a label in the dataset or
     global_val that reaches the model's class_count is a ValueError.
     """
-    graph = config.topology
-    report = validate_topology(
-        graph, TopologyConstraints(min_degree=1, max_degree=max(1, graph.node_count - 1))
-    )
-    if not report.connected:
+    if not validate_topology(config.topology):
         raise ValueError("topology must be connected")
 
     per_node, gval = shard_equal(dataset, config.shard_plan, global_val=global_val)

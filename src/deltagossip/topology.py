@@ -1,10 +1,12 @@
 """Semi-random neighbor graphs under degree and connectivity constraints.
 
-Generation builds a random spanning tree (connectivity for free), then adds
-random edges under the degree cap until the edge count matches the target
-average degree, so a generated graph meets its constraints by construction
-and generation does not validate it. A TopologyGraph checks its own
-structure when it is built, so no code sees an asymmetric or malformed one.
+Generation builds a random spanning tree (connectivity for free), joins the
+nodes still below min_degree when it is 2 or more, then adds random edges
+under the degree cap until the edge count matches the target average
+degree, so a generated graph meets its constraints by construction and
+generation does not check it. is_connected is the one connectivity check
+and stats the one graph report. A TopologyGraph checks its own structure
+when it is built, so no code sees an asymmetric or malformed one.
 """
 
 from __future__ import annotations
@@ -94,13 +96,6 @@ class TopologyGraph:
 
 
 @dataclass
-class ValidationReport:
-    connected: bool
-    degree_violations: list[int]
-    avg_degree: float
-
-
-@dataclass
 class GraphStats:
     avg_degree: float
     min_degree: int
@@ -149,10 +144,13 @@ def generate_semi_random(
     max_degree asks for a regular graph whose degree sum nodes * degree is
     odd, or when max_degree is 1 on more than 2 nodes; GenerationBudgetError
     if all GENERATION_ATTEMPTS stall. An attempt takes time linear in nodes
-    plus edges, apart from stall fallbacks.
+    plus edges, apart from stall fallbacks and the joins, each of which scans
+    the nodes below min_degree. An attempt stalls when its joins would pass
+    edge_target edges or find no partner, or when a random edge finds no pair.
 
     The first attempt that does not stall is returned unchecked: a spanning
-    tree plus edges under the degree cap, no degree below min_degree, and
+    tree plus joins and random edges, each between two nodes below the
+    degree cap; the joins leave no degree below min_degree, and there are
     edge_target edges, which the checks below keep within 0.5 of the target.
     """
     require_ints(nodes=nodes)
@@ -197,7 +195,7 @@ def generate_semi_random(
 
 
 def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
-    max_deg = constraints.max_degree
+    min_deg, max_deg = constraints.min_degree, constraints.max_degree
     neighbors = [set() for _ in range(n)]  # a node's degree is the size of its set
 
     def connect(a, b):
@@ -218,7 +216,24 @@ def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
         if len(neighbors[node]) < max_deg:
             open_.append(node)
 
-    for _ in range(n - 1, edge_target):
+    # Joins: with min_degree 2 or more the tree's leaves are short. Join the
+    # lowest short node to a random other short one, else to any node below
+    # the cap, until none is short; the joins count toward edge_target.
+    edges = n - 1
+    short = [i for i in range(n) if len(neighbors[i]) < min_deg]
+    while short:
+        node = short[0]
+        partners = [j for j in short[1:] if j not in neighbors[node]] or [
+            j for j in range(n)
+            if j != node and len(neighbors[j]) < max_deg and j not in neighbors[node]
+        ]
+        if edges == edge_target or not partners:
+            return None
+        connect(node, partners[rng.integers(len(partners))])
+        edges += 1
+        short = [i for i in short if len(neighbors[i]) < min_deg]
+
+    for _ in range(edges, edge_target):
         for _ in range(50):
             a = int(rng.integers(n))
             b = int(rng.integers(n))
@@ -240,23 +255,7 @@ def _attempt(n, constraints, edge_target, rng) -> TopologyGraph | None:
                 return None
             connect(*pool[rng.integers(len(pool))])
 
-    if min(map(len, neighbors)) < constraints.min_degree:
-        return None
     return TopologyGraph(n, tuple(tuple(sorted(s)) for s in neighbors))
-
-
-def validate(graph: TopologyGraph, constraints: TopologyConstraints) -> ValidationReport:
-    """Connectivity and degree-bound report."""
-    violations = [
-        i
-        for i, d in enumerate(graph.degrees())
-        if not constraints.min_degree <= d <= constraints.max_degree
-    ]
-    return ValidationReport(
-        connected=is_connected(graph),
-        degree_violations=violations,
-        avg_degree=graph.avg_degree,
-    )
 
 
 def _count_bridges(graph: TopologyGraph) -> int:

@@ -23,7 +23,7 @@ from deltagossip.topology import (
     TopologyConstraints,
     UnsatisfiableConstraintsError,
     generate_semi_random,
-    validate,
+    is_connected,
 )
 
 EXACT = 1e-12
@@ -301,10 +301,9 @@ def test_criterion_7_topology_contract():
             continue
         except GenerationBudgetError as err:  # pragma: no cover - must not happen
             pytest.fail(f"budget exhausted on satisfiable n={n} target={target}: {err}")
-        repcheck = validate(graph, constraints)
-        assert repcheck.connected
-        assert not repcheck.degree_violations
-        assert abs(repcheck.avg_degree - target) <= 0.5
+        assert is_connected(graph)
+        assert all(1 <= d <= 8 for d in graph.degrees())
+        assert abs(graph.avg_degree - target) <= 0.5
         generated += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

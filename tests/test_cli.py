@@ -13,7 +13,7 @@ from test_dataset import write_idx_pair
 from deltagossip import cli, topology
 from deltagossip.cli import _build, _experiment, main
 from deltagossip.gossipsim import SimulationError, run_simulation
-from deltagossip.topology import TopologyConstraints, read_edge_list, validate
+from deltagossip.topology import is_connected, read_edge_list
 
 
 def small_config(tmp_path, nodes=4, strategies=None):
@@ -58,8 +58,8 @@ class TestGenTopology:
         out = capsys.readouterr().out
         assert "avg_degree" in out and "diameter" in out
         graph = read_edge_list(str(prefix) + ".edges")
-        report = validate(graph, TopologyConstraints(target_avg_degree=3.3))
-        assert report.connected and not report.degree_violations
+        assert is_connected(graph)
+        assert all(1 <= d <= 8 for d in graph.degrees())
         descriptor = json.loads((tmp_path / "topo.json").read_text())
         assert descriptor["node_count"] == 10
 

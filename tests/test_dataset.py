@@ -380,9 +380,13 @@ class TestShardLabels:
         "labels, bad",
         [([0.5, 1.7, 2.9], "0.5"), ([1.0, 2.5, 0.0], "2.5"), (["1", "0"], "'1'"),
          ([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf"), ([-np.inf, 0.0], "-inf"),
-         (np.array([1, 2], dtype="S1"), "b'1'"), (np.array([0.0, 1e20]), "1e+20")],
+         (np.array([1, 2], dtype="S1"), "b'1'"), (np.array([0.0, 1e20]), "1e+20"),
+         ([1, None], "None"), (np.array([1, 2.5], dtype=object), "2.5"),
+         ([1 + 1j, 2], "(1+1j)"), ([1 + 0j, 2], "(1+0j)"),
+         (np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[D]"),
+          "datetime.date(2024, 1, 1)")],
         ids=["fractions", "one_fraction", "strings", "nan", "inf", "minus_inf", "bytes",
-             "too_large"],
+             "too_large", "none", "object_fraction", "complex", "real_complex", "datetimes"],
     )
     def test_labels_the_int_cast_would_change_are_named(self, labels, bad):
         with pytest.raises(ValueError, match=re.escape(
@@ -390,8 +394,11 @@ class TestShardLabels:
             DatasetShard(np.zeros((len(labels), 2)), labels)
 
     @pytest.mark.parametrize("labels", [[0.0, 2.0], np.array([1, 0], dtype=np.float32),
-                                        [True, False], np.zeros(0)],
-                             ids=["floats", "float32", "bools", "empty"])
+                                        [True, False], np.zeros(0),
+                                        np.array([1, 2], dtype=object),
+                                        np.array([np.int64(1), np.uint8(0), True], dtype=object)],
+                             ids=["floats", "float32", "bools", "empty", "object_ints",
+                                  "object_numpy_ints"])
     def test_integer_valued_labels_are_kept(self, labels):
         shard = DatasetShard(np.zeros((len(labels), 2)), labels)
         assert shard.labels.dtype == np.int64

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from deltagossip.topology import (
     TopologyGraph,
     UnsatisfiableConstraintsError,
     generate_semi_random,
+    is_connected,
     read_edge_list,
     stats,
-    validate,
     write_descriptor,
     write_edge_list,
 )
@@ -53,12 +54,23 @@ def connected_graphs(draw):
     return TopologyGraph.from_edges(n, edges)
 
 
+def meets(graph, constraints):
+    """Whether graph is connected, every degree is within the constraints'
+    bounds and the average degree is within 0.5 of the target."""
+    degrees = graph.degrees()
+    return (is_connected(graph)
+            and constraints.min_degree <= min(degrees)
+            and max(degrees) <= constraints.max_degree
+            and abs(graph.avg_degree - constraints.target_avg_degree) <= 0.5)
+
+
 def quadratic_attempt(n, constraints, edge_target, rng, fallbacks):
     """The generator's attempt as it was before its candidate lists were kept
     up to date: the spanning tree rescans every placed node for each new one,
-    and each stall fallback scans all node pairs. It appends to ``fallbacks``
-    each time that fallback runs. The reference the differential test
-    compares ``topology._attempt`` against."""
+    the joins rescan every node for each join, and each stall fallback scans
+    all node pairs. It appends to ``fallbacks`` each time that fallback runs.
+    The reference the differential test compares ``topology._attempt``
+    against."""
     max_deg = constraints.max_degree
     neighbors = [set() for _ in range(n)]
     degrees = [0] * n
@@ -77,6 +89,20 @@ def quadratic_attempt(n, constraints, edge_target, rng, fallbacks):
         connect(order[i], candidates[rng.integers(len(candidates))])
 
     edge_count = n - 1
+    while True:
+        short = [i for i in range(n) if degrees[i] < constraints.min_degree]
+        if not short:
+            break
+        node = short[0]
+        partners = [j for j in short[1:] if j not in neighbors[node]] or [
+            j for j in range(n)
+            if j != node and degrees[j] < max_deg and j not in neighbors[node]
+        ]
+        if edge_count == edge_target or not partners:
+            return None
+        connect(node, partners[rng.integers(len(partners))])
+        edge_count += 1
+
     stalls = 0
     while edge_count < edge_target:
         a = int(rng.integers(n))
@@ -136,10 +162,9 @@ class TestGenerateSemiRandom:
     def test_ten_nodes_target_3_3(self):
         constraints = TopologyConstraints(target_avg_degree=3.3)
         graph = generate_semi_random(10, constraints, seed=7)
-        report = validate(graph, constraints)
-        assert report.connected
-        assert not report.degree_violations
-        assert 2.8 <= report.avg_degree <= 3.8
+        assert is_connected(graph)
+        assert all(1 <= d <= 8 for d in graph.degrees())
+        assert 2.8 <= graph.avg_degree <= 3.8
 
     def test_two_nodes_single_edge(self):
         graph = generate_semi_random(
@@ -221,13 +246,54 @@ class TestGenerateSemiRandom:
                 graph = generate_semi_random(nodes, constraints, seed)
             except (UnsatisfiableConstraintsError, GenerationBudgetError):
                 return
-            report = validate(graph, constraints)
-            assert report.connected and not report.degree_violations
-            assert abs(report.avg_degree - constraints.target_avg_degree) <= 0.5
+            assert meets(graph, constraints)
             graphs.append(graph)
 
         valid()
         assert graphs, "no example gave a graph"
+
+    @pytest.mark.parametrize("nodes, target", [(30, 2.5), (40, 3.3), (100, 3.3)])
+    def test_min_degree_two_met_at_every_seed(self, nodes, target):
+        # The spanning tree's leaves are joined rather than left to the random
+        # edges, so no seed spends its attempts on graphs with a leaf.
+        constraints = TopologyConstraints(min_degree=2, max_degree=8, target_avg_degree=target)
+        for seed in range(10):
+            assert meets(generate_semi_random(nodes, constraints, seed), constraints)
+
+    def test_joins_never_fail_where_rejection_succeeds(self):
+        # Rejection is the attempt without joins: the min_degree 1 draws, then
+        # a graph with a degree below min_degree is thrown away.
+        joining = topology._attempt
+
+        def rejection(n, constraints, edge_target, rng):
+            graph = joining(n, replace(constraints, min_degree=1), edge_target, rng)
+            if graph is None or min(graph.degrees()) < constraints.min_degree:
+                return None
+            return graph
+
+        def gives_graph(case):
+            try:
+                generate_semi_random(*case)
+            except (UnsatisfiableConstraintsError, GenerationBudgetError):
+                return False
+            return True
+
+        outcomes = []
+
+        @hypothesis_seed(20261026)
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(generation_cases().filter(lambda case: case[1].min_degree >= 2))
+        def never_worse(case):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(topology, "_attempt", rejection)
+                before = gives_graph(case)
+            after = gives_graph(case)
+            assert after or not before
+            outcomes.append((before, after))
+
+        never_worse()
+        assert (True, True) in outcomes, "rejection gave no graph"
+        assert (False, True) in outcomes, "the joins rescued no example"
 
     def test_edge_target_within_half_a_degree_of_every_accepted_target(self):
         # Targets on a 0.1 grid; the clamp corners of the test below are among them.
@@ -242,9 +308,7 @@ class TestGenerateSemiRandom:
                         graph = generate_semi_random(nodes, constraints, seed=0)
                     except UnsatisfiableConstraintsError:
                         continue
-                    report = validate(graph, constraints)
-                    assert report.connected and not report.degree_violations
-                    assert abs(2 * graph.edge_count / nodes - target) <= 0.5
+                    assert meets(graph, constraints)
                     accepted.add((nodes, max_degree, target))
         assert {(10, 8, 1.6), (20, 8, 1.5), (5, 3, 3.0), (9, 3, 3.0), (4, 8, 3.4)} <= accepted
 
@@ -285,9 +349,7 @@ class TestGenerateSemiRandom:
             target = float(rng.uniform(1.8, min(7.5, n - 1)))
             constraints = TopologyConstraints(target_avg_degree=target)
             graph = generate_semi_random(n, constraints, seed=int(rng.integers(10**6)))
-            report = validate(graph, constraints)
-            assert report.connected and not report.degree_violations
-            assert abs(report.avg_degree - target) <= 0.5
+            assert meets(graph, constraints)
 
     def test_degree_sum_is_twice_edges(self):
         graph = generate_semi_random(
@@ -313,22 +375,16 @@ class TestGenerateSemiRandom:
 
 class TestValidate:
     def test_ring_clean(self):
-        report = validate(ring(10), TopologyConstraints(target_avg_degree=2.0))
-        assert report.connected
-        assert report.degree_violations == []
-        assert report.avg_degree == 2.0
-
-    def test_star_hub_violates_max_degree(self):
-        star = TopologyGraph.from_edges(10, [(0, i) for i in range(1, 10)])
-        report = validate(star, TopologyConstraints(max_degree=8, target_avg_degree=1.8))
-        assert report.degree_violations == [0]
+        graph = ring(10)
+        assert is_connected(graph)
+        assert graph.degrees() == [2] * 10
+        assert graph.avg_degree == 2.0
 
     def test_disjoint_triangles_not_connected(self):
         graph = TopologyGraph.from_edges(
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         )
-        report = validate(graph, TopologyConstraints(target_avg_degree=2.0))
-        assert not report.connected
+        assert not is_connected(graph)
 
     def test_asymmetric_adjacency_rejected(self):
         # rejected when built, before stats or write_edge_list can read it
@@ -396,8 +452,8 @@ class TestSerialization:
         write_edge_list(graph, path)
         loaded = read_edge_list(path)
         assert loaded.adjacency == graph.adjacency
-        report = validate(loaded, constraints)
-        assert report.connected and not report.degree_violations
+        assert is_connected(loaded)
+        assert all(1 <= d <= 8 for d in loaded.degrees())
 
     def test_descriptor_contents(self, tmp_path):
         constraints = TopologyConstraints(target_avg_degree=2.5)
