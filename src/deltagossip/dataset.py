@@ -20,6 +20,7 @@ from .params import require_ints, require_non_negative_ints, require_positive, r
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 GLOBAL_HOLDOUT_FRACTION = 0.1  # of a dataset with no designated global validation set
+INT64 = np.iinfo(np.int64)
 
 
 class IdxFormatError(ValueError):
@@ -30,19 +31,33 @@ class IdxFormatError(ValueError):
 def _require_class_indices(labels: np.ndarray) -> None:
     """A ValueError naming the first label that is not an integer class index:
     a float the int64 cast would change (fractional, NaN, infinite or out of
-    range), an object that is not a numbers.Integral, and any label of every
-    other dtype (strings, bytes, complex numbers, datetimes)."""
+    range), an object that is not a numbers.Integral, an integer outside
+    int64 (an object int or a uint64), and any label of every other dtype
+    (strings, bytes, complex numbers, datetimes)."""
     kind = labels.dtype.kind
+    if kind == "u":  # uint64, the one unsigned type that can exceed int64
+        bad = np.flatnonzero(labels > INT64.max)[:1]
+        if len(bad):
+            raise ValueError(f"labels must fit in int64, got {labels.flat[bad[0]].tolist()!r}")
+        return
+    if kind == "O":
+        for x in labels.flat:
+            if not isinstance(x, numbers.Integral):
+                raise ValueError(f"labels must be integer class indices, got {x!r}")
+            if not INT64.min <= x <= INT64.max:
+                raise ValueError(f"labels must fit in int64, got {x!r}")
+        return
     if kind == "f":
         with np.errstate(invalid="ignore"):  # NaN and inf cast to an arbitrary integer
             bad = np.flatnonzero(labels.astype(np.int64) != labels)[:1]
-    elif kind == "O":
-        bad = [i for i, x in enumerate(labels.flat) if not isinstance(x, numbers.Integral)][:1]
     else:
         bad = [0]
     if len(bad):
-        raise ValueError(f"labels must be integer class indices, "
-                         f"got {labels.flat[bad].tolist()[0]!r}")
+        value = labels.flat[bad].tolist()[0]
+        # A datetime below microseconds lists as a raw count, and NaT as None.
+        if kind in "mM" and (value is None or isinstance(value, int)):
+            value = labels.flat[bad[0]]
+        raise ValueError(f"labels must be integer class indices, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +72,8 @@ class DatasetShard:
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
         raw = np.asarray(self.labels)
-        if raw.dtype.kind not in "iub" and raw.size:  # integer and bool labels cast exactly
+        # Integer and bool labels cast exactly, except uint64 beyond int64.
+        if raw.size and (raw.dtype.kind not in "iub" or raw.dtype == np.uint64):
             _require_class_indices(raw)
         labels = np.array(raw, dtype=np.int64)
         labels.flags.writeable = False

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,6 +126,15 @@ def _class_planes(config: ModelConfig, w: np.ndarray, x: np.ndarray) -> np.ndarr
     return np.add((_hidden_layer(x, w1, b1) @ w2).T, b2.T, order="C")
 
 
+@lru_cache(maxsize=64)
+def _pick_grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``np.indices(shape, sparse=True)``, read-only, as every caller of a shape shares it."""
+    grid = np.indices(shape, sparse=True)
+    for axis in grid:
+        axis.setflags(write=False)
+    return grid
+
+
 def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """Mean cross-entropy (...) over the leading axes of w (..., P); its gradient goes to out.
@@ -133,11 +143,15 @@ def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.
     of it is overwritten. Each gradient segment (hidden_w, hidden_b, out_w,
     out_b) is written straight into its ``_layers`` view of ``out``, so a
     step allocates nothing of size P. The matmuls and bias sums into these
-    views are bitwise equal to the same operations into fresh arrays.
+    views are bitwise equal to the same operations into fresh arrays. The
+    forward pass is ``_forward``'s, on one set of ``_layers`` views of w.
     """
-    hidden, logits = _forward(config, w, x)
+    w1, b1, w2, b2 = _layers(config, w)
+    hidden = _hidden_layer(x, w1, b1)
+    logits = hidden @ w2
+    logits += b2
     log_probs = _log_softmax(logits)
-    pick = (*np.indices(y.shape, sparse=True), y)  # each sample's true-class entry
+    pick = (*_pick_grid(y.shape), y)  # each sample's true-class entry
     loss = -log_probs[pick].mean(axis=-1)
 
     d_logits = np.exp(log_probs)
@@ -148,7 +162,7 @@ def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.
     np.matmul(np.swapaxes(hidden, -1, -2), d_logits, out=g2)
     d_logits.sum(axis=-2, out=gb2[..., 0, :])
     if config.hidden_dim > 0:
-        d_hidden = d_logits @ np.swapaxes(_layers(config, w)[2], -1, -2)
+        d_hidden = d_logits @ np.swapaxes(w2, -1, -2)
         slope = hidden * hidden  # the tanh derivative 1 - hidden**2
         np.subtract(1.0, slope, out=slope)
         d_hidden *= slope
@@ -228,15 +242,20 @@ def train_epochs(
     updates the weights in place (``grad *= lr; w -= grad``: the roundings
     of ``w - lr * grad``), so no step allocates a (G, P) float array. The
     trained weights then become the deltas in place, row g holding after -
-    before for ``models[g]``, and each model gets one new ParameterVector,
-    before + delta, which makes the delta apply back bitwise. The caller's
-    inputs, labels and ParameterVectors are not written.
+    before for ``models[g]``, and the models' new weights are one block,
+    before + deltas, which makes each delta apply back bitwise. That block
+    is checked once and handed out by ``ParameterVector.rows``: each model
+    gets a read-only view of its row, and one model's vector keeps the
+    whole block alive. The caller's inputs, labels and ParameterVectors are
+    not written.
 
     A failing model (non-finite loss or weights, labels beyond the class
     count) raises TrainingError for the lowest failing row of the first
     epoch in which any row fails; no model is updated then. The loss is
     checked after every step and the weights once per epoch; a row is
-    labelled by whichever went non-finite first.
+    labelled by whichever went non-finite first. Weights that stay finite
+    but move too far for their delta to be finite are ParameterVector's
+    ValueError, and no model is updated then either.
     """
     models = list(models)
     if epochs < 1:
@@ -246,7 +265,7 @@ def train_epochs(
     if not models:
         raise ValueError("need at least one model")
     cfg = models[0].config
-    if any(m.config != cfg for m in models):
+    if any(m.config is not cfg and m.config != cfg for m in models):
         raise ValueError("models of one group must share one ModelConfig")
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -265,7 +284,8 @@ def train_epochs(
     if failures:
         labels = np.where(labels < cfg.class_count, labels, 0)
 
-    w = np.stack([m.weights.values for m in models])  # private: updated in place
+    values = [m.weights.values for m in models]
+    w = np.array(values)  # private: updated in place
     grad = np.empty(w.shape)
     for e in range(epochs):
         order = np.random.default_rng([cfg.seed, start_epoch + e]).permutation(size)
@@ -294,9 +314,14 @@ def train_epochs(
             row = min(failures)
             raise TrainingError(row, start_epoch + e, failures[row])
 
-    for model, row in zip(models, w):
-        row -= model.weights.values  # now the delta after - before
-        model.weights = model.weights.with_values(model.weights.values + row)
+    # The step buffer is free now: it becomes the block of new weights. A
+    # delta can overflow; rows then rejects the non-finite weights.
+    before = np.stack(values, out=grad)
+    with np.errstate(over="ignore"):
+        w -= before  # now the deltas after - before
+        before += w  # now the new weights before + delta
+    for model, weights in zip(models, ParameterVector.rows(before, models[0].weights.layout)):
+        model.weights = weights
     return w
 
 

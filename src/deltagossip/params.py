@@ -42,27 +42,60 @@ def make_layout(sizes: Sequence[tuple[str, int]]) -> tuple[Segment, ...]:
     return tuple(segments)
 
 
+def _check_values(arr: np.ndarray, layout: tuple[Segment, ...]) -> None:
+    """LayoutError unless arr's last axis fits the contiguous layout; ValueError
+    on a non-finite value."""
+    expected = 0
+    for seg in layout:
+        if seg.offset != expected:
+            raise LayoutError(
+                f"segment {seg.name!r} starts at {seg.offset}, expected {expected}"
+            )
+        expected += seg.length
+    if arr.shape[-1] != expected:
+        raise LayoutError(f"got {arr.shape[-1]} values for a layout of length {expected}")
+    if not np.isfinite(arr).all():
+        raise ValueError("parameter values must be finite")
+
+
 class ParameterVector:
-    """Immutable float64 weight storage with a fixed segment layout."""
+    """Immutable float64 weight storage with a fixed segment layout.
+
+    ``__init__`` copies its values. ``rows`` takes over a whole (G, P) block
+    instead, and each of its vectors holds a read-only view of one row.
+    """
 
     __slots__ = ("values", "layout")
 
     def __init__(self, values, layout: tuple[Segment, ...]):
         arr = np.array(values, dtype=np.float64, copy=True).ravel()
-        expected = 0
-        for seg in layout:
-            if seg.offset != expected:
-                raise LayoutError(
-                    f"segment {seg.name!r} starts at {seg.offset}, expected {expected}"
-                )
-            expected += seg.length
-        if arr.size != expected:
-            raise LayoutError(f"got {arr.size} values for a layout of length {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("parameter values must be finite")
+        _check_values(arr, layout)
         arr.setflags(write=False)
         self.values = arr
         self.layout = layout
+
+    @classmethod
+    def rows(cls, block: np.ndarray, layout: tuple[Segment, ...]) -> list["ParameterVector"]:
+        """One vector per row of a fresh float64 (G, P) block, without a copy.
+
+        The caller gives the block up: it is checked once, as ``__init__``
+        checks one vector (LayoutError, then ValueError on a non-finite
+        value, and then no vector is made), and made read-only. Each vector's
+        values are a view of its row, so one vector keeps the whole block
+        alive.
+        """
+        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+                and block.ndim == 2 and block.flags.owndata and block.flags.c_contiguous):
+            raise ValueError("rows takes a C-contiguous float64 (G, P) array that owns its data")
+        _check_values(block, layout)
+        block.setflags(write=False)
+        vectors = []
+        for row in block:
+            vec = object.__new__(cls)
+            vec.values = row
+            vec.layout = layout
+            vectors.append(vec)
+        return vectors
 
     def __len__(self) -> int:
         return self.values.size

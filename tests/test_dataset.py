@@ -393,12 +393,41 @@ class TestShardLabels:
                 f"labels must be integer class indices, got {bad}")):
             DatasetShard(np.zeros((len(labels), 2)), labels)
 
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [(np.array([2**70, 1], dtype=object), str(2**70)),
+         (np.array([1, -2**63 - 1], dtype=object), str(-2**63 - 1)),
+         (np.array([1, 2**63], dtype=np.uint64), str(2**63)),
+         (np.array([2**64 - 1, 0], dtype=np.uint64), str(2**64 - 1))],
+        ids=["object_int", "object_negative_int", "uint64", "uint64_max"],
+    )
+    def test_integers_outside_int64_are_named(self, labels, bad):
+        with pytest.raises(ValueError, match=f"^labels must fit in int64, got {bad}$"):
+            DatasetShard(np.zeros((len(labels), 2)), labels)
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [(np.array(["2024-01-01", "2024-01-02"], dtype="datetime64[ns]"),
+          "np.datetime64('2024-01-01T00:00:00.000000000')"),
+         (np.array(["1970-01-02", "1970-01-03"], dtype="datetime64[ps]"),
+          "np.datetime64('1970-01-02T00:00:00.000000000000')"),
+         (np.array([3, 1], dtype="timedelta64[ns]"), "np.timedelta64(3,'ns')"),
+         (np.array(["NaT", "2024-01-02"], dtype="datetime64[D]"), "np.datetime64('NaT','D')")],
+        ids=["nanoseconds", "picoseconds", "timedelta_nanoseconds", "not_a_time"],
+    )
+    def test_datetimes_of_any_unit_are_named_as_datetimes(self, labels, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels must be integer class indices, got {bad}")):
+            DatasetShard(np.zeros((len(labels), 2)), labels)
+
     @pytest.mark.parametrize("labels", [[0.0, 2.0], np.array([1, 0], dtype=np.float32),
                                         [True, False], np.zeros(0),
                                         np.array([1, 2], dtype=object),
-                                        np.array([np.int64(1), np.uint8(0), True], dtype=object)],
+                                        np.array([np.int64(1), np.uint8(0), True], dtype=object),
+                                        np.array([3, 2**63 - 1], dtype=np.uint64),
+                                        np.array([2**63 - 1, np.uint64(2**63 - 1)], dtype=object)],
                              ids=["floats", "float32", "bools", "empty", "object_ints",
-                                  "object_numpy_ints"])
+                                  "object_numpy_ints", "uint64_int64_max", "object_int64_max"])
     def test_integer_valued_labels_are_kept(self, labels):
         shard = DatasetShard(np.zeros((len(labels), 2)), labels)
         assert shard.labels.dtype == np.int64

@@ -125,6 +125,18 @@ class TestLossAndGradient:
         with pytest.raises(ValueError):
             model.loss_and_gradient(out_of_range)
 
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 3, 4)])
+    def test_pick_grid_is_one_read_only_np_indices_per_shape(self, shape):
+        grid = model_module._pick_grid(shape)
+        assert model_module._pick_grid(shape) is grid
+        expected = np.indices(shape, sparse=True)
+        assert len(grid) == len(expected)
+        for axis, reference in zip(grid, expected):
+            assert axis.shape == reference.shape and np.array_equal(axis, reference)
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[...] = 0
+
     def test_empty_batch_rejected(self):
         model = TrainableModel(ModelConfig(input_dim=4, class_count=3, seed=0))
         with pytest.raises(ValueError, match="empty batch"):
@@ -377,8 +389,8 @@ def frozen_loss_and_gradient(config, w, x, y):
     return loss, np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
 
 
-def frozen_train(config, before, inputs, labels, epochs, batch_size, start_epoch):
-    """(weights, deltas) (G, P) of the allocating step's training loop over take batches."""
+def frozen_trained(config, before, inputs, labels, epochs, batch_size, start_epoch):
+    """The trained weights (G, P) of the allocating step's training loop over take batches."""
     w = before.copy()
     size = labels.shape[1]
     for e in range(epochs):
@@ -388,8 +400,23 @@ def frozen_train(config, before, inputs, labels, epochs, batch_size, start_epoch
             x, y = inputs.take(idx, axis=1), labels.take(idx, axis=1)
             _, grad = frozen_loss_and_gradient(config, w, x, y)
             w = w - config.learning_rate * grad
-    deltas = w - before
+    return w
+
+
+def frozen_train(config, before, inputs, labels, epochs, batch_size, start_epoch):
+    """(weights, deltas) (G, P) of the allocating step's training loop over take batches."""
+    deltas = frozen_trained(config, before, inputs, labels, epochs, batch_size,
+                            start_epoch) - before
     return before + deltas, deltas
+
+
+def per_model_rewrap(models, trained):
+    """The per-model loop train_epochs used to end with, operation for operation:
+    each trained row becomes its delta in place and the model a new vector."""
+    for model, row in zip(models, trained):
+        row -= model.weights.values
+        model.weights = model.weights.with_values(model.weights.values + row)
+    return trained
 
 
 @st.composite
@@ -447,6 +474,61 @@ class TestFrozenStep:
                                                                 labels[0])
         assert loss == float(expected_loss)
         assert grad.values.tobytes() == expected_grad.tobytes()
+
+
+class TestRewrap:
+    @hypothesis_seed(20250501)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(frozen_step_runs(), st.booleans())
+    def test_train_epochs_bitwise_equal_to_the_per_model_rewrap(self, run, staggered):
+        cfg, weights, inputs, labels, (batch_size, epochs, start_epoch) = run
+        models = [TrainableModel(cfg, init_weights(cfg).with_values(row)) for row in weights]
+        reference = [TrainableModel(cfg, m.weights) for m in models]
+        saved = inputs.copy(), labels.copy()
+        calls = ([(start_epoch + e, 1) for e in range(epochs)] if staggered
+                 else [(start_epoch, epochs)])
+        earlier = []  # every vector a model held, with its bytes
+        for start, count in calls:
+            earlier += [(m.weights, m.weights.values.tobytes()) for m in models]
+            deltas = train_epochs(models, inputs, labels, count, batch_size, start)
+            trained = frozen_trained(cfg, np.stack([m.weights.values for m in reference]),
+                                     inputs, labels, count, batch_size, start)
+            expected = per_model_rewrap(reference, trained)
+            assert deltas.shape == expected.shape
+            for g, model in enumerate(models):
+                assert model.weights.values.tobytes() == reference[g].weights.values.tobytes()
+                assert deltas[g].tobytes() == expected[g].tobytes()
+                assert model.weights.layout == reference[g].weights.layout
+                assert not model.weights.values.flags.writeable
+        assert np.array_equal(inputs, saved[0]) and np.array_equal(labels, saved[1])
+        for vector, values in earlier:
+            assert vector.values.tobytes() == values
+
+    def test_an_overflowing_delta_is_the_per_model_error_and_updates_no_model(self):
+        # Zero inputs make the logits the output biases. Row 1's class-0 bias
+        # starts at -1.7e308 and every label is 0, so each of its two steps
+        # (batch size 1) raises that bias by about lr = 1e308 and it ends
+        # finite near 0.3e308: a delta of about 2e308, which overflows.
+        cfg = ModelConfig(input_dim=1, class_count=10, learning_rate=1e308, seed=0)
+        values = init_weights(cfg).values.copy()
+        values[-10] = -1.7e308
+        inputs, labels = np.zeros((2, 2, 1)), np.zeros((2, 2), dtype=int)
+
+        def group():
+            return [TrainableModel(cfg), TrainableModel(cfg, init_weights(cfg).with_values(values))]
+
+        models, reference = group(), group()
+        starts = [m.weights for m in models]
+        with pytest.raises(ValueError) as error:
+            train_epochs(models, inputs, labels, 1, 1)
+        trained = frozen_trained(cfg, np.stack([m.weights.values for m in reference]),
+                                 inputs, labels, 1, 1, 0)
+        assert np.isfinite(trained).all()
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as expected:
+            per_model_rewrap(reference, trained)
+        assert type(error.value) is type(expected.value) is ValueError
+        assert str(error.value) == str(expected.value) == "parameter values must be finite"
+        assert all(m.weights is w for m, w in zip(models, starts))
 
 
 class TestCentralizedReference:

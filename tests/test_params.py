@@ -117,3 +117,64 @@ def test_with_values():
     d = a.with_values(np.array([7.0, 8.0]))
     assert d.layout == a.layout
     np.testing.assert_array_equal(d.values, [7.0, 8.0])
+
+
+class TestRows:
+    layout = make_layout([("a", 3), ("b", 2)])
+
+    def block(self, rows=4, seed=0):
+        return np.random.default_rng(seed).normal(0, 1e3, (rows, 5))
+
+    def test_each_vector_equals_one_made_by_init(self):
+        block = self.block()
+        expected = [ParameterVector(row, self.layout) for row in block]
+        vectors = ParameterVector.rows(block, self.layout)
+        assert len(vectors) == len(expected)
+        for vec, ref in zip(vectors, expected):
+            assert vec.layout is self.layout
+            assert vec.values.dtype == ref.values.dtype and vec.values.shape == ref.values.shape
+            assert vec.values.tobytes() == ref.values.tobytes()
+
+    def test_values_are_read_only_views_of_the_taken_block(self):
+        block = self.block()
+        vectors = ParameterVector.rows(block, self.layout)
+        assert not block.flags.writeable
+        for g, vec in enumerate(vectors):
+            assert vec.values.base is block and np.shares_memory(vec.values, block[g])
+            assert vec.values.flags.c_contiguous
+            with pytest.raises(ValueError):
+                vec.values[0] = 1.0
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+    def test_a_layout_of_another_length_is_the_init_error(self):
+        layout = make_layout([("a", 3), ("b", 3)])
+        with pytest.raises(LayoutError) as init_error:
+            ParameterVector(self.block()[0], layout)
+        with pytest.raises(LayoutError) as rows_error:
+            ParameterVector.rows(self.block(), layout)
+        assert str(rows_error.value) == str(init_error.value)
+        with pytest.raises(LayoutError, match="starts at 3, expected 2"):
+            ParameterVector.rows(self.block(), (Segment("a", 0, 2), Segment("b", 3, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 3), (3, 4)])
+    def test_a_non_finite_value_anywhere_is_the_init_error(self, value, where):
+        block = self.block()
+        block[where] = value
+        with pytest.raises(ValueError) as init_error:
+            ParameterVector(block[where[0]], self.layout)
+        vectors = None
+        with pytest.raises(ValueError) as rows_error:
+            vectors = ParameterVector.rows(block, self.layout)
+        assert vectors is None
+        assert str(rows_error.value) == str(init_error.value) == "parameter values must be finite"
+
+    @pytest.mark.parametrize("make", [
+        lambda b: b[1:], np.asfortranarray, lambda b: b.astype(np.float32),
+        lambda b: b[0].copy(), lambda b: b.tolist()],
+        ids=["view", "fortran_order", "float32", "one_dimensional", "list"])
+    def test_only_a_fresh_c_ordered_float64_block_is_taken(self, make):
+        block = make(self.block())
+        with pytest.raises(ValueError, match="owns its data"):
+            ParameterVector.rows(block, self.layout)
