@@ -23,6 +23,8 @@ for nodes in (8, 24):
     )
     print(f"\n{nodes} nodes (avg degree {graph.avg_degree:.2f}), "
           f"{data.size // nodes} samples per node:")
+    # The strategies differ from the first integration on; before it they share one run.
+    cache = dg.PrefixCache()
     for kind in STRATEGIES:
         config = dg.SimConfig(
             topology=graph,
@@ -33,7 +35,7 @@ for nodes in (8, 24):
             ),
             shard_plan=dg.ShardPlan(node_count=nodes, train_fraction=0.8, seed=301),
         )
-        records = dg.run_simulation(config, data)
+        records = dg.run_simulation(config, data, cache=cache)
         rows = dg.aggregate_across_nodes(records)
         path = f"{nodes}nodes_{kind}.csv"
         dg.export_csv(rows, path)

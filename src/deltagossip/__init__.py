@@ -22,6 +22,7 @@ from .dataset import DatasetShard, ShardPlan, load_idx, shard_equal, synth_class
 from .gossipsim import (
     Forwarding,
     NodeState,
+    PrefixCache,
     SimConfig,
     SimSchedule,
     convergence_round,

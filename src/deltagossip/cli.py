@@ -4,7 +4,10 @@ Subcommands: gen-topology (write a constrained random graph), run (full
 training/convergence experiment from a JSON config, one metrics CSV per
 strategy plus a summary), netmodel (analytical throughput table).
 All randomness flows from config seeds, and every run executes serially in
-this process, so run's --threads never changes output. run's --seed,
+this process, so run's --threads never changes output. The runs of one
+topology differ only in strategy, so they share one gossipsim.PrefixCache:
+each after the first starts from the first's state at epoch
+integrate_every, with the same records as a run from epoch 1. run's --seed,
 --strategy and --out each replace the config's seed, strategies and
 output_dir before the config is read. A run that raises a SimulationError
 is reported on stderr and in the summary, the other runs go on, and run
@@ -35,8 +38,8 @@ from types import MappingProxyType
 
 from .aggregation import IntegrationStrategy, LambdaSchedule
 from .dataset import DatasetShard, ShardPlan, load_idx, synth_classification
-from .gossipsim import (Forwarding, SimConfig, SimSchedule, SimulationError, prepare_inputs,
-                        run_simulation)
+from .gossipsim import (Forwarding, PrefixCache, SimConfig, SimSchedule, SimulationError,
+                        prepare_inputs, run_simulation)
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv, write_atomic
 from .model import ModelConfig
 from .netmodel import scenario_table
@@ -225,11 +228,12 @@ def cmd_run(args) -> int:
     summary = {"runs": [], "drop_ratios": {}}
     final_by_strategy: dict[str, dict[int, float]] = {}
     failed = 0
+    cache = PrefixCache()  # a topology's runs share their epochs before the first integration
     for sim in runs:
         n = sim.topology.node_count
         name = sim.strategy.kind
         try:
-            records = run_simulation(sim, dataset, global_val=global_val)
+            records = run_simulation(sim, dataset, global_val=global_val, cache=cache)
         except SimulationError as err:
             failed += 1
             print(f"error: {n} nodes {name}: {err}", file=sys.stderr)

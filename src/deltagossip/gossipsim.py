@@ -25,12 +25,17 @@ step per batch, bitwise equal to training its nodes one by one. Packaging,
 integration and evaluation go one node at a time in ascending node order,
 so a run is a bit-reproducible function of its config and data. A failure
 in any step is a SimulationError naming the node.
+
+Runs that differ only in strategy and forwarding compute the same epochs
+1..integrate_every - 1. Given one PrefixCache, the first such run stores
+its state at the start of epoch integrate_every and the others start
+there, in the same epoch loop, with the same records.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -257,10 +262,78 @@ def prepare_inputs(config: SimConfig, dataset: DatasetShard,
     return per_node, gval
 
 
+@dataclass(frozen=True)
+class _Snapshot:
+    """A run's state at the start of ``epoch``: everything it goes on from."""
+
+    epoch: int
+    per_node: list  # prepare_inputs' (train, local_val) per node
+    gval: DatasetShard
+    # One (node indices, stacked inputs, stacked labels) per train-shard size.
+    groups: list
+    weights: list  # (weights, base snapshot) per node
+    records: tuple  # the records of the indices before epoch
+
+
+class PrefixCache:
+    """The shared start of runs that differ only in strategy and forwarding.
+
+    Until epoch ``integrate_every``, the first integration, nothing a run
+    computes depends on its strategy or forwarding. A run given a cache
+    that misses stores its state at the start of that epoch, replacing the
+    one snapshot the cache holds: its checked inputs, every node's weights
+    and base snapshot, and its records so far. A later run whose topology,
+    schedule, model_config and shard_plan are equal, on the same dataset
+    and global_val objects, starts there instead of at epoch 1. The
+    snapshot shares those inputs and the immutable weight vectors, so a
+    cache is only valid while its dataset and global_val are not changed.
+    """
+
+    def __init__(self):
+        self._entry = None  # (key, dataset, global_val, snapshot)
+
+    @staticmethod
+    def _key(config: SimConfig) -> tuple:
+        return config.topology, config.schedule, config.model_config, config.shard_plan
+
+    def lookup(self, config: SimConfig, dataset: DatasetShard,
+               global_val: DatasetShard | None) -> _Snapshot | None:
+        """The stored snapshot if ``config``, ``dataset`` and ``global_val`` share its prefix."""
+        if self._entry is None:
+            return None
+        key, data, gval, snapshot = self._entry
+        if data is dataset and gval is global_val and key == self._key(config):
+            return snapshot
+        return None
+
+    def store(self, config: SimConfig, dataset: DatasetShard,
+              global_val: DatasetShard | None, snapshot: _Snapshot) -> None:
+        self._entry = (self._key(config), dataset, global_val, snapshot)
+
+
+def _first_snapshot(config: SimConfig, dataset: DatasetShard,
+                    global_val: DatasetShard | None) -> _Snapshot:
+    """A run's state at the start of epoch 1: checked inputs, one shared start model."""
+    per_node, gval = prepare_inputs(config, dataset, global_val)
+    by_size: dict[int, list[int]] = {}
+    for i, (train, _) in enumerate(per_node):
+        by_size.setdefault(train.size, []).append(i)
+    groups = []
+    for rows in by_size.values():
+        inputs = np.stack([per_node[i][0].inputs for i in rows])
+        labels = np.stack([per_node[i][0].labels for i in rows])
+        inputs.setflags(write=False)  # a cache shares them between runs
+        labels.setflags(write=False)
+        groups.append((rows, inputs, labels))
+    start = init_weights(config.model_config)
+    return _Snapshot(1, per_node, gval, groups, [(start, start)] * len(per_node), ())
+
+
 def run_simulation(
     config: SimConfig,
     dataset: DatasetShard,
     global_val: DatasetShard | None = None,
+    cache: PrefixCache | None = None,
 ) -> list[MetricsRecord]:
     """Full training + convergence schedule; one record per node per index.
 
@@ -268,25 +341,28 @@ def run_simulation(
     to convergence_until_round are convergence rounds. Inputs that
     prepare_inputs rejects are a ValueError before training; a dataset of
     the wrong dimension fails its first training epoch as a SimulationError.
+    With a ``cache`` (see PrefixCache) the run starts at epoch
+    integrate_every when the cache holds its prefix, and stores that
+    prefix there otherwise; the records are the same either way.
     """
-    per_node, gval = prepare_inputs(config, dataset, global_val)
-    start = init_weights(config.model_config)
-    states = [
-        NodeState(i, TrainableModel(config.model_config, start), train, lval)
-        for i, (train, lval) in enumerate(per_node)
-    ]
-
-    by_size: dict[int, list[NodeState]] = {}
-    for state in states:
-        by_size.setdefault(state.train_shard.size, []).append(state)
-    # One (members, stacked inputs, stacked labels) per train-shard size.
-    groups = [(members, np.stack([s.train_shard.inputs for s in members]),
-               np.stack([s.train_shard.labels for s in members]))
-              for members in by_size.values()]
-
     schedule = config.schedule
+    first_merge = schedule.integrate_every
+    snapshot = cache.lookup(config, dataset, global_val) if cache is not None else None
+    fill = cache is not None and snapshot is None
+    if snapshot is None:
+        snapshot = _first_snapshot(config, dataset, global_val)
+    gval = snapshot.gval
+    states = []
+    for i, ((train, lval), (weights, base)) in enumerate(zip(snapshot.per_node,
+                                                            snapshot.weights)):
+        state = NodeState(i, TrainableModel(config.model_config, weights), train, lval)
+        state.base_snapshot = base
+        states.append(state)
+    groups = [([states[i] for i in rows], inputs, labels)
+              for rows, inputs, labels in snapshot.groups]
+
     kind = config.strategy.kind
-    records: list[MetricsRecord] = []
+    records: list[MetricsRecord] = list(snapshot.records)
 
     def record_all(index: int) -> None:
         local = [evaluate(state.model, state.local_val) for state in states]
@@ -294,7 +370,11 @@ def run_simulation(
         records.extend(MetricsRecord(state.node_id, index, local_acc, global_acc)
                        for state, local_acc, global_acc in zip(states, local, shared))
 
-    for epoch in range(1, schedule.train_epochs + 1):
+    for epoch in range(snapshot.epoch, schedule.train_epochs + 1):
+        if fill and epoch == first_merge:
+            cache.store(config, dataset, global_val, replace(
+                snapshot, epoch=epoch, records=tuple(records),
+                weights=[(s.model.weights, s.base_snapshot) for s in states]))
         failures = []
         for members, inputs, labels in groups:
             try:

@@ -185,16 +185,33 @@ class TrainingError(ValueError):
 
 
 class TrainableModel:
-    """A classifier over a flat ParameterVector with analytic gradients."""
+    """A classifier over a flat ParameterVector with analytic gradients.
+
+    ``weights`` only takes a vector of the model's layout: any other is a
+    ValueError when it is assigned, and the model keeps the weights it had.
+    """
 
     def __init__(self, config: ModelConfig, weights: ParameterVector | None = None):
         self.config = config
-        expected = model_layout(config)
-        if weights is None:
-            weights = init_weights(config)
-        elif weights.layout != expected:
-            raise ValueError("weights do not match the model layout")
-        self.weights = weights
+        self._layout = model_layout(config)
+        self.weights = init_weights(config) if weights is None else weights
+        # Vectors derived from these weights share their layout object, so
+        # later assignments pass the setter's identity test.
+        self._layout = self._weights.layout
+
+    @property
+    def weights(self) -> ParameterVector:
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights: ParameterVector) -> None:
+        layout = weights.layout
+        if layout is not self._layout and layout != self._layout:
+            got = ", ".join(f"{seg.name}[{seg.length}]" for seg in layout)
+            takes = ", ".join(f"{seg.name}[{seg.length}]" for seg in self._layout)
+            raise ValueError(f"weights do not match the model layout: got {got}, "
+                             f"the model takes {takes}")
+        self._weights = weights
 
     def loss_and_gradient(self, batch: DatasetShard) -> tuple[float, ParameterVector]:
         """Mean cross-entropy over a non-empty batch and its gradient."""

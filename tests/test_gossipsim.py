@@ -20,6 +20,7 @@ from deltagossip.dataset import DatasetShard, ShardPlan, shard_equal, synth_clas
 from deltagossip.gossipsim import (
     Forwarding,
     NodeState,
+    PrefixCache,
     SimConfig,
     SimSchedule,
     SimulationError,
@@ -32,7 +33,7 @@ from deltagossip.gossipsim import (
 )
 from deltagossip.metrics import aggregate_across_nodes, export_csv
 from deltagossip.model import ModelConfig, TrainableModel, train_epochs
-from deltagossip.params import ParameterVector, make_layout
+from deltagossip.params import ParameterVector
 from deltagossip.topology import TopologyConstraints, TopologyGraph, generate_semi_random
 
 from reference_engine import reach, run_reference
@@ -280,12 +281,14 @@ class TestIntegrationStep:
 class TestConvergenceRound:
     @staticmethod
     def states_with_weights(weight_rows, graph, dim=1):
-        layout = make_layout([("w", dim)])
+        """One state per row, its weights the row repeated over the model's layout."""
         states = []
         shard = tiny_shard(classes=2, dim=dim, per_class=4)
         for i, row in enumerate(weight_rows):
             state = make_state(node_id=i, shard=shard)
-            state.model.weights = ParameterVector(np.asarray(row, dtype=float), layout)
+            weights = state.model.weights
+            state.model.weights = weights.with_values(
+                np.resize(np.asarray(row, dtype=float), len(weights)))
             states.append(state)
         return states
 
@@ -673,6 +676,113 @@ class TestFailureContext:
         assert str(info.value) == (
             "node 2 convergence round 12 (delta_sum): parameter values must be finite"
         )
+
+
+def cache_config(kind="delta_sum", max_hops=1, every=4, hidden=0):
+    """A 7-node run, two train-shard sizes, 4 epochs and 2 convergence rounds."""
+    return dataclasses.replace(
+        small_sim_config(kind, nodes=7, hidden=hidden),
+        schedule=SimSchedule(train_epochs=4, integrate_every=every, convergence_until_round=6,
+                             batch_size=8),
+        forwarding=Forwarding(max_hops=max_hops),
+    )
+
+
+def counting(monkeypatch, name):
+    """Count the engine's calls of the gossipsim global ``name``; the list of their args."""
+    calls = []
+    seam = getattr(gossipsim, name)
+
+    def call(*args, **kwargs):
+        calls.append((args, kwargs))
+        return seam(*args, **kwargs)
+
+    monkeypatch.setattr(gossipsim, name, call)
+    return calls
+
+
+class TestPrefixCache:
+    @pytest.mark.parametrize("hidden", [0, 4])
+    @pytest.mark.parametrize("every", [1, 4])
+    @pytest.mark.parametrize("max_hops", [1, 2])
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_cached_records_equal_uncached_whichever_strategy_filled_the_cache(
+            self, kind, max_hops, every, hidden):
+        data = tiny_shard(per_class=40)
+        config = cache_config(kind, max_hops, every, hidden)
+        expected = run_simulation(config, data)
+        for filler in STRATEGY_KINDS:
+            cache = PrefixCache()
+            filling = cache_config(filler, 3 - max_hops, every, hidden)
+            assert run_simulation(filling, data, cache=cache) == run_simulation(filling, data)
+            assert run_simulation(config, data, cache=cache) == expected
+
+    def test_a_hit_starts_at_the_first_integration(self, monkeypatch):
+        data, cache = tiny_shard(per_class=40), PrefixCache()
+        run_simulation(cache_config("delta_sum"), data, cache=cache)
+        prepared = counting(monkeypatch, "prepare_inputs")
+        trained = counting(monkeypatch, "train_epochs")
+        run_simulation(cache_config("standard_averaging"), data, cache=cache)
+        assert prepared == []
+        # Two train-shard sizes: one call per group and epoch, from epoch 4 on.
+        assert [kwargs["start_epoch"] for _, kwargs in trained] == [3, 3]
+
+    @pytest.mark.parametrize("change", ["topology", "schedule", "model_seed", "shard_plan",
+                                        "dataset", "dataset_copy", "global_val",
+                                        "global_val_copy", "no_global_val"])
+    def test_another_prefix_is_never_served(self, change, monkeypatch):
+        data, gval = tiny_shard(per_class=40), tiny_shard(seed=3, per_class=4)
+        config = cache_config("delta_sum")
+        other, other_data, other_gval = cache_config("fedavg"), data, gval
+        if change == "topology":
+            other = dataclasses.replace(other, topology=ring(7))
+            assert other.topology != config.topology
+        elif change == "schedule":
+            other = dataclasses.replace(other, schedule=dataclasses.replace(
+                other.schedule, batch_size=4))
+        elif change == "model_seed":
+            other = dataclasses.replace(other, model_config=dataclasses.replace(
+                other.model_config, seed=3))
+        elif change == "shard_plan":
+            other = dataclasses.replace(other, shard_plan=dataclasses.replace(
+                other.shard_plan, seed=10))
+        elif change == "dataset":
+            other_data = tiny_shard(seed=1, per_class=40)
+        elif change == "dataset_copy":  # equal values, another object
+            other_data = DatasetShard(data.inputs.copy(), data.labels)
+        elif change == "global_val":
+            other_gval = tiny_shard(seed=4, per_class=4)
+        elif change == "global_val_copy":
+            other_gval = DatasetShard(gval.inputs.copy(), gval.labels)
+        else:
+            other_gval = None
+        expected = run_simulation(other, other_data, other_gval)
+
+        cache = PrefixCache()
+        run_simulation(config, data, gval, cache=cache)
+        prepared = counting(monkeypatch, "prepare_inputs")
+        assert run_simulation(other, other_data, other_gval, cache=cache) == expected
+        assert len(prepared) == 1
+        # The miss replaced the snapshot: the first prefix is computed again.
+        run_simulation(config, data, gval, cache=cache)
+        assert len(prepared) == 2
+
+    def test_a_failure_before_the_first_integration_is_raised_by_every_run(self, monkeypatch):
+        data = tiny_shard(per_class=40)
+        inputs = data.inputs.copy()
+        inputs[0] *= 3e155
+        hot = DatasetShard(inputs, data.labels)
+        with pytest.raises(SimulationError) as uncached:
+            run_simulation(cache_config("delta_sum"), hot)
+        assert str(uncached.value) == "node 6 epoch 2: non-finite loss"
+
+        cache = PrefixCache()
+        prepared = counting(monkeypatch, "prepare_inputs")
+        for kind in STRATEGY_KINDS:
+            with pytest.raises(SimulationError) as info:
+                run_simulation(cache_config(kind), hot, cache=cache)
+            assert str(info.value) == str(uncached.value)
+        assert len(prepared) == len(STRATEGY_KINDS)  # a failed run stores nothing
 
 
 class TestScheduleValidation:

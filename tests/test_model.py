@@ -78,6 +78,45 @@ class TestInitWeights:
             ModelConfig(input_dim=4, class_count=3, **{field: -2})
 
 
+class TestWeightLayout:
+    """A model's weights always carry its layout: another is rejected where it is assigned."""
+
+    CONFIG = ModelConfig(input_dim=2, class_count=2, seed=0)  # out_w[4], out_b[2]
+
+    @pytest.mark.parametrize("length", [6, 5])
+    def test_another_layout_is_rejected_and_the_weights_kept(self, length):
+        model = TrainableModel(self.CONFIG)
+        before = model.weights
+        other = ParameterVector(np.zeros(length), make_layout([("w", length)]))
+        message = (f"weights do not match the model layout: got w[{length}], "
+                   "the model takes out_w[4], out_b[2]")
+        with pytest.raises(ValueError) as info:
+            model.weights = other
+        assert str(info.value) == message
+        assert model.weights is before
+        with pytest.raises(ValueError) as info:
+            TrainableModel(self.CONFIG, other)
+        assert str(info.value) == message
+
+    def test_rejected_weights_leave_training_and_evaluation_checked(self):
+        data = synth_classification(2, 2, 10, seed=1, noise_sigma=0.02)
+        model, twin = TrainableModel(self.CONFIG), TrainableModel(self.CONFIG)
+        with pytest.raises(ValueError, match="do not match the model layout"):
+            model.weights = ParameterVector(np.zeros(6), make_layout([("w", 6)]))
+        train_alone(model, data, 1, 4)
+        train_alone(twin, data, 1, 4)
+        assert model.weights.layout == model_module.model_layout(self.CONFIG)
+        assert np.array_equal(model.weights.values, twin.weights.values)
+        assert evaluate(model, data) == evaluate(twin, data)
+
+    def test_an_equal_layout_object_is_accepted(self):
+        model = TrainableModel(self.CONFIG)
+        layout = model_module.model_layout(self.CONFIG)
+        assert layout is not model.weights.layout
+        model.weights = ParameterVector(np.ones(6), layout)
+        assert np.array_equal(model.weights.values, np.ones(6))
+
+
 class TestLossAndGradient:
     def test_uniform_model_loss_is_log_class_count(self):
         cfg = ModelConfig(input_dim=4, class_count=3, hidden_dim=0, seed=0)
@@ -161,18 +200,20 @@ def finite_difference_gradient(model, batch, step=1e-5):
 
 
 class SquaredLossProbe(TrainableModel):
-    """1-parameter model with loss (w - 1)^2, for checking the update rule."""
+    """Loss (w - 1)^2 in the first weight w alone, for checking the update rule."""
 
     def __init__(self, learning_rate):
         cfg = ModelConfig(
             input_dim=1, class_count=2, hidden_dim=0, learning_rate=learning_rate, seed=0
         )
         super().__init__(cfg)
-        self.weights = ParameterVector(np.array([0.0]), make_layout([("w", 1)]))
+        self.weights = self.weights.with_values(np.zeros(len(self.weights)))
 
     def loss_and_gradient(self, batch):
         w = float(self.weights.values[0])
-        return (w - 1.0) ** 2, self.weights.with_values(np.array([2.0 * (w - 1.0)]))
+        grad = np.zeros(len(self.weights))
+        grad[0] = 2.0 * (w - 1.0)
+        return (w - 1.0) ** 2, self.weights.with_values(grad)
 
 
 class TestSgdBatchStep:
@@ -185,7 +226,7 @@ class TestSgdBatchStep:
 
     def test_zero_gradient_leaves_weights(self):
         model = SquaredLossProbe(learning_rate=0.1)
-        model.weights = model.weights.with_values(np.array([1.0]))  # stationary point
+        model.weights = model.weights.with_values(np.array([1.0, 0.0, 0.0, 0.0]))  # stationary
         batch = DatasetShard(np.zeros((1, 1)), np.array([0]))
         new = sgd_batch_step(model, batch)
         assert new.values[0] == 1.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis import seed as hypothesis_seed
@@ -78,31 +80,58 @@ class TestReferenceEngine:
     @settings(max_examples=100, deadline=None, database=None)
     @given(runs())
     def test_records_and_evaluated_weights_bitwise_equal_the_reference(self, run):
-        # Accuracy is too coarse to show a changed summation order, so the
-        # weight bytes every evaluation sees are compared as well.
-        # The spy sits on the seams: each local-val evaluate call, and the
-        # models handed to each evaluate_population call, whatever its body
-        # calls (evaluate is left unlogged inside it).
         config, data, global_val = run
-        evaluated = []
-        evaluate, evaluate_population = gossipsim.evaluate, gossipsim.evaluate_population
-
-        def logged(model, dataset):
-            evaluated.append(model.weights.values.tobytes())
-            return evaluate(model, dataset)
-
-        def logged_population(models, dataset):
-            evaluated.extend(model.weights.values.tobytes() for model in models)
-            with pytest.MonkeyPatch.context() as inner:
-                inner.setattr(gossipsim, "evaluate", evaluate)
-                return evaluate_population(models, dataset)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gossipsim, "evaluate", logged)
-            patch.setattr(gossipsim, "evaluate_population", logged_population)
-            records = run_simulation(config, data, global_val)
+        records, evaluated = logged_run(config, data, global_val)
         per_node, gval = shard_equal(data, config.shard_plan, global_val=global_val)
         expected_records, expected_evaluated = run_reference(config, per_node, gval)
         assert len(evaluated) == 2 * len(records)
         assert records == expected_records
         assert evaluated == expected_evaluated
+
+    @hypothesis_seed(20261020)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(runs(), strategies(), st.integers(1, 3))
+    def test_a_run_from_a_prefix_another_strategy_cached_equals_the_reference(
+            self, run, filler, filler_hops):
+        # The filling run differs in strategy and forwarding only; the cached
+        # run evaluates from epoch integrate_every on.
+        config, data, global_val = run
+        cache = gossipsim.PrefixCache()
+        filling = dataclasses.replace(config, strategy=filler,
+                                      forwarding=Forwarding(max_hops=filler_hops))
+        run_simulation(filling, data, global_val, cache=cache)
+        records, evaluated = logged_run(config, data, global_val, cache)
+        per_node, gval = shard_equal(data, config.shard_plan, global_val=global_val)
+        expected_records, expected_evaluated = run_reference(config, per_node, gval)
+        skipped = 2 * len(per_node) * (config.schedule.integrate_every - 1)
+        assert records == expected_records
+        assert evaluated == expected_evaluated[skipped:]
+
+
+def logged_run(config, data, global_val, cache=None):
+    """run_simulation's records and the weight bytes each of its evaluations sees.
+
+    Accuracy is too coarse to show a changed summation order, so the
+    weight bytes every evaluation sees are compared as well. The spy sits
+    on the seams: each local-val evaluate call, and the models handed to
+    each evaluate_population call, whatever its body calls (evaluate is
+    left unlogged inside it).
+    """
+    evaluated = []
+    evaluate, evaluate_population = gossipsim.evaluate, gossipsim.evaluate_population
+
+    def logged(model, dataset):
+        evaluated.append(model.weights.values.tobytes())
+        return evaluate(model, dataset)
+
+    def logged_population(models, dataset):
+        evaluated.extend(model.weights.values.tobytes() for model in models)
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(gossipsim, "evaluate", evaluate)
+            return evaluate_population(models, dataset)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gossipsim, "evaluate", logged)
+        patch.setattr(gossipsim, "evaluate_population", logged_population)
+        records = run_simulation(config, data, global_val, cache=cache)
+    return records, evaluated
