@@ -23,10 +23,8 @@ for nodes in (8, 24):
     )
     print(f"\n{nodes} nodes (avg degree {graph.avg_degree:.2f}), "
           f"{data.size // nodes} samples per node:")
-    # The strategies differ from the first integration on; before it they share one run.
-    cache = dg.PrefixCache()
-    for kind in STRATEGIES:
-        config = dg.SimConfig(
+    configs = [
+        dg.SimConfig(
             topology=graph,
             strategy=dg.IntegrationStrategy(kind, damping if kind == "delta_sum" else None),
             schedule=schedule,
@@ -35,7 +33,13 @@ for nodes in (8, 24):
             ),
             shard_plan=dg.ShardPlan(node_count=nodes, train_fraction=0.8, seed=301),
         )
-        records = dg.run_simulation(config, data, cache=cache)
+        for kind in STRATEGIES
+    ]
+    # The strategies differ from the first integration on; before it they share one
+    # start, which the first run advances to that epoch.
+    start = dg.start_run(configs[0], data)
+    for kind, config in zip(STRATEGIES, configs):
+        records = dg.run_simulation(config, data, start=start)
         rows = dg.aggregate_across_nodes(records)
         path = f"{nodes}nodes_{kind}.csv"
         dg.export_csv(rows, path)

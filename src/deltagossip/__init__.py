@@ -22,13 +22,14 @@ from .dataset import DatasetShard, ShardPlan, load_idx, shard_equal, synth_class
 from .gossipsim import (
     Forwarding,
     NodeState,
-    PrefixCache,
+    RunStart,
     SimConfig,
     SimSchedule,
     convergence_round,
     disseminate,
     integration_step,
     run_simulation,
+    start_run,
 )
 from .metrics import (
     AggregateRow,

@@ -5,9 +5,10 @@ training/convergence experiment from a JSON config, one metrics CSV per
 strategy plus a summary), netmodel (analytical throughput table).
 All randomness flows from config seeds, and every run executes serially in
 this process, so run's --threads never changes output. The runs of one
-topology differ only in strategy, so they share one gossipsim.PrefixCache:
-each after the first starts from the first's state at epoch
-integrate_every, with the same records as a run from epoch 1. run's --seed,
+topology differ only in strategy, so they share one gossipsim.start_run:
+each after the first goes on from the first's state at epoch
+integrate_every, with the same records as a run from epoch 1, and the
+start is dropped after the topology's last run. run's --seed,
 --strategy and --out each replace the config's seed, strategies and
 output_dir before the config is read. A run that raises a SimulationError
 is reported on stderr and in the summary, the other runs go on, and run
@@ -38,8 +39,8 @@ from types import MappingProxyType
 
 from .aggregation import IntegrationStrategy, LambdaSchedule
 from .dataset import DatasetShard, ShardPlan, load_idx, synth_classification
-from .gossipsim import (Forwarding, PrefixCache, SimConfig, SimSchedule, SimulationError,
-                        prepare_inputs, run_simulation)
+from .gossipsim import (Forwarding, SimConfig, SimSchedule, SimulationError, prepare_inputs,
+                        run_simulation, start_run)
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv, write_atomic
 from .model import ModelConfig
 from .netmodel import scenario_table
@@ -154,8 +155,8 @@ def _load_topology(spec, where: str, default_seed: int):
 
 def _experiment(dataset, topologies, strategies, seed=0, output_dir=".", model=_EMPTY,
                 schedule=_EMPTY, shards=_EMPTY, lambda_schedule=_EMPTY, forwarding=_EMPTY):
-    """The config's top level: (dataset, global_val, runs, out_dir), one run per
-    topology and strategy."""
+    """The config's top level: (dataset, global_val, runs, out_dir), where runs
+    holds one list per topology with one run per strategy."""
     require_non_negative_ints(seed=seed)
     if not isinstance(output_dir, str):
         raise TypeError(f"output_dir must be a string, got {output_dir!r}")
@@ -192,10 +193,11 @@ def _experiment(dataset, topologies, strategies, seed=0, output_dir=".", model=_
     for i, graph in enumerate(graphs):
         plan = _build("shards", ShardPlan, shards, {"node_count": graph.node_count},
                       seed=seed + 3)
-        runs += [SimConfig(topology=graph, strategy=strategy, schedule=sim_schedule,
-                           model_config=model_config, shard_plan=plan, forwarding=forwarding_rule)
-                 for strategy in integrations]
-        _call(f"topologies[{i}]", prepare_inputs, runs[-1], data, global_val=global_val)
+        runs.append([SimConfig(topology=graph, strategy=strategy, schedule=sim_schedule,
+                               model_config=model_config, shard_plan=plan,
+                               forwarding=forwarding_rule)
+                     for strategy in integrations])
+        _call(f"topologies[{i}]", prepare_inputs, runs[-1][0], data, global_val=global_val)
     return data, global_val, runs, Path(output_dir)
 
 
@@ -228,39 +230,32 @@ def cmd_run(args) -> int:
     summary = {"runs": [], "drop_ratios": {}}
     final_by_strategy: dict[str, dict[int, float]] = {}
     failed = 0
-    cache = PrefixCache()  # a topology's runs share their epochs before the first integration
-    for sim in runs:
-        n = sim.topology.node_count
-        name = sim.strategy.kind
-        try:
-            records = run_simulation(sim, dataset, global_val=global_val, cache=cache)
-        except SimulationError as err:
-            failed += 1
-            print(f"error: {n} nodes {name}: {err}", file=sys.stderr)
-            summary["runs"].append({"nodes": n, "strategy": name, "error": str(err)})
-            continue
-        rows = aggregate_across_nodes(records)
-        csv_path = out_dir / f"{n}nodes_{name}.csv"
-        export_csv(rows, csv_path)
-        last = rows[-1]
-        final_by_strategy.setdefault(name, {})[n] = last.test_acc_median
-        summary["runs"].append(
-            {
-                "nodes": n,
-                "strategy": name,
-                "csv": str(csv_path),
-                "final": {
-                    "min": last.test_acc_min,
-                    "median": last.test_acc_median,
-                    "max": last.test_acc_max,
-                },
-            }
-        )
-        print(
-            f"{n:>3} nodes  {name:<20} final global acc "
-            f"median={last.test_acc_median:.4f} "
-            f"range=[{last.test_acc_min:.4f}, {last.test_acc_max:.4f}]"
-        )
+    for topology_runs in runs:
+        # A topology's runs share their epochs before the first integration.
+        start = start_run(topology_runs[0], dataset, global_val)
+        for sim in topology_runs:
+            n = sim.topology.node_count
+            name = sim.strategy.kind
+            try:
+                records = run_simulation(sim, dataset, global_val=global_val, start=start)
+            except SimulationError as err:
+                failed += 1
+                print(f"error: {n} nodes {name}: {err}", file=sys.stderr)
+                summary["runs"].append({"nodes": n, "strategy": name, "error": str(err)})
+                continue
+            rows = aggregate_across_nodes(records)
+            csv_path = out_dir / f"{n}nodes_{name}.csv"
+            export_csv(rows, csv_path)
+            last = rows[-1]
+            final_by_strategy.setdefault(name, {})[n] = last.test_acc_median
+            final = {"min": last.test_acc_min, "median": last.test_acc_median,
+                     "max": last.test_acc_max}
+            summary["runs"].append({"nodes": n, "strategy": name, "csv": str(csv_path),
+                                    "final": final})
+            print(f"{n:>3} nodes  {name:<20} final global acc "
+                  f"median={last.test_acc_median:.4f} "
+                  f"range=[{last.test_acc_min:.4f}, {last.test_acc_max:.4f}]")
+        del start  # the next topology's start is built without this one's inputs
 
     sizes = {n for series in final_by_strategy.values() for n in series}
     if len(sizes) >= 2 and "delta_sum" in final_by_strategy:

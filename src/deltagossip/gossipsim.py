@@ -27,15 +27,15 @@ so a run is a bit-reproducible function of its config and data. A failure
 in any step is a SimulationError naming the node.
 
 Runs that differ only in strategy and forwarding compute the same epochs
-1..integrate_every - 1. Given one PrefixCache, the first such run stores
-its state at the start of epoch integrate_every and the others start
-there, in the same epoch loop, with the same records.
+1..integrate_every - 1. Given one RunStart from start_run, the first such
+run advances it to the start of epoch integrate_every and the others go on
+from there, in the same epoch loop, with the same records.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,13 +123,14 @@ class SimConfig:
 
 
 class NodeState:
-    """One simulated node: model, data and the snapshot its next delta is taken against."""
+    """One simulated node: model, train size, local validation set and the snapshot its
+    next delta is taken against. Its training rows live in its train-size group's stack."""
 
     def __init__(self, node_id: int, model: TrainableModel,
-                 train_shard: DatasetShard, local_val: DatasetShard):
+                 train_size: int, local_val: DatasetShard):
         self.node_id = node_id
         self.model = model
-        self.train_shard = train_shard
+        self.train_size = train_size
         self.local_val = local_val
         self.base_snapshot = model.weights
 
@@ -142,7 +143,7 @@ class NodeState:
         weights, base = self.model.weights, self.base_snapshot
         return ModelUpdate(node_id=self.node_id, base=base,
                            delta=weights.with_values(weights.values - base.values),
-                           sample_count=self.train_shard.size * epochs)
+                           sample_count=self.train_size * epochs)
 
 
 @contextmanager
@@ -262,58 +263,53 @@ def prepare_inputs(config: SimConfig, dataset: DatasetShard,
     return per_node, gval
 
 
-@dataclass(frozen=True)
-class _Snapshot:
-    """A run's state at the start of ``epoch``: everything it goes on from."""
+@dataclass(eq=False)
+class RunStart:
+    """Where the runs of one topology start: start_run makes it, run_simulation advances it.
 
-    epoch: int
-    per_node: list  # prepare_inputs' (train, local_val) per node
-    gval: DatasetShard
+    Until epoch ``integrate_every``, the first integration, nothing a run
+    computes depends on its strategy or forwarding. A start holds a run's
+    state at the start of ``epoch``: its checked inputs, every node's
+    weights and base snapshot, and its records so far. It serves only runs
+    of the topology, schedule, model_config and shard_plan it was made for,
+    on the same dataset and global_val objects. It shares those inputs and
+    the immutable weight vectors, so it is only valid while the dataset and
+    global_val are not changed.
+    """
+
+    topology: TopologyGraph
+    schedule: SimSchedule
+    model_config: ModelConfig
+    shard_plan: ShardPlan
+    dataset: DatasetShard
+    global_val: DatasetShard | None
+    gval: DatasetShard  # prepare_inputs' global validation set
+    nodes: list  # (train size, local_val) per node
     # One (node indices, stacked inputs, stacked labels) per train-shard size.
     groups: list
     weights: list  # (weights, base snapshot) per node
-    records: tuple  # the records of the indices before epoch
+    epoch: int = 1
+    records: tuple = ()  # the records of the indices before epoch
+
+    def check(self, config: SimConfig, dataset: DatasetShard,
+              global_val: DatasetShard | None) -> None:
+        """A ValueError naming what differs unless this start serves ``config`` on
+        ``dataset`` and ``global_val``."""
+        differ = [name for name in ("topology", "schedule", "model_config", "shard_plan")
+                  if getattr(self, name) != getattr(config, name)]
+        differ += [name for name, given in (("dataset", dataset), ("global_val", global_val))
+                   if getattr(self, name) is not given]
+        if differ:
+            raise ValueError(f"this start was made for another {', '.join(differ)}")
 
 
-class PrefixCache:
-    """The shared start of runs that differ only in strategy and forwarding.
+def start_run(config: SimConfig, dataset: DatasetShard,
+              global_val: DatasetShard | None = None) -> RunStart:
+    """A run's start at epoch 1: checked inputs, one shared start model.
 
-    Until epoch ``integrate_every``, the first integration, nothing a run
-    computes depends on its strategy or forwarding. A run given a cache
-    that misses stores its state at the start of that epoch, replacing the
-    one snapshot the cache holds: its checked inputs, every node's weights
-    and base snapshot, and its records so far. A later run whose topology,
-    schedule, model_config and shard_plan are equal, on the same dataset
-    and global_val objects, starts there instead of at epoch 1. The
-    snapshot shares those inputs and the immutable weight vectors, so a
-    cache is only valid while its dataset and global_val are not changed.
+    Inputs that prepare_inputs rejects are a ValueError. Each train-shard
+    size's training rows are stacked once; a node keeps only its train size.
     """
-
-    def __init__(self):
-        self._entry = None  # (key, dataset, global_val, snapshot)
-
-    @staticmethod
-    def _key(config: SimConfig) -> tuple:
-        return config.topology, config.schedule, config.model_config, config.shard_plan
-
-    def lookup(self, config: SimConfig, dataset: DatasetShard,
-               global_val: DatasetShard | None) -> _Snapshot | None:
-        """The stored snapshot if ``config``, ``dataset`` and ``global_val`` share its prefix."""
-        if self._entry is None:
-            return None
-        key, data, gval, snapshot = self._entry
-        if data is dataset and gval is global_val and key == self._key(config):
-            return snapshot
-        return None
-
-    def store(self, config: SimConfig, dataset: DatasetShard,
-              global_val: DatasetShard | None, snapshot: _Snapshot) -> None:
-        self._entry = (self._key(config), dataset, global_val, snapshot)
-
-
-def _first_snapshot(config: SimConfig, dataset: DatasetShard,
-                    global_val: DatasetShard | None) -> _Snapshot:
-    """A run's state at the start of epoch 1: checked inputs, one shared start model."""
     per_node, gval = prepare_inputs(config, dataset, global_val)
     by_size: dict[int, list[int]] = {}
     for i, (train, _) in enumerate(per_node):
@@ -322,18 +318,20 @@ def _first_snapshot(config: SimConfig, dataset: DatasetShard,
     for rows in by_size.values():
         inputs = np.stack([per_node[i][0].inputs for i in rows])
         labels = np.stack([per_node[i][0].labels for i in rows])
-        inputs.setflags(write=False)  # a cache shares them between runs
+        inputs.setflags(write=False)  # the runs of a start share them
         labels.setflags(write=False)
         groups.append((rows, inputs, labels))
-    start = init_weights(config.model_config)
-    return _Snapshot(1, per_node, gval, groups, [(start, start)] * len(per_node), ())
+    weights = init_weights(config.model_config)
+    return RunStart(config.topology, config.schedule, config.model_config, config.shard_plan,
+                    dataset, global_val, gval, [(train.size, lval) for train, lval in per_node],
+                    groups, [(weights, weights)] * len(per_node))
 
 
 def run_simulation(
     config: SimConfig,
     dataset: DatasetShard,
     global_val: DatasetShard | None = None,
-    cache: PrefixCache | None = None,
+    start: RunStart | None = None,
 ) -> list[MetricsRecord]:
     """Full training + convergence schedule; one record per node per index.
 
@@ -341,28 +339,29 @@ def run_simulation(
     to convergence_until_round are convergence rounds. Inputs that
     prepare_inputs rejects are a ValueError before training; a dataset of
     the wrong dimension fails its first training epoch as a SimulationError.
-    With a ``cache`` (see PrefixCache) the run starts at epoch
-    integrate_every when the cache holds its prefix, and stores that
-    prefix there otherwise; the records are the same either way.
+    Without a ``start`` the run makes its own with start_run; a given one
+    that does not serve this config, dataset and global_val is a ValueError.
+    The first run to reach epoch integrate_every advances its start there,
+    and every later run of that start goes on from that epoch; the records
+    are the same either way.
     """
+    if start is None:
+        start = start_run(config, dataset, global_val)
+    else:
+        start.check(config, dataset, global_val)
     schedule = config.schedule
     first_merge = schedule.integrate_every
-    snapshot = cache.lookup(config, dataset, global_val) if cache is not None else None
-    fill = cache is not None and snapshot is None
-    if snapshot is None:
-        snapshot = _first_snapshot(config, dataset, global_val)
-    gval = snapshot.gval
+    gval = start.gval
     states = []
-    for i, ((train, lval), (weights, base)) in enumerate(zip(snapshot.per_node,
-                                                            snapshot.weights)):
-        state = NodeState(i, TrainableModel(config.model_config, weights), train, lval)
+    for i, ((size, lval), (weights, base)) in enumerate(zip(start.nodes, start.weights)):
+        state = NodeState(i, TrainableModel(config.model_config, weights), size, lval)
         state.base_snapshot = base
         states.append(state)
     groups = [([states[i] for i in rows], inputs, labels)
-              for rows, inputs, labels in snapshot.groups]
+              for rows, inputs, labels in start.groups]
 
     kind = config.strategy.kind
-    records: list[MetricsRecord] = list(snapshot.records)
+    records: list[MetricsRecord] = list(start.records)
 
     def record_all(index: int) -> None:
         local = [evaluate(state.model, state.local_val) for state in states]
@@ -370,11 +369,10 @@ def run_simulation(
         records.extend(MetricsRecord(state.node_id, index, local_acc, global_acc)
                        for state, local_acc, global_acc in zip(states, local, shared))
 
-    for epoch in range(snapshot.epoch, schedule.train_epochs + 1):
-        if fill and epoch == first_merge:
-            cache.store(config, dataset, global_val, replace(
-                snapshot, epoch=epoch, records=tuple(records),
-                weights=[(s.model.weights, s.base_snapshot) for s in states]))
+    for epoch in range(start.epoch, schedule.train_epochs + 1):
+        if epoch == first_merge and start.epoch < epoch:
+            start.epoch, start.records = epoch, tuple(records)
+            start.weights = [(s.model.weights, s.base_snapshot) for s in states]
         failures = []
         for members, inputs, labels in groups:
             try:

@@ -470,6 +470,6 @@ class TestAggregationProperties:
 def _receiver(w, local):
     """A node whose model is ``local``'s full model and whose snapshot is w."""
     model = SimpleNamespace(weights=local.full)
-    state = NodeState(local.node_id, model, train_shard=None, local_val=None)
+    state = NodeState(local.node_id, model, train_size=0, local_val=None)
     state.base_snapshot = w
     return state

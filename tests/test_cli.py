@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_dataset import write_idx_pair
 
-from deltagossip import cli, topology
+from deltagossip import cli, gossipsim, topology
 from deltagossip.cli import _build, _experiment, main
 from deltagossip.gossipsim import SimulationError, run_simulation
 from deltagossip.topology import is_connected, read_edge_list
@@ -134,6 +134,45 @@ class TestRun:
         assert (tmp_path / "o" / "4nodes_fedavg.csv").exists()
         assert not (tmp_path / "o" / "4nodes_delta_sum.csv").exists()
 
+    def test_one_start_per_topology_and_its_later_runs_train_from_epoch_i(
+            self, tmp_path, monkeypatch):
+        # integrate_every is 5: a topology's first run trains from epoch 1
+        # (start_epoch 0), and the runs after it from epoch 5 (start_epoch
+        # 4), where the first run left their start.
+        made, run_epochs = [], []
+        start_run, train_epochs = cli.start_run, gossipsim.train_epochs
+
+        def counting_start(sim, *args, **kwargs):
+            made.append(sim.topology.node_count)
+            return start_run(sim, *args, **kwargs)
+
+        def spy(sim, *args, **kwargs):
+            run_epochs.append(set())
+            return run_simulation(sim, *args, **kwargs)
+
+        def logged_train(*args, start_epoch, **kwargs):
+            run_epochs[-1].add(start_epoch)
+            return train_epochs(*args, start_epoch=start_epoch, **kwargs)
+
+        monkeypatch.setattr(cli, "start_run", counting_start)
+        monkeypatch.setattr(cli, "run_simulation", spy)
+        monkeypatch.setattr(gossipsim, "train_epochs", logged_train)
+        config = small_config(tmp_path, strategies=["standard_averaging", "delta_sum",
+                                                    "fedavg"])
+        config["topologies"].append({"nodes": 6, "target_avg_degree": 2.5, "seed": 4})
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert made == [4, 6]
+        assert [min(epochs) for epochs in run_epochs] == [0, 4, 4] * 2
+
+        monkeypatch.undo()
+        assert main(["run", "--config", str(config_path), "--strategy", "fedavg",
+                     "--out", str(tmp_path / "alone")]) == 0
+        for csv in ("4nodes_fedavg.csv", "6nodes_fedavg.csv"):
+            assert (tmp_path / "alone" / csv).read_bytes() == (
+                tmp_path / "out" / csv).read_bytes()
+
     def test_failed_run_is_reported_and_the_others_go_on(self, tmp_path, capsys, monkeypatch):
         def fail_24_node_averaging(sim, *args, **kwargs):
             if (sim.topology.node_count, sim.strategy.kind) == (24, "standard_averaging"):
@@ -210,7 +249,7 @@ class TestRun:
                              "test_labels": str(test[1]), "downsample": 2}
         _, global_val, runs, _ = _build("config", _experiment, config)
         assert global_val.labels.tolist() == test_labels and global_val.dim == 4
-        assert runs[0].model_config.class_count == 3
+        assert runs[0][0].model_config.class_count == 3
 
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps(config))
@@ -424,8 +463,9 @@ class TestStrictConfig:
         block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S)
         config = json.loads(block.group(1))
         _, _, runs, _ = _build("config", _experiment, config)
-        assert len(runs) == len(config["topologies"]) * len(config["strategies"])
-        assert runs[0].schedule.integrate_every == config["schedule"]["integrate_every"]
+        assert [len(topology_runs) for topology_runs in runs] == (
+            [len(config["strategies"])] * len(config["topologies"]))
+        assert runs[0][0].schedule.integrate_every == config["schedule"]["integrate_every"]
 
 
 def _ring_file(tmp_path):

@@ -20,7 +20,6 @@ from deltagossip.dataset import DatasetShard, ShardPlan, shard_equal, synth_clas
 from deltagossip.gossipsim import (
     Forwarding,
     NodeState,
-    PrefixCache,
     SimConfig,
     SimSchedule,
     SimulationError,
@@ -30,6 +29,7 @@ from deltagossip.gossipsim import (
     integration_step,
     package_round,
     run_simulation,
+    start_run,
 )
 from deltagossip.metrics import aggregate_across_nodes, export_csv
 from deltagossip.model import ModelConfig, TrainableModel, train_epochs
@@ -58,12 +58,13 @@ def make_state(node_id=0, seed=3, shard=None):
     cfg = ModelConfig(input_dim=shard.dim, class_count=int(shard.labels.max()) + 1,
                       hidden_dim=0, learning_rate=0.1, seed=seed)
     val = DatasetShard(shard.inputs[:6], shard.labels[:6], origin="local_val")
-    return NodeState(node_id, TrainableModel(cfg), shard, val)
+    return NodeState(node_id, TrainableModel(cfg), shard.size, val)
 
 
-def train(state, epochs, start_epoch=0):
-    # One single-epoch call per epoch, as run_simulation trains.
-    shard = state.train_shard
+def train(state, epochs, start_epoch=0, shard=None):
+    # One single-epoch call per epoch, as run_simulation trains; the
+    # shard is make_state's.
+    shard = shard if shard is not None else tiny_shard()
     for epoch in range(start_epoch, start_epoch + epochs):
         train_epochs([state.model], shard.inputs[None], shard.labels[None], 1, 8,
                      start_epoch=epoch)
@@ -171,7 +172,7 @@ class TestNodeTrainPhase:
     def test_sample_count_scales_with_epochs(self):
         state = make_state()
         update = train_and_package(state, 4)
-        assert update.sample_count == state.train_shard.size * 4
+        assert update.sample_count == tiny_shard().size * 4
 
     def test_packaging_leaves_the_trained_weights_alone(self):
         state = make_state()
@@ -481,7 +482,7 @@ class TestRunSimulation:
         strategy = IntegrationStrategy("delta_sum", PASSTHROUGH)
         for round_index in range(1, 4):
             for state in states:
-                train(state, 5, start_epoch=5 * (round_index - 1))
+                train(state, 5, start_epoch=5 * (round_index - 1), shard=shard)
             updates = [s.package_update(5) for s in states]
             for state, update, remote in zip(states, updates, updates[::-1]):
                 integration_step(state, strategy, 5 * round_index, update, [remote])
@@ -678,7 +679,7 @@ class TestFailureContext:
         )
 
 
-def cache_config(kind="delta_sum", max_hops=1, every=4, hidden=0):
+def start_config(kind="delta_sum", max_hops=1, every=4, hidden=0):
     """A 7-node run, two train-shard sizes, 4 epochs and 2 convergence rounds."""
     return dataclasses.replace(
         small_sim_config(kind, nodes=7, hidden=hidden),
@@ -701,39 +702,45 @@ def counting(monkeypatch, name):
     return calls
 
 
-class TestPrefixCache:
+class TestRunStart:
     @pytest.mark.parametrize("hidden", [0, 4])
     @pytest.mark.parametrize("every", [1, 4])
     @pytest.mark.parametrize("max_hops", [1, 2])
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-    def test_cached_records_equal_uncached_whichever_strategy_filled_the_cache(
+    def test_records_equal_a_lone_run_whichever_strategy_advanced_the_start(
             self, kind, max_hops, every, hidden):
         data = tiny_shard(per_class=40)
-        config = cache_config(kind, max_hops, every, hidden)
+        config = start_config(kind, max_hops, every, hidden)
         expected = run_simulation(config, data)
         for filler in STRATEGY_KINDS:
-            cache = PrefixCache()
-            filling = cache_config(filler, 3 - max_hops, every, hidden)
-            assert run_simulation(filling, data, cache=cache) == run_simulation(filling, data)
-            assert run_simulation(config, data, cache=cache) == expected
+            filling = start_config(filler, 3 - max_hops, every, hidden)
+            start = start_run(filling, data)
+            assert run_simulation(filling, data, start=start) == run_simulation(filling, data)
+            assert start.epoch == every
+            assert run_simulation(config, data, start=start) == expected
 
-    def test_a_hit_starts_at_the_first_integration(self, monkeypatch):
-        data, cache = tiny_shard(per_class=40), PrefixCache()
-        run_simulation(cache_config("delta_sum"), data, cache=cache)
+    def test_an_advanced_start_skips_prepare_inputs_and_trains_from_epoch_i(
+            self, monkeypatch):
+        data = tiny_shard(per_class=40)
+        start = start_run(start_config("delta_sum"), data)
+        run_simulation(start_config("delta_sum"), data, start=start)
+        assert start.epoch == 4 and len(start.records) == 7 * 3
         prepared = counting(monkeypatch, "prepare_inputs")
         trained = counting(monkeypatch, "train_epochs")
-        run_simulation(cache_config("standard_averaging"), data, cache=cache)
+        run_simulation(start_config("standard_averaging"), data, start=start)
         assert prepared == []
         # Two train-shard sizes: one call per group and epoch, from epoch 4 on.
         assert [kwargs["start_epoch"] for _, kwargs in trained] == [3, 3]
 
-    @pytest.mark.parametrize("change", ["topology", "schedule", "model_seed", "shard_plan",
-                                        "dataset", "dataset_copy", "global_val",
-                                        "global_val_copy", "no_global_val"])
-    def test_another_prefix_is_never_served(self, change, monkeypatch):
+    @pytest.mark.parametrize("change, named", [
+        ("topology", "topology"), ("schedule", "schedule"), ("model_seed", "model_config"),
+        ("shard_plan", "shard_plan"), ("dataset", "dataset"), ("dataset_copy", "dataset"),
+        ("global_val", "global_val"), ("global_val_copy", "global_val"),
+        ("no_global_val", "global_val")])
+    def test_a_start_made_for_another_run_is_a_value_error(self, change, named):
         data, gval = tiny_shard(per_class=40), tiny_shard(seed=3, per_class=4)
-        config = cache_config("delta_sum")
-        other, other_data, other_gval = cache_config("fedavg"), data, gval
+        config = start_config("delta_sum")
+        other, other_data, other_gval = start_config("fedavg"), data, gval
         if change == "topology":
             other = dataclasses.replace(other, topology=ring(7))
             assert other.topology != config.topology
@@ -756,33 +763,34 @@ class TestPrefixCache:
             other_gval = DatasetShard(gval.inputs.copy(), gval.labels)
         else:
             other_gval = None
-        expected = run_simulation(other, other_data, other_gval)
 
-        cache = PrefixCache()
-        run_simulation(config, data, gval, cache=cache)
-        prepared = counting(monkeypatch, "prepare_inputs")
-        assert run_simulation(other, other_data, other_gval, cache=cache) == expected
-        assert len(prepared) == 1
-        # The miss replaced the snapshot: the first prefix is computed again.
-        run_simulation(config, data, gval, cache=cache)
-        assert len(prepared) == 2
+        start = start_run(config, data, gval)
+        message = f"this start was made for another {named}$"
+        with pytest.raises(ValueError, match=message):
+            run_simulation(other, other_data, other_gval, start=start)
+        assert start.epoch == 1 and start.records == ()
+        run_simulation(config, data, gval, start=start)
+        assert start.epoch == 4
+        with pytest.raises(ValueError, match=message):
+            run_simulation(other, other_data, other_gval, start=start)
 
-    def test_a_failure_before_the_first_integration_is_raised_by_every_run(self, monkeypatch):
+    def test_a_failure_before_epoch_i_leaves_the_start_at_epoch_1(self, monkeypatch):
         data = tiny_shard(per_class=40)
         inputs = data.inputs.copy()
         inputs[0] *= 3e155
         hot = DatasetShard(inputs, data.labels)
-        with pytest.raises(SimulationError) as uncached:
-            run_simulation(cache_config("delta_sum"), hot)
-        assert str(uncached.value) == "node 6 epoch 2: non-finite loss"
+        with pytest.raises(SimulationError) as alone:
+            run_simulation(start_config("delta_sum"), hot)
+        assert str(alone.value) == "node 6 epoch 2: non-finite loss"
 
-        cache = PrefixCache()
         prepared = counting(monkeypatch, "prepare_inputs")
+        start = start_run(start_config("delta_sum"), hot)
         for kind in STRATEGY_KINDS:
             with pytest.raises(SimulationError) as info:
-                run_simulation(cache_config(kind), hot, cache=cache)
-            assert str(info.value) == str(uncached.value)
-        assert len(prepared) == len(STRATEGY_KINDS)  # a failed run stores nothing
+                run_simulation(start_config(kind), hot, start=start)
+            assert str(info.value) == str(alone.value)
+            assert start.epoch == 1 and start.records == ()
+        assert len(prepared) == 1
 
 
 class TestScheduleValidation:

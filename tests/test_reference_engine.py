@@ -91,16 +91,16 @@ class TestReferenceEngine:
     @hypothesis_seed(20261020)
     @settings(max_examples=40, deadline=None, database=None)
     @given(runs(), strategies(), st.integers(1, 3))
-    def test_a_run_from_a_prefix_another_strategy_cached_equals_the_reference(
+    def test_a_run_from_a_start_another_strategy_advanced_equals_the_reference(
             self, run, filler, filler_hops):
-        # The filling run differs in strategy and forwarding only; the cached
-        # run evaluates from epoch integrate_every on.
+        # The advancing run differs in strategy and forwarding only; the run
+        # after it evaluates from epoch integrate_every on.
         config, data, global_val = run
-        cache = gossipsim.PrefixCache()
-        filling = dataclasses.replace(config, strategy=filler,
-                                      forwarding=Forwarding(max_hops=filler_hops))
-        run_simulation(filling, data, global_val, cache=cache)
-        records, evaluated = logged_run(config, data, global_val, cache)
+        advancing = dataclasses.replace(config, strategy=filler,
+                                        forwarding=Forwarding(max_hops=filler_hops))
+        start = gossipsim.start_run(advancing, data, global_val)
+        run_simulation(advancing, data, global_val, start=start)
+        records, evaluated = logged_run(config, data, global_val, start)
         per_node, gval = shard_equal(data, config.shard_plan, global_val=global_val)
         expected_records, expected_evaluated = run_reference(config, per_node, gval)
         skipped = 2 * len(per_node) * (config.schedule.integrate_every - 1)
@@ -108,7 +108,7 @@ class TestReferenceEngine:
         assert evaluated == expected_evaluated[skipped:]
 
 
-def logged_run(config, data, global_val, cache=None):
+def logged_run(config, data, global_val, start=None):
     """run_simulation's records and the weight bytes each of its evaluations sees.
 
     Accuracy is too coarse to show a changed summation order, so the
@@ -133,5 +133,5 @@ def logged_run(config, data, global_val, cache=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gossipsim, "evaluate", logged)
         patch.setattr(gossipsim, "evaluate_population", logged_population)
-        records = run_simulation(config, data, global_val, cache=cache)
+        records = run_simulation(config, data, global_val, start=start)
     return records, evaluated
