@@ -9,13 +9,12 @@ order is fixed by sorting on node id so results are bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .params import (ParameterVector, require_non_negative_ints, require_positive, require_real,
+from .params import (ParameterVector, require_ints, require_positive, require_real,
                      require_same_layout)
 
 STRATEGY_KINDS = (
@@ -36,9 +35,8 @@ class LambdaSchedule:
     cap: float = 0.35
 
     def __post_init__(self):
-        require_real(offset=self.offset, cap=self.cap)
-        if not (math.isfinite(self.offset) and self.offset >= 0):
-            raise ValueError(f"offset must be non-negative and finite, got {self.offset}")
+        require_real(0, offset=self.offset)
+        require_real(cap=self.cap)
         require_positive(slope_divisor=self.slope_divisor)
         if self.offset > self.cap:
             raise ValueError("offset must not exceed cap")
@@ -58,7 +56,7 @@ class ModelUpdate:
     sample_count: int
 
     def __post_init__(self):
-        require_non_negative_ints(node_id=self.node_id, sample_count=self.sample_count)
+        require_ints(0, node_id=self.node_id, sample_count=self.sample_count)
         require_same_layout([self.base, self.delta])
         full = self.base.values + self.delta.values
         if not np.isfinite(full).all():

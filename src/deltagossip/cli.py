@@ -44,7 +44,7 @@ from .gossipsim import (Forwarding, SimConfig, SimSchedule, SimulationError, pre
 from .metrics import accuracy_drop_ratio, aggregate_across_nodes, export_csv, write_atomic
 from .model import ModelConfig
 from .netmodel import scenario_table
-from .params import require_non_negative_ints
+from .params import require_ints
 from .topology import (
     GenerationBudgetError,
     TopologyConstraints,
@@ -157,7 +157,7 @@ def _experiment(dataset, topologies, strategies, seed=0, output_dir=".", model=_
                 schedule=_EMPTY, shards=_EMPTY, lambda_schedule=_EMPTY, forwarding=_EMPTY):
     """The config's top level: (dataset, global_val, runs, out_dir), where runs
     holds one list per topology with one run per strategy."""
-    require_non_negative_ints(seed=seed)
+    require_ints(0, seed=seed)
     if not isinstance(output_dir, str):
         raise TypeError(f"output_dir must be a string, got {output_dir!r}")
     if not isinstance(topologies, list) or not topologies:
@@ -206,14 +206,25 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _unique_keys(pairs) -> dict:
+    """json.load's object hook: the object as a dict, or ValueError naming a key it
+    lists twice, whose first value json.load alone would silently drop."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.config) as f:
-            config = json.load(f, parse_constant=_reject_constant)
+            config = json.load(f, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 1
-    except ValueError as err:  # a JSONDecodeError or a rejected constant
+    except ValueError as err:  # a JSONDecodeError, a rejected constant or a repeated key
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return 1
 

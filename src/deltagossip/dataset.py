@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import require_ints, require_non_negative_ints, require_positive, require_real
+from .params import require_ints, require_positive, require_real
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -117,10 +117,8 @@ class ShardPlan:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(node_count=self.node_count)
-        require_non_negative_ints(seed=self.seed)
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
+        require_ints(1, node_count=self.node_count)
+        require_ints(0, seed=self.seed)
         require_real(train_fraction=self.train_fraction)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
@@ -140,14 +138,9 @@ def synth_classification(
     Samples are clipped to [0, 1]. The returned inputs are the one array the
     noise is drawn into, so the call's peak memory is about that array.
     """
-    require_ints(classes=classes, dim=dim, per_class=per_class)
-    require_non_negative_ints(seed=seed)
-    if classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1:
-        raise ValueError("need at least 1 sample per class")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    require_ints(2, classes=classes)
+    require_ints(1, dim=dim, per_class=per_class)
+    require_ints(0, seed=seed)
     require_positive(noise_sigma=noise_sigma)
 
     rng = np.random.default_rng(seed)
@@ -178,18 +171,18 @@ def synth_classification(
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
+    """The next ``count`` bytes of f. A count beyond what the file holds is
+    IdxFormatError before any read, so a header's claim allocates nothing."""
+    if count > os.fstat(f.fileno()).st_size - f.tell():
         raise IdxFormatError(f"truncated IDX file {f.name} while reading {what}")
-    return data
+    return f.read(count)
 
 
 def _read_rest(f, count: int, what: str) -> bytes:
     """The last ``count`` bytes of an IDX file: its data, with nothing after it."""
-    data = _read_exact(f, count, what)
-    if f.read(1):
+    if count < os.fstat(f.fileno()).st_size - f.tell():
         raise IdxFormatError(f"bytes past the declared {what} in {f.name}")
-    return data
+    return _read_exact(f, count, what)
 
 
 def _block_sums(images: np.ndarray, ds: int) -> np.ndarray:
@@ -233,9 +226,7 @@ def load_idx(images_path, labels_path, downsample: int = 1) -> DatasetShard:
     header declares and bytes past the declared data raise IdxFormatError.
     A path that is not path-like (a file descriptor number) is a TypeError.
     """
-    require_ints(downsample=downsample)
-    if downsample < 1:
-        raise ValueError("downsample factor must be >= 1")
+    require_ints(1, downsample=downsample)
 
     with open(os.fspath(images_path), "rb") as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))

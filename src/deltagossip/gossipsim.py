@@ -77,11 +77,9 @@ class SimSchedule:
     batch_size: int = 32
 
     def __post_init__(self):
-        require_ints(train_epochs=self.train_epochs, integrate_every=self.integrate_every,
+        require_ints(1, train_epochs=self.train_epochs, integrate_every=self.integrate_every,
                      convergence_until_round=self.convergence_until_round,
                      batch_size=self.batch_size)
-        if self.train_epochs < 1 or self.integrate_every < 1 or self.batch_size < 1:
-            raise ValueError("schedule fields must be positive")
         if self.train_epochs % self.integrate_every != 0:
             raise ValueError("integrate_every must divide train_epochs")
         if self.convergence_until_round < self.train_epochs:
@@ -99,9 +97,7 @@ class Forwarding:
     def __post_init__(self):
         if self.mode not in (None, "first_hop", "multi_hop"):
             raise ValueError(f"unknown forwarding mode {self.mode!r}")
-        require_ints(max_hops=self.max_hops)
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
+        require_ints(1, max_hops=self.max_hops)
         if self.mode == "first_hop" and self.max_hops != 1:
             raise ValueError("first_hop forwarding sends one hop; use multi_hop for max_hops > 1")
 

@@ -15,8 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dataset import DatasetShard, concat_shards
-from .params import (ParameterVector, make_layout, require_ints, require_non_negative_ints,
-                     require_positive)
+from .params import ParameterVector, make_layout, require_ints, require_positive
 
 
 @dataclass(frozen=True)
@@ -28,12 +27,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(input_dim=self.input_dim, class_count=self.class_count)
-        require_non_negative_ints(hidden_dim=self.hidden_dim, seed=self.seed)
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
+        require_ints(1, input_dim=self.input_dim)
+        require_ints(2, class_count=self.class_count)
+        require_ints(0, hidden_dim=self.hidden_dim, seed=self.seed)
         require_positive(learning_rate=self.learning_rate)
 
 
@@ -275,10 +271,7 @@ def train_epochs(
     ValueError, and no model is updated then either.
     """
     models = list(models)
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    require_ints(1, epochs=epochs, batch_size=batch_size)
     if not models:
         raise ValueError("need at least one model")
     cfg = models[0].config

@@ -11,8 +11,6 @@ exponent: not non-negative and finite).
 
 from __future__ import annotations
 
-import math
-
 from .params import require_positive, require_real
 
 
@@ -46,10 +44,7 @@ def connectivity_increase_rate(
     require_positive(baseline=baseline, ref_n=ref_n, n=n)
     if n < ref_n:
         raise ValueError(f"n must be >= the reference node count {ref_n}, got {n}")
-    require_real(density_exponent=density_exponent)
-    if not (math.isfinite(density_exponent) and density_exponent >= 0):
-        raise ValueError(f"density_exponent must be non-negative and finite, "
-                         f"got {density_exponent!r}")
+    require_real(0, density_exponent=density_exponent)
     return baseline * (n / ref_n) ** density_exponent
 
 

@@ -2,9 +2,11 @@
 
 Every aggregation rule in this package operates on these vectors. Two
 vectors are combinable only when their layouts are identical; mismatches
-raise instead of silently misaligning weights. The ``require_*`` checks
-(integers, non-negative integers, real numbers, positive finite numbers)
-are shared by every config class and generator.
+raise instead of silently misaligning weights. The ``require_*`` checks are
+shared by every config class and generator: ``require_ints`` and
+``require_real`` check a field's type and, given a minimum, its lower bound,
+and ``require_positive`` a positive finite number. Each error names its field,
+and a bound error the value too.
 """
 
 from __future__ import annotations
@@ -120,26 +122,34 @@ def require_same_layout(vectors: Sequence[ParameterVector]) -> tuple[Segment, ..
     return layout
 
 
-def require_ints(**fields) -> None:
-    """TypeError naming the first field whose value is not an integer (bools are not)."""
+def _at_least(minimum) -> str:
+    return "non-negative" if minimum == 0 else f">= {minimum}"
+
+
+def require_ints(minimum=None, /, **fields) -> None:
+    """TypeError naming the first field whose value is not an integer (bools are
+    not); given a minimum, then ValueError naming the first field below it and
+    its value."""
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None:
+        for name, value in fields.items():
+            if value < minimum:
+                raise ValueError(f"{name} must be {_at_least(minimum)}, got {value!r}")
 
 
-def require_non_negative_ints(**fields) -> None:
-    """``require_ints``, then ValueError naming the first field below 0 and its value."""
-    require_ints(**fields)
-    for name, value in fields.items():
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
-def require_real(**fields) -> None:
-    """TypeError naming the first field whose value is not a real number (bools are not)."""
+def require_real(minimum=None, /, **fields) -> None:
+    """TypeError naming the first field whose value is not a real number (bools
+    are not); given a minimum, then ValueError naming the first field that is
+    not a finite number at least that minimum, and its value."""
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, Real):
             raise TypeError(f"{name} must be a number, got {value!r}")
+    if minimum is not None:
+        for name, value in fields.items():
+            if not (math.isfinite(value) and value >= minimum):
+                raise ValueError(f"{name} must be {_at_least(minimum)} and finite, got {value!r}")
 
 
 def require_positive(**values) -> None:

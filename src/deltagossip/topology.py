@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .metrics import write_atomic
-from .params import require_ints, require_non_negative_ints, require_positive
+from .params import require_ints, require_positive
 
 GENERATION_ATTEMPTS = 100  # seeded retries before GenerationBudgetError
 
@@ -42,9 +42,9 @@ class TopologyConstraints:
     target_avg_degree: float = 3.3
 
     def __post_init__(self):
-        require_ints(min_degree=self.min_degree, max_degree=self.max_degree)
-        if not 1 <= self.min_degree <= self.max_degree:
-            raise ValueError("need 1 <= min_degree <= max_degree")
+        require_ints(1, min_degree=self.min_degree, max_degree=self.max_degree)
+        if self.min_degree > self.max_degree:
+            raise ValueError(f"min_degree {self.min_degree} exceeds max_degree {self.max_degree}")
         require_positive(target_avg_degree=self.target_avg_degree)
 
 
@@ -153,10 +153,8 @@ def generate_semi_random(
     degree cap; the joins leave no degree below min_degree, and there are
     edge_target edges, which the checks below keep within 0.5 of the target.
     """
-    require_ints(nodes=nodes)
-    require_non_negative_ints(seed=seed)
-    if nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    require_ints(2, nodes=nodes)
+    require_ints(0, seed=seed)
     target = constraints.target_avg_degree
     if not constraints.min_degree <= target <= constraints.max_degree or target >= nodes:
         raise UnsatisfiableConstraintsError(

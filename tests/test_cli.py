@@ -4,6 +4,7 @@ import itertools
 import json
 import multiprocessing.process
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,52 @@ class TestStrictConfig:
         assert main(["run", "--config", str(config_path)]) == 1
         assert capsys.readouterr().err == (
             f"error: dataset: downsample must be an integer, got {value!r}\n")
+        assert not Path(config["output_dir"]).exists()
+
+    def test_a_bound_error_names_its_field_and_value(self, tmp_path, capsys):
+        config = small_config(tmp_path)
+        config["schedule"] = {"batch_size": 0}
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == "error: schedule: batch_size must be >= 1, got 0\n"
+        assert not Path(config["output_dir"]).exists()
+
+    @pytest.mark.parametrize("key", ["schedule", "batch_size"])
+    def test_a_repeated_key_is_an_error(self, tmp_path, capsys, key):
+        # json.load alone keeps the last value, so the second block would run.
+        config = small_config(tmp_path)
+        text = json.dumps(config)
+        first = f'"{key}": '
+        at = text.index(first)
+        value = '{"batch_size": 4}' if key == "schedule" else "4"
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(f"{text[:at]}{first}{value}, {text[at:]}")
+        assert main(["run", "--config", str(config_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: config is not valid JSON: key {key!r} appears twice in one object\n"
+        assert out == ""
+        assert not Path(config["output_dir"]).exists()
+
+    @pytest.mark.parametrize("which", ["train_images", "train_labels"])
+    def test_an_idx_header_that_claims_too_much_is_an_error(self, tmp_path, capsys, which):
+        images, labels = write_idx_pair(tmp_path, np.zeros((40, 4, 4)), [0, 1] * 20)
+        config = small_config(tmp_path)
+        config["dataset"] = {"kind": "idx", "train_images": str(images),
+                             "train_labels": str(labels)}
+        side = 2**32 - 1
+        if which == "train_images":
+            header = struct.pack(">IIII", 0x803, side, side, side)
+        else:
+            header = struct.pack(">II", 0x801, side)
+        path = Path(config["dataset"][which])
+        path.write_bytes(header + path.read_bytes()[len(header):])
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset: truncated IDX file {path} while reading "
+            f"{'image' if which == 'train_images' else 'label'} data\n")
         assert not Path(config["output_dir"]).exists()
 
     def test_readme_minimal_config_builds(self):

@@ -212,6 +212,21 @@ class TestLoadIdx:
             load_idx(img, lbl)
         assert str(path) in str(excinfo.value)
 
+    @pytest.mark.parametrize("side", [2**16, 2**32 - 1])
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_a_header_that_claims_more_than_the_file_holds(self, tmp_path, which, side):
+        # Read as declared, 2**16 images of 2**16 x 2**16 pixels were a MemoryError
+        # and (2**32 - 1)**3 bytes an OverflowError.
+        img, lbl = write_idx_pair(tmp_path, np.zeros((5, 2, 2), dtype=np.uint8), [0] * 5)
+        if which == "images":
+            path, header = img, struct.pack(">IIII", 0x803, side, side, side)
+        else:
+            path, header = lbl, struct.pack(">II", 0x801, side)
+        path.write_bytes(header + path.read_bytes()[len(header):])
+        with pytest.raises(IdxFormatError, match="truncated") as excinfo:
+            load_idx(img, lbl)
+        assert str(path) in str(excinfo.value)
+
     def test_downsample_mean_pools(self, tmp_path):
         images = np.arange(16, dtype=np.uint8).reshape(1, 4, 4)
         img, lbl = write_idx_pair(tmp_path, images, [7])

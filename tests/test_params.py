@@ -10,9 +10,10 @@ from deltagossip.params import (
     Segment,
     make_layout,
     require_ints,
-    require_non_negative_ints,
+    require_real,
     require_same_layout,
 )
+from deltagossip.cli import _experiment
 
 
 def pv(values, layout=None):
@@ -77,12 +78,31 @@ def test_require_ints_names_the_first_non_integer():
             require_ints(a=1, b=bad)
 
 
-def test_require_non_negative_ints_names_the_field_and_value():
-    require_non_negative_ints(a=0, b=np.int64(7))
+def test_require_ints_at_zero_names_the_field_and_value():
+    require_ints(0, a=0, b=np.int64(7))
     with pytest.raises(ValueError, match=r"^b must be non-negative, got -1$"):
-        require_non_negative_ints(a=0, b=-1)
+        require_ints(0, a=0, b=-1)
     with pytest.raises(TypeError, match=r"^b must be an integer"):
-        require_non_negative_ints(a=0, b=-1.0)
+        require_ints(0, a=0, b=-1.0)
+
+
+def test_require_ints_at_two_names_the_field_and_value():
+    require_ints(2, a=2, b=np.int64(9))
+    with pytest.raises(ValueError, match=r"^b must be >= 2, got 1$"):
+        require_ints(2, a=2, b=1)
+    # every field's type is checked before any bound
+    with pytest.raises(TypeError, match=r"^b must be an integer, got 2.0$"):
+        require_ints(2, a=1, b=2.0)
+
+
+def test_require_real_at_zero_names_the_field_and_value():
+    require_real(0, a=0, b=0.5, c=np.float64(3.0), d=4)
+    for bad in (-0.5, -1, float("nan"), float("inf"), float("-inf")):
+        message = f"b must be non-negative and finite, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            require_real(0, a=0.0, b=bad)
+    with pytest.raises(TypeError, match=r"^b must be a number, got True$"):
+        require_real(0, a=-1.0, b=True)
 
 
 # (builder, its other arguments, a float parameter): every float field and argument
@@ -110,6 +130,76 @@ def test_float_field_rejects_a_bool_or_a_string_by_name(builder, kwargs, name, v
     message = f"{name} must be a number, got {value!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         builder(**kwargs, **{name: value})
+
+
+PATH = "unread.idx"  # load_idx checks downsample before it opens a file
+VECTOR = ParameterVector([1.0, 2.0], make_layout([("w", 2)]))
+
+# (builder, its other arguments, a bounded parameter, its minimum): every
+# single-field lower bound. An int minimum bounds an integer, a float one a number.
+LOWER_BOUNDS = [
+    (dg.SimSchedule, {}, "train_epochs", 1),
+    (dg.SimSchedule, {}, "integrate_every", 1),
+    (dg.SimSchedule, {}, "convergence_until_round", 1),
+    (dg.SimSchedule, {}, "batch_size", 1),
+    (dg.Forwarding, {}, "max_hops", 1),
+    (dg.ShardPlan, {"node_count": 2}, "node_count", 1),
+    (dg.ShardPlan, {"node_count": 2}, "seed", 0),
+    (dg.ModelConfig, {"input_dim": 2, "class_count": 2}, "input_dim", 1),
+    (dg.ModelConfig, {"input_dim": 2, "class_count": 2}, "class_count", 2),
+    (dg.ModelConfig, {"input_dim": 2, "class_count": 2}, "hidden_dim", 0),
+    (dg.ModelConfig, {"input_dim": 2, "class_count": 2}, "seed", 0),
+    (dg.synth_classification, {"classes": 2, "dim": 2, "per_class": 2, "seed": 0}, "classes", 2),
+    (dg.synth_classification, {"classes": 2, "dim": 2, "per_class": 2, "seed": 0}, "dim", 1),
+    (dg.synth_classification, {"classes": 2, "dim": 2, "per_class": 2, "seed": 0},
+     "per_class", 1),
+    (dg.synth_classification, {"classes": 2, "dim": 2, "per_class": 2, "seed": 0}, "seed", 0),
+    (dg.load_idx, {"images_path": PATH, "labels_path": PATH}, "downsample", 1),
+    (dg.train_epochs, {"models": [], "inputs": None, "labels": None, "epochs": 1,
+                       "batch_size": 1}, "epochs", 1),
+    (dg.train_epochs, {"models": [], "inputs": None, "labels": None, "epochs": 1,
+                       "batch_size": 1}, "batch_size", 1),
+    (dg.TopologyConstraints, {}, "min_degree", 1),
+    (dg.TopologyConstraints, {}, "max_degree", 1),
+    (dg.generate_semi_random, {"nodes": 4, "constraints": dg.TopologyConstraints(),
+                               "seed": 0}, "nodes", 2),
+    (dg.generate_semi_random, {"nodes": 4, "constraints": dg.TopologyConstraints(),
+                               "seed": 0}, "seed", 0),
+    (dg.ModelUpdate, {"node_id": 0, "base": VECTOR, "delta": VECTOR, "sample_count": 1},
+     "node_id", 0),
+    (dg.ModelUpdate, {"node_id": 0, "base": VECTOR, "delta": VECTOR, "sample_count": 1},
+     "sample_count", 0),
+    (_experiment, {"dataset": None, "topologies": None, "strategies": None}, "seed", 0),
+    (dg.LambdaSchedule, {}, "offset", 0.0),
+    (dg.connectivity_increase_rate, {"baseline": 1.0, "ref_n": 10, "n": 20},
+     "density_exponent", 0.0),
+]
+
+
+def _bound_cases():
+    """(builder, arguments, error type, message) for values below a bound or of a wrong type."""
+    for builder, kwargs, name, minimum in LOWER_BOUNDS:
+        site = f"{builder.__name__}.{name}"
+        if isinstance(minimum, float):
+            for value in (minimum - 0.5, float("nan"), float("inf")):
+                yield pytest.param(builder, {**kwargs, name: value}, ValueError,
+                                   f"{name} must be non-negative and finite, got {value!r}",
+                                   id=f"{site}={value}")
+            continue
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        yield pytest.param(builder, {**kwargs, name: minimum - 1}, ValueError,
+                           f"{name} must be {bound}, got {minimum - 1}",
+                           id=f"{site}={minimum - 1}")
+        for value in (True, float(minimum)):
+            yield pytest.param(builder, {**kwargs, name: value}, TypeError,
+                               f"{name} must be an integer, got {value!r}",
+                               id=f"{site}={value!r}")
+
+
+@pytest.mark.parametrize("builder, kwargs, error, message", _bound_cases())
+def test_lower_bound_names_the_field_and_the_value(builder, kwargs, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        builder(**kwargs)
 
 
 def test_with_values():
