@@ -178,7 +178,8 @@ def delta_sum_integrate(
 
     The local node counts as one more contributor alongside the remote
     updates; remote may be empty, which degenerates to
-    base + lambda(t) * local delta.
+    base + lambda(t) * local delta. Over k updates this is their mean full model
+    plus (lambda(t) * k - 1) * mean delta: average_full_models at lambda = 1/k.
     """
     updates = _sorted_unique([local, *remote])
     require_same_layout([u.base for u in updates])  # each delta shares its base's layout

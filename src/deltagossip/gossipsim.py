@@ -12,9 +12,10 @@ validation shard and on the shared global validation set.
 
 run_simulation calls one module global per phase, looked up at call time:
 train_epochs trains a group in place, package_round returns the nodes'
-ModelUpdates in node order, integrate_round merges one round and returns
-its deliveries, convergence_round averages in place and evaluate_population
-returns each model's accuracy on the global set.
+ModelUpdates in node order, integrate_round makes each node's merge from
+integration_step its weights and base snapshot and returns the deliveries,
+convergence_round averages in place and evaluate_population returns each
+model's accuracy on the global set.
 
 Rounds are barriers: all sends are computed from pre-round state, and every
 node is at the same epoch or round, so run_simulation's loop counters are
@@ -122,13 +123,13 @@ class NodeState:
     """One simulated node: model, train size, local validation set and the snapshot its
     next delta is taken against. Its training rows live in its train-size group's stack."""
 
-    def __init__(self, node_id: int, model: TrainableModel,
+    def __init__(self, node_id: int, model: TrainableModel, base_snapshot: ParameterVector,
                  train_size: int, local_val: DatasetShard):
         self.node_id = node_id
         self.model = model
+        self.base_snapshot = base_snapshot
         self.train_size = train_size
         self.local_val = local_val
-        self.base_snapshot = model.weights
 
     def package_update(self, epochs: int) -> ModelUpdate:
         """Base snapshot plus what training learned since it was taken.
@@ -162,39 +163,33 @@ def disseminate(graph: TopologyGraph, sender: int, forwarding: Forwarding) -> se
 
 
 def integration_step(
-    state: NodeState,
     strategy: IntegrationStrategy,
     t: int,
     local_update: ModelUpdate,
     remotes: list[ModelUpdate],
 ) -> ParameterVector:
-    """Merge the node's own update with the remote updates that reached it.
+    """A node's merge of its own update with the remote updates that reached it.
 
     For delta_sum ``local_update``, the node's package for this round,
     contributes its base and delta alongside the remote updates. The
     averaging baselines average the updates' full models in sender order.
-    FedAvg-style strategies apply sample-weighted deltas on top of the
-    node's base snapshot. Each strategy sorts its updates by sender once;
+    FedAvg-style strategies apply sample-weighted deltas on top of
+    ``local_update``'s base. Each strategy sorts its updates by sender once;
     a remote sender given twice, or the node's own update among the
-    remotes, is a ValueError under every strategy. Afterwards the merged
-    weights become the new base snapshot.
+    remotes, is a ValueError under every strategy. Nothing is written:
+    integrate_round stores the result.
     """
     updates = [local_update, *remotes]
     kind = strategy.kind
     if kind == "delta_sum":
-        new_weights = delta_sum_integrate(local_update, remotes, strategy.schedule, t)
-    elif kind == "fedavg":
-        new_weights = fedavg_integrate(state.base_snapshot, updates)
-    elif kind == "sample_weighted":
-        new_weights = sample_weighted_integrate(state.base_snapshot, updates)
-    elif kind == "standard_averaging":
-        new_weights = average_full_models([u.full for u in _sorted_unique(updates)])
-    else:
-        new_weights = variance_corrected_average([u.full for u in _sorted_unique(updates)])
-
-    state.model.weights = new_weights
-    state.base_snapshot = new_weights
-    return new_weights
+        return delta_sum_integrate(local_update, remotes, strategy.schedule, t)
+    if kind == "fedavg":
+        return fedavg_integrate(local_update.base, updates)
+    if kind == "sample_weighted":
+        return sample_weighted_integrate(local_update.base, updates)
+    if kind == "standard_averaging":
+        return average_full_models([u.full for u in _sorted_unique(updates)])
+    return variance_corrected_average([u.full for u in _sorted_unique(updates)])
 
 
 def package_round(states, epochs: int) -> list[ModelUpdate]:
@@ -204,14 +199,16 @@ def package_round(states, epochs: int) -> list[ModelUpdate]:
 
 def integrate_round(states, updates, config: SimConfig, t: int, where: str) -> int:
     """Merge into each node its own update and those disseminate delivers to it, in sender
-    order; return the delivery count. A failed merge is a SimulationError naming ``where``."""
+    order, and make the merge the node's weights and base snapshot; return the delivery
+    count. A failed merge is a SimulationError naming ``where`` and writes nothing."""
     delivered = [[] for _ in states]  # filled in sender order
     for state, update in zip(states, updates):
         for target in disseminate(config.topology, state.node_id, config.forwarding):
             delivered[target].append(update)
     for state, update, remotes in zip(states, updates, delivered):
         with _failing_node(state.node_id, where):
-            integration_step(state, config.strategy, t, update, remotes)
+            merged = integration_step(config.strategy, t, update, remotes)
+        state.model.weights = state.base_snapshot = merged
     return sum(len(remotes) for remotes in delivered)
 
 
@@ -348,11 +345,8 @@ def run_simulation(
     schedule = config.schedule
     first_merge = schedule.integrate_every
     gval = start.gval
-    states = []
-    for i, ((size, lval), (weights, base)) in enumerate(zip(start.nodes, start.weights)):
-        state = NodeState(i, TrainableModel(config.model_config, weights), size, lval)
-        state.base_snapshot = base
-        states.append(state)
+    states = [NodeState(i, TrainableModel(config.model_config, weights), base, size, lval)
+              for i, ((size, lval), (weights, base)) in enumerate(zip(start.nodes, start.weights))]
     groups = [([states[i] for i in rows], inputs, labels)
               for rows, inputs, labels in start.groups]
 

@@ -5,13 +5,13 @@ vectors are combinable only when their layouts are identical; mismatches
 raise instead of silently misaligning weights. The ``require_*`` checks are
 shared by every config class and generator: ``require_ints`` and
 ``require_real`` check a field's type and, given a minimum, its lower bound,
-and ``require_positive`` a positive finite number. Each error names its field,
-and a bound error the value too.
+and ``require_positive`` a positive finite number. An integer beyond float
+range is not finite. Each error names its field, and a bound error the value too.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Sequence
@@ -148,7 +148,7 @@ def require_real(minimum=None, /, **fields) -> None:
             raise TypeError(f"{name} must be a number, got {value!r}")
     if minimum is not None:
         for name, value in fields.items():
-            if not (math.isfinite(value) and value >= minimum):
+            if not (abs(value) <= sys.float_info.max and value >= minimum):
                 raise ValueError(f"{name} must be {_at_least(minimum)} and finite, got {value!r}")
 
 
@@ -157,5 +157,5 @@ def require_positive(**values) -> None:
     positive finite number."""
     require_real(**values)
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
+        if not (0 < value <= sys.float_info.max):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")

@@ -352,12 +352,12 @@ def test_criterion_8_dissemination_dedup():
         # sender or the node's own update is rejected under every strategy
         calls = []
 
-        def spy(state, strategy, t, local_update, remotes):
-            calls.append((state.node_id, [u.node_id for u in remotes]))
+        def spy(strategy, t, local_update, remotes):
+            calls.append((local_update.node_id, [u.node_id for u in remotes]))
             for bad in ([*remotes, remotes[0]], [*remotes, local_update]):
                 with pytest.raises(ValueError, match="duplicate node ids"):
-                    integrate(state, strategy, t, local_update, bad)
-            return integrate(state, strategy, t, local_update, remotes)
+                    integrate(strategy, t, local_update, bad)
+            return integrate(strategy, t, local_update, remotes)
 
         config = dg.SimConfig(
             topology=graph,

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +16,7 @@ from deltagossip.aggregation import (
     sample_weighted_integrate,
     variance_corrected_average,
 )
-from deltagossip.gossipsim import NodeState, integration_step
+from deltagossip.gossipsim import integration_step
 from deltagossip.params import LayoutError, ParameterVector, make_layout
 
 REFERENCE_SCHEDULE = LambdaSchedule(offset=0.15, slope_divisor=1000.0, cap=0.35)
@@ -447,15 +445,29 @@ class TestAggregationProperties:
     def test_every_strategy_is_bitwise_order_independent(self, group, schedule, t, random):
         # The engine path: the node's own update plus its remote updates in
         # arbitrary arrival order.
-        w, (local, *remotes) = group
+        _, (local, *remotes) = group
         shuffled = random.sample(remotes, len(remotes))
         for kind in STRATEGY_KINDS:
             strategy = IntegrationStrategy(kind, schedule if kind == "delta_sum" else None)
             results = [
-                integration_step(_receiver(w, local), strategy, t, local, arrivals)
+                integration_step(strategy, t, local, arrivals)
                 for arrivals in (remotes, shuffled)
             ]
             assert np.array_equal(results[0].values, results[1].values), kind
+
+    @hypothesis_seed(20250105)
+    @PROPERTY_SETTINGS
+    @given(update_groups(), st.integers(0, 10_000))
+    def test_delta_sum_at_one_over_k_is_full_model_averaging(self, group, t):
+        # Over k updates delta_sum is the mean full model plus (lambda*k - 1) times
+        # the mean delta, so at a constant lambda = 1/k the two rules agree.
+        _, updates = group
+        k = len(updates)
+        schedule = LambdaSchedule(offset=1 / k, slope_divisor=1.0, cap=1 / k)
+        out = delta_sum_integrate(updates[0], updates[1:], schedule, t)
+        in_sender_order = sorted(updates, key=lambda u: u.node_id)
+        expected = average_full_models([u.full for u in in_sender_order])
+        np.testing.assert_allclose(out.values, expected.values, rtol=0, atol=1e-12)
 
     @hypothesis_seed(20250104)
     @PROPERTY_SETTINGS
@@ -465,11 +477,3 @@ class TestAggregationProperties:
         for average in (average_full_models, variance_corrected_average):
             out = average([model] * copies)
             np.testing.assert_allclose(out.values, model.values, rtol=1e-12, atol=1e-15)
-
-
-def _receiver(w, local):
-    """A node whose model is ``local``'s full model and whose snapshot is w."""
-    model = SimpleNamespace(weights=local.full)
-    state = NodeState(local.node_id, model, train_size=0, local_val=None)
-    state.base_snapshot = w
-    return state

@@ -468,6 +468,18 @@ class TestStrictConfig:
         assert capsys.readouterr().err == "error: schedule: batch_size must be >= 1, got 0\n"
         assert not Path(config["output_dir"]).exists()
 
+    def test_an_integer_beyond_float_range_is_an_error(self, tmp_path, capsys):
+        config = small_config(tmp_path)
+        config["model"]["learning_rate"] = 10**400
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: model: learning_rate must be positive and finite, "
+                       f"got {10**400}\n")
+        assert out == ""
+        assert not Path(config["output_dir"]).exists()
+
     @pytest.mark.parametrize("key", ["schedule", "batch_size"])
     def test_a_repeated_key_is_an_error(self, tmp_path, capsys, key):
         # json.load alone keeps the last value, so the second block would run.

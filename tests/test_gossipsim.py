@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import itertools
@@ -58,7 +59,8 @@ def make_state(node_id=0, seed=3, shard=None):
     cfg = ModelConfig(input_dim=shard.dim, class_count=int(shard.labels.max()) + 1,
                       hidden_dim=0, learning_rate=0.1, seed=seed)
     val = DatasetShard(shard.inputs[:6], shard.labels[:6], origin="local_val")
-    return NodeState(node_id, TrainableModel(cfg), shard.size, val)
+    model = TrainableModel(cfg)
+    return NodeState(node_id, model, model.weights, shard.size, val)
 
 
 def train(state, epochs, start_epoch=0, shard=None):
@@ -192,7 +194,7 @@ class TestIntegrationStep:
     def test_empty_inbox_averaging_keeps_local_model(self):
         state = make_state()
         update = train_and_package(state, 2)
-        new = integration_step(state, IntegrationStrategy("standard_averaging"), 2, update, [])
+        new = integration_step(IntegrationStrategy("standard_averaging"), 2, update, [])
         assert np.array_equal(new.values, update.base.values + update.delta.values)
 
     def test_empty_inbox_delta_sum_damps_local_delta(self):
@@ -200,27 +202,17 @@ class TestIntegrationStep:
         state = make_state()
         update = train_and_package(state, 2)
         expected = update.base.values + 0.25 * update.delta.values
-        new = integration_step(state, IntegrationStrategy("delta_sum", schedule), 2, update, [])
+        new = integration_step(IntegrationStrategy("delta_sum", schedule), 2, update, [])
         np.testing.assert_allclose(new.values, expected, rtol=0, atol=1e-15)
 
     def test_remote_identical_to_local_changes_nothing_under_averaging(self):
         state = make_state()
         update = train_and_package(state, 2)
         twin = ModelUpdate(99, update.base, update.delta, update.sample_count)
-        new = integration_step(
-            state, IntegrationStrategy("standard_averaging"), 2, update, [twin]
-        )
+        new = integration_step(IntegrationStrategy("standard_averaging"), 2, update, [twin])
         np.testing.assert_allclose(
             new.values, update.base.values + update.delta.values, rtol=0, atol=1e-15
         )
-
-    def test_snapshot_advanced_to_merged_weights(self):
-        state = make_state()
-        update = train_and_package(state, 2)
-        new = integration_step(
-            state, IntegrationStrategy("standard_averaging"), 2, update, [zero_update(5, state)]
-        )
-        assert np.array_equal(state.base_snapshot.values, new.values)
 
     def test_fedavg_uses_base_snapshot_and_counts(self):
         state = make_state()
@@ -228,7 +220,7 @@ class TestIntegrationStep:
         base = state.base_snapshot
         tripled = update.delta.with_values(update.delta.values * 3.0)
         remote = ModelUpdate(7, update.base, tripled, update.sample_count)
-        new = integration_step(state, IntegrationStrategy("fedavg"), 2, update, [remote])
+        new = integration_step(IntegrationStrategy("fedavg"), 2, update, [remote])
         expected = base.values + (update.delta.values + 3.0 * update.delta.values) / 2.0
         np.testing.assert_allclose(new.values, expected, rtol=0, atol=1e-12)
 
@@ -236,12 +228,10 @@ class TestIntegrationStep:
     def test_duplicate_sender_or_own_update_rejected(self, strategy):
         state = make_state(node_id=2)
         update = train_and_package(state, 2)
-        weights, snapshot = state.model.weights, state.base_snapshot
         remote = zero_update(5, state)
         for remotes in ([remote, remote], [remote, update], [zero_update(2, state)]):
             with pytest.raises(ValueError, match="duplicate node ids"):
-                integration_step(state, strategy, 2, update, remotes)
-            assert state.model.weights is weights and state.base_snapshot is snapshot
+                integration_step(strategy, 2, update, remotes)
 
     @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda strategy: strategy.kind)
     def test_each_merge_sorts_its_updates_once(self, strategy, monkeypatch):
@@ -256,7 +246,7 @@ class TestIntegrationStep:
         monkeypatch.setattr(gossipsim, "_sorted_unique", counting)
         state = make_state(node_id=2)
         update = train_and_package(state, 2)
-        integration_step(state, strategy, 2, update, [zero_update(7, state), zero_update(5, state)])
+        integration_step(strategy, 2, update, [zero_update(7, state), zero_update(5, state)])
         assert calls == [3]
 
     @pytest.mark.parametrize("name, kind", [("average_full_models", "standard_averaging"),
@@ -273,10 +263,54 @@ class TestIntegrationStep:
         state = make_state(node_id=2)
         update = train_and_package(state, 2)
         remotes = [zero_update(7, state), zero_update(0, state)]
-        integration_step(state, IntegrationStrategy(kind), 2, update, remotes)
+        integration_step(IntegrationStrategy(kind), 2, update, remotes)
         senders = [remotes[1], update, remotes[0]]
         assert len(received) == 3
         assert all(model is sender.full for model, sender in zip(received, senders))
+
+
+class TestIntegrateRound:
+    @staticmethod
+    def trained_triangle():
+        """Three nodes of distinct seeds, each trained 2 epochs, their updates and a
+        standard_averaging config that sends every update to both other nodes."""
+        shard = tiny_shard()
+        states = [make_state(node_id=i, seed=3 + i, shard=shard) for i in range(3)]
+        for state in states:
+            train(state, 2)
+        config = SimConfig(
+            topology=complete(3), strategy=IntegrationStrategy("standard_averaging"),
+            schedule=SimSchedule(2, 2, 2, 8), model_config=states[0].model.config,
+            shard_plan=ShardPlan(3, seed=0),
+        )
+        return states, package_round(states, 2), config
+
+    def test_snapshot_advanced_to_merged_weights(self):
+        states, updates, config = self.trained_triangle()
+        assert integrate_round(states, updates, config, 2, "round") == 6
+        for state, update in zip(states, updates):
+            remotes = [other for other in updates if other is not update]
+            merged = integration_step(config.strategy, 2, update, remotes)
+            assert state.model.weights is state.base_snapshot
+            assert np.array_equal(state.base_snapshot.values, merged.values)
+
+    def test_a_failed_merge_writes_nothing(self, monkeypatch):
+        states, updates, config = self.trained_triangle()
+        before = [(state.model.weights, state.base_snapshot) for state in states]
+        average = gossipsim.average_full_models
+        calls = itertools.count()
+
+        def failing(models):
+            if next(calls) == 1:  # node 1's merge
+                raise ValueError("parameter values must be finite")
+            return average(models)
+
+        monkeypatch.setattr(gossipsim, "average_full_models", failing)
+        with pytest.raises(SimulationError, match="^node 1 round: parameter values"):
+            integrate_round(states, updates, config, 2, "round")
+        assert states[0].model.weights is states[0].base_snapshot is not before[0][1]
+        for state, (weights, base) in zip(states[1:], before[1:]):
+            assert state.model.weights is weights and state.base_snapshot is base
 
 
 class TestConvergenceRound:
@@ -479,13 +513,16 @@ class TestRunSimulation:
         shard = tiny_shard(seed=8, per_class=20)
         graph = complete(2)
         states = [make_state(node_id=i, seed=4, shard=shard) for i in range(2)]
-        strategy = IntegrationStrategy("delta_sum", PASSTHROUGH)
+        config = SimConfig(
+            topology=graph, strategy=IntegrationStrategy("delta_sum", PASSTHROUGH),
+            schedule=SimSchedule(15, 5, 15, 8), model_config=states[0].model.config,
+            shard_plan=ShardPlan(2, seed=0),
+        )
         for round_index in range(1, 4):
             for state in states:
                 train(state, 5, start_epoch=5 * (round_index - 1), shard=shard)
-            updates = [s.package_update(5) for s in states]
-            for state, update, remote in zip(states, updates, updates[::-1]):
-                integration_step(state, strategy, 5 * round_index, update, [remote])
+            updates = package_round(states, 5)
+            integrate_round(states, updates, config, 5 * round_index, "round")
             assert np.array_equal(
                 states[0].model.weights.values, states[1].model.weights.values
             )
@@ -572,6 +609,21 @@ def rerun_golden_digests(env, check=""):
     assert f"{len(GOLDEN_CASES)} passed" in done.stdout
 
 
+OPENBLAS_CORENAME = "scipy_openblas_get_corename64_"
+
+
+def dynamic_openblas() -> str:
+    """The path of NumPy's bundled OpenBLAS; skip unless it picks its kernel at load
+    (DYNAMIC_ARCH) and exports the name of the kernel it picked."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("NumPy's OpenBLAS is not a DYNAMIC_ARCH build")
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        if hasattr(ctypes.CDLL(str(path)), OPENBLAS_CORENAME):
+            return str(path)
+    pytest.skip(f"NumPy's bundled OpenBLAS exports no {OPENBLAS_CORENAME}")
+
+
 class TestGoldenDigestAcrossDispatch:
     def test_digests_hold_with_every_dispatch_target_off(self):
         # The CSV bytes are portable across NumPy's SIMD dispatch levels
@@ -593,6 +645,22 @@ class TestGoldenDigestAcrossDispatch:
         # depend on how many threads OpenBLAS splits them over. It reads the
         # variable only at load, so the digests rerun in a fresh interpreter.
         rerun_golden_digests({"OPENBLAS_NUM_THREADS": threads})
+
+    @pytest.mark.parametrize("coretype, core", [("Sandybridge", "Sandybridge"),
+                                                ("Prescott", "Katmai")],
+                             ids=["Sandybridge", "Prescott"])
+    def test_digests_hold_on_each_openblas_kernel(self, coretype, core):
+        # The weights may differ by a few ulps between OpenBLAS kernels; the
+        # CSV bytes must not. OpenBLAS reads OPENBLAS_CORETYPE only at load, so
+        # the child first checks which kernel it runs (Prescott loads Katmai's).
+        library = dynamic_openblas()
+        rerun_golden_digests(
+            {"OPENBLAS_CORETYPE": coretype},
+            "import ctypes, numpy\n"
+            f"corename = ctypes.CDLL({library!r}).{OPENBLAS_CORENAME}\n"
+            "corename.restype = ctypes.c_char_p\n"
+            f"assert corename() == {core.encode()!r}, corename()\n",
+        )
 
 
 class TestFailureContext:

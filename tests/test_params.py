@@ -10,6 +10,7 @@ from deltagossip.params import (
     Segment,
     make_layout,
     require_ints,
+    require_positive,
     require_real,
     require_same_layout,
 )
@@ -96,13 +97,21 @@ def test_require_ints_at_two_names_the_field_and_value():
 
 
 def test_require_real_at_zero_names_the_field_and_value():
-    require_real(0, a=0, b=0.5, c=np.float64(3.0), d=4)
-    for bad in (-0.5, -1, float("nan"), float("inf"), float("-inf")):
+    require_real(0, a=0, b=0.5, c=np.float64(3.0), d=4, e=10**308)
+    for bad in (-0.5, -1, float("nan"), float("inf"), float("-inf"), 10**400, -10**400):
         message = f"b must be non-negative and finite, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             require_real(0, a=0.0, b=bad)
     with pytest.raises(TypeError, match=r"^b must be a number, got True$"):
         require_real(0, a=-1.0, b=True)
+
+
+def test_require_positive_names_the_field_and_value():
+    require_positive(a=1, b=1e308, c=10**308)
+    for bad in (0, -0.5, float("nan"), float("inf"), 10**400, -10**400):
+        message = f"b must be positive and finite, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            require_positive(a=1, b=bad)
 
 
 # (builder, its other arguments, a float parameter): every float field and argument
