@@ -205,10 +205,13 @@ def integrate_round(states, updates, config: SimConfig, t: int, where: str) -> i
     for state, update in zip(states, updates):
         for target in disseminate(config.topology, state.node_id, config.forwarding):
             delivered[target].append(update)
-    for state, update, remotes in zip(states, updates, delivered):
-        with _failing_node(state.node_id, where):
-            merged = integration_step(config.strategy, t, update, remotes)
-        state.model.weights = state.base_snapshot = merged
+    # An overflowing merge fails ParameterVector's finite check, a
+    # SimulationError naming the node: its warnings would add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state, update, remotes in zip(states, updates, delivered):
+            with _failing_node(state.node_id, where):
+                merged = integration_step(config.strategy, t, update, remotes)
+            state.model.weights = state.base_snapshot = merged
     return sum(len(remotes) for remotes in delivered)
 
 
@@ -218,10 +221,11 @@ def convergence_round(states, graph: TopologyGraph, where: str = "convergence") 
     A node whose average fails raises SimulationError("node <id> <where>: ...").
     """
     snapshot = [s.model.weights for s in states]
-    for i, state in enumerate(states):
-        group = [snapshot[i]] + [snapshot[j] for j in graph.adjacency[i]]
-        with _failing_node(state.node_id, where):
-            state.model.weights = average_full_models(group)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in integrate_round
+        for i, state in enumerate(states):
+            group = [snapshot[i]] + [snapshot[j] for j in graph.adjacency[i]]
+            with _failing_node(state.node_id, where):
+                state.model.weights = average_full_models(group)
 
 
 def evaluate_population(models, dataset: DatasetShard) -> list[float]:
@@ -234,25 +238,16 @@ def prepare_inputs(config: SimConfig, dataset: DatasetShard,
     """A run's checked inputs: shard_equal's (per_node, global_val) for the config.
 
     A disconnected topology, a dataset shard_equal cannot split under the
-    shard plan, an empty global_val, a given global_val whose feature
-    dimension is not the model's input_dim, or a label in the dataset or
-    global_val that reaches the model's class_count is a ValueError.
+    shard plan, and a dataset or global_val the model cannot take
+    (ModelConfig.require_fit: empty, another feature dimension than
+    input_dim, or a label that reaches class_count) is a ValueError.
     """
     if not validate_topology(config.topology):
         raise ValueError("topology must be connected")
 
     per_node, gval = shard_equal(dataset, config.shard_plan, global_val=global_val)
-    if gval.size < 1:
-        raise ValueError("global_val must hold at least one sample")
-    input_dim = config.model_config.input_dim
-    if global_val is not None and gval.dim != input_dim:
-        raise ValueError(f"global_val feature dimension {gval.dim} does not match "
-                         f"input_dim {input_dim}")
-    class_count = config.model_config.class_count
     for name, shard in (("dataset", dataset), ("global_val", gval)):
-        if shard.top_label >= class_count:
-            raise ValueError(f"{name} label {shard.top_label} is not below "
-                             f"class_count {class_count}")
+        config.model_config.require_fit(shard, name)
     return per_node, gval
 
 
@@ -330,8 +325,8 @@ def run_simulation(
 
     Indices 1..train_epochs are training epochs; the indices after them up
     to convergence_until_round are convergence rounds. Inputs that
-    prepare_inputs rejects are a ValueError before training; a dataset of
-    the wrong dimension fails its first training epoch as a SimulationError.
+    prepare_inputs rejects, a dataset of the wrong feature dimension among
+    them, are a ValueError before training.
     Without a ``start`` the run makes its own with start_run; a given one
     that does not serve this config, dataset and global_val is a ValueError.
     The first run to reach epoch integrate_every advances its start there,

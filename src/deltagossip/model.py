@@ -32,6 +32,18 @@ class ModelConfig:
         require_ints(0, hidden_dim=self.hidden_dim, seed=self.seed)
         require_positive(learning_rate=self.learning_rate)
 
+    def require_fit(self, shard: DatasetShard, name: str) -> None:
+        """A ValueError naming ``name`` unless this model can take ``shard``: at least
+        one sample, input_dim features and every label below class_count."""
+        if shard.size < 1:
+            raise ValueError(f"{name} must hold at least one sample")
+        if shard.dim != self.input_dim:
+            raise ValueError(f"{name} feature dimension {shard.dim} does not match "
+                             f"input_dim {self.input_dim}")
+        if shard.top_label >= self.class_count:
+            raise ValueError(f"{name} label {shard.top_label} is not below "
+                             f"class_count {self.class_count}")
+
 
 def model_layout(config: ModelConfig):
     d, h, k = config.input_dim, config.hidden_dim, config.class_count
@@ -59,7 +71,6 @@ def init_weights(config: ModelConfig) -> ParameterVector:
     return ParameterVector(values, layout)
 
 
-DIM_MISMATCH = "batch feature dimension does not match the model"
 LABELS_EXCEED = "batch labels exceed the model class count"
 NON_FINITE_LOSS = "non-finite loss"
 NON_FINITE_WEIGHTS = "parameter values must be finite"
@@ -181,7 +192,7 @@ class TrainingError(ValueError):
 
 
 class TrainableModel:
-    """A classifier over a flat ParameterVector with analytic gradients.
+    """A classifier: its ModelConfig and its weights, one flat ParameterVector.
 
     ``weights`` only takes a vector of the model's layout: any other is a
     ValueError when it is assigned, and the model keeps the weights it had.
@@ -209,27 +220,16 @@ class TrainableModel:
                              f"the model takes {takes}")
         self._weights = weights
 
-    def loss_and_gradient(self, batch: DatasetShard) -> tuple[float, ParameterVector]:
-        """Mean cross-entropy over a non-empty batch and its gradient."""
-        cfg = self.config
-        if batch.size < 1:
-            raise ValueError("cannot compute a loss on an empty batch")
-        if batch.dim != cfg.input_dim:
-            raise ValueError(DIM_MISMATCH)
-        if batch.top_label >= cfg.class_count:
-            raise ValueError(LABELS_EXCEED)
-        grad = np.empty(len(self.weights))
-        loss = _loss_and_gradient(cfg, self.weights.values, batch.inputs, batch.labels, grad)
-        if not np.isfinite(loss):
-            raise FloatingPointError(NON_FINITE_LOSS)
-        return float(loss), self.weights.with_values(grad)
-
 
 def sgd_batch_step(model: TrainableModel, batch: DatasetShard) -> ParameterVector:
-    """One descent step w <- w - lr * grad; the model is updated in place."""
-    _, grad = model.loss_and_gradient(batch)
-    w = model.weights
-    model.weights = w.with_values(w.values - grad.values * float(model.config.learning_rate))
+    """One descent step w <- w - grad * lr on a batch the model can take; the model is
+    updated in place. A non-finite loss is a FloatingPointError."""
+    cfg, w = model.config, model.weights
+    cfg.require_fit(batch, "batch")
+    grad = np.empty(len(w))
+    if not np.isfinite(_loss_and_gradient(cfg, w.values, batch.inputs, batch.labels, grad)):
+        raise FloatingPointError(NON_FINITE_LOSS)
+    model.weights = w.with_values(w.values - grad * float(cfg.learning_rate))
     return model.weights
 
 
@@ -272,6 +272,7 @@ def train_epochs(
     """
     models = list(models)
     require_ints(1, epochs=epochs, batch_size=batch_size)
+    require_ints(0, start_epoch=start_epoch)
     if not models:
         raise ValueError("need at least one model")
     cfg = models[0].config
@@ -285,7 +286,8 @@ def train_epochs(
     if size < 1:
         raise ValueError("cannot train on an empty shard")
     if inputs.shape[2] != cfg.input_dim:
-        raise TrainingError(0, start_epoch, DIM_MISMATCH)
+        raise ValueError(f"inputs feature dimension {inputs.shape[2]} does not match "
+                         f"input_dim {cfg.input_dim}")
 
     # Rows with out-of-range labels fail in the first epoch; they train on
     # class 0 meanwhile so that the other rows' failures can still be found.
@@ -343,8 +345,6 @@ def centralized_reference_train(
 ) -> ParameterVector:
     """Train one model on the union of all shards (the no-network ideal)."""
     union = concat_shards(shards)
-    if union.dim != config.input_dim:
-        raise ValueError("shard feature dimension does not match the config")
     model = TrainableModel(config)
     train_epochs([model], union.inputs[None], union.labels[None], epochs, batch_size)
     return model.weights
@@ -400,12 +400,7 @@ def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
     entry in its planes.
     """
     cfg, w, inputs = model.config, model.weights.values, dataset.inputs
-    if dataset.size < 1:
-        raise ValueError("cannot evaluate on an empty dataset")
-    if dataset.dim != cfg.input_dim:
-        raise ValueError("dataset feature dimension does not match the model")
-    if dataset.top_label >= cfg.class_count:
-        raise ValueError("dataset labels exceed the model class count")
+    cfg.require_fit(dataset, "dataset")
     hits = _count_hits(_class_planes(cfg, w, inputs), dataset,
                        lambda: _forward(cfg, w, inputs)[1])
     return float(hits / dataset.size)

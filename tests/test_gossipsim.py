@@ -333,6 +333,17 @@ class TestConvergenceRound:
         convergence_round(states, graph)
         assert all(s.model.weights.values[0] == 0.5 for s in states)
 
+    def test_an_overflowing_average_is_a_simulation_error_without_a_warning(self):
+        # Node 0 averages 1.7e308, 1.6e308 and -1.6e308, and the sum of the
+        # first two overflows. Tier-1 turns a RuntimeWarning into an error,
+        # so a warning from the average would fail the test first.
+        graph = ring(3)
+        states = self.states_with_weights([[1.7e308], [1.6e308], [-1.6e308]], graph)
+        with pytest.raises(SimulationError) as info:
+            convergence_round(states, graph, "convergence round 7 (fedavg)")
+        assert str(info.value) == (
+            "node 0 convergence round 7 (fedavg): parameter values must be finite")
+
     def test_two_nodes_meet_in_the_middle(self):
         graph = complete(2)
         states = self.states_with_weights([[0.0], [2.0]], graph)
@@ -428,6 +439,7 @@ class TestRunSimulation:
         ("global_val_dim", "global_val feature dimension 3 does not match input_dim 4"),
         ("global_val_label", "global_val label 3 is not below class_count 3"),
         ("dataset_label", "dataset label 3 is not below class_count 3"),
+        ("dataset_dim", "dataset feature dimension 3 does not match input_dim 4"),
     ])
     def test_bad_data_rejected_before_training(self, bad, message, monkeypatch):
         def no_training(*args, **kwargs):
@@ -442,19 +454,14 @@ class TestRunSimulation:
             global_val = DatasetShard(global_val.inputs[:, :3], global_val.labels)
         elif bad == "global_val_label":
             global_val = DatasetShard(global_val.inputs, global_val.labels + 3)
+        elif bad == "dataset_dim":
+            data = DatasetShard(data.inputs[:, :3], data.labels)
         else:
             data = DatasetShard(data.inputs, np.where(data.labels == 2, 3, data.labels))
         with pytest.raises(ValueError) as info:
             run_simulation(small_sim_config(), data, global_val=global_val)
         assert str(info.value) == message
         assert not isinstance(info.value, SimulationError)
-
-    def test_dataset_of_another_dimension_fails_its_first_epoch(self):
-        data = tiny_shard(per_class=40)
-        with pytest.raises(SimulationError) as info:
-            run_simulation(small_sim_config(), DatasetShard(data.inputs[:, :3], data.labels))
-        assert str(info.value) == (
-            "node 0 epoch 1: batch feature dimension does not match the model")
 
     def test_metrics_cover_every_node_and_index(self):
         config = small_sim_config()
@@ -728,6 +735,29 @@ class TestFailureContext:
             "integration: [0, 0,")
         assert isinstance(info.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("kind, learning_rate", [
+        ("fedavg", 1e306), ("sample_weighted", 1e306), ("variance_corrected", 1e306),
+        ("standard_averaging", 3e307), ("delta_sum", 3e307),
+    ])
+    def test_an_overflowing_merge_is_a_simulation_error_without_a_warning(self, kind,
+                                                                           learning_rate):
+        # Steps this large train to finite weights whose first merge
+        # overflows. Tier-1 turns a RuntimeWarning into an error, so a
+        # warning from the merge would end the run before its SimulationError.
+        config = SimConfig(
+            topology=generate_semi_random(6, TopologyConstraints(target_avg_degree=2.5), seed=5),
+            strategy=IntegrationStrategy(kind, LambdaSchedule() if kind == "delta_sum" else None),
+            schedule=SimSchedule(train_epochs=4, integrate_every=2, convergence_until_round=5,
+                                 batch_size=1),
+            model_config=ModelConfig(input_dim=4, class_count=3, learning_rate=learning_rate,
+                                     seed=0),
+            shard_plan=ShardPlan(node_count=6, seed=2),
+        )
+        with pytest.raises(SimulationError) as info:
+            run_simulation(config, synth_classification(3, 4, 60, seed=3))
+        assert str(info.value) == (
+            f"node 0 integration round 1 ({kind}): parameter values must be finite")
+
     def test_convergence_failure_names_node_round_and_strategy(self, monkeypatch):
         # Under delta_sum only convergence rounds average full models; the
         # 4-node run converges over rounds 11-14, so call 6 is node 2 in round 12.
@@ -745,6 +775,40 @@ class TestFailureContext:
         assert str(info.value) == (
             "node 2 convergence round 12 (delta_sum): parameter values must be finite"
         )
+
+
+class TestDeltaSumAtOneOverK:
+    """On a d-regular graph with first-hop forwarding every node merges k = d + 1
+    updates, and delta_sum at a constant lambda of 1/k is full-model averaging
+    (delta_sum_integrate's docstring). Both rules round differently, so the
+    records agree through the decision margins, not through equal bits."""
+
+    @pytest.mark.parametrize("nodes, degree", [(8, 3), (24, 3), (24, 4)])
+    def test_records_equal_standard_averaging(self, nodes, degree):
+        graph = generate_semi_random(nodes, TopologyConstraints(
+            min_degree=degree, max_degree=degree, target_avg_degree=degree), seed=5)
+        assert all(len(neighbors) == degree for neighbors in graph.adjacency)
+        data = synth_classification(10, 16, 120, seed=1, noise_sigma=0.12)
+        one_over_k = 1 / (degree + 1)
+
+        def config(strategy):
+            return SimConfig(
+                topology=graph, strategy=strategy,
+                schedule=SimSchedule(train_epochs=60, integrate_every=10,
+                                     convergence_until_round=75, batch_size=16),
+                model_config=ModelConfig(input_dim=16, class_count=10, learning_rate=0.05,
+                                         seed=201),
+                shard_plan=ShardPlan(node_count=nodes, seed=301),
+            )
+
+        averaging = config(IntegrationStrategy("standard_averaging"))
+        start = start_run(averaging, data)
+        expected = run_simulation(averaging, data, start=start)
+        ramp = LambdaSchedule(offset=one_over_k, slope_divisor=1.0, cap=one_over_k)
+        records = run_simulation(config(IntegrationStrategy("delta_sum", ramp)), data,
+                                 start=start)
+        assert len(records) == nodes * 75
+        assert records == expected
 
 
 def start_config(kind="delta_sum", max_hops=1, every=4, hidden=0):

@@ -20,7 +20,12 @@ from deltagossip.model import (
 from deltagossip.dataset import DatasetShard
 from deltagossip.params import ParameterVector, make_layout
 
-from reference_engine import log_softmax_argmax
+from reference_engine import (
+    frozen_loss_and_gradient,
+    frozen_trained,
+    log_softmax_argmax,
+    loss_and_gradient,
+)
 
 
 def train_alone(model, shard, epochs, batch_size, start_epoch=0):
@@ -120,10 +125,8 @@ class TestWeightLayout:
 class TestLossAndGradient:
     def test_uniform_model_loss_is_log_class_count(self):
         cfg = ModelConfig(input_dim=4, class_count=3, hidden_dim=0, seed=0)
-        model = TrainableModel(cfg)
-        model.weights = model.weights.with_values(np.zeros(len(model.weights)))
         batch = random_batch(np.random.default_rng(0), 4, 3)
-        loss, _ = model.loss_and_gradient(batch)
+        loss, _ = loss_and_gradient(cfg, np.zeros(len(init_weights(cfg))), batch)
         assert loss == pytest.approx(np.log(3), abs=1e-12)
 
     @pytest.mark.parametrize("hidden", [0, 6])
@@ -131,38 +134,25 @@ class TestLossAndGradient:
         rng = np.random.default_rng(42)
         cfg = ModelConfig(input_dim=5, class_count=3, hidden_dim=hidden, seed=1)
         for _ in range(10):
-            model = TrainableModel(cfg)
-            model.weights = model.weights.with_values(
-                rng.normal(0, 0.5, len(model.weights))
-            )
+            w = rng.normal(0, 0.5, len(init_weights(cfg)))
             batch = random_batch(rng, 5, 3)
-            _, grad = model.loss_and_gradient(batch)
-            numeric = finite_difference_gradient(model, batch)
-            np.testing.assert_allclose(grad.values, numeric, rtol=1e-4, atol=1e-7)
+            _, grad = loss_and_gradient(cfg, w, batch)
+            numeric = finite_difference_gradient(cfg, w, batch)
+            np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
     def test_duplicated_batch_same_loss_and_gradient(self):
         rng = np.random.default_rng(3)
         cfg = ModelConfig(input_dim=4, class_count=3, hidden_dim=4, seed=2)
-        model = TrainableModel(cfg)
+        w = init_weights(cfg).values
         batch = random_batch(rng, 4, 3)
         doubled = DatasetShard(
             np.concatenate([batch.inputs, batch.inputs]),
             np.concatenate([batch.labels, batch.labels]),
         )
-        loss1, grad1 = model.loss_and_gradient(batch)
-        loss2, grad2 = model.loss_and_gradient(doubled)
+        loss1, grad1 = loss_and_gradient(cfg, w, batch)
+        loss2, grad2 = loss_and_gradient(cfg, w, doubled)
         assert loss1 == pytest.approx(loss2, rel=1e-12)
-        np.testing.assert_allclose(grad1.values, grad2.values, rtol=1e-12, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        cfg = ModelConfig(input_dim=4, class_count=3, seed=0)
-        model = TrainableModel(cfg)
-        bad = DatasetShard(np.zeros((2, 5)), np.array([0, 1]))
-        with pytest.raises(ValueError):
-            model.loss_and_gradient(bad)
-        out_of_range = DatasetShard(np.zeros((2, 4)), np.array([0, 3]))
-        with pytest.raises(ValueError):
-            model.loss_and_gradient(out_of_range)
+        np.testing.assert_allclose(grad1, grad2, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 3, 4)])
     def test_pick_grid_is_one_read_only_np_indices_per_shape(self, shape):
@@ -176,70 +166,73 @@ class TestLossAndGradient:
             with pytest.raises(ValueError):
                 axis[...] = 0
 
-    def test_empty_batch_rejected(self):
-        model = TrainableModel(ModelConfig(input_dim=4, class_count=3, seed=0))
-        with pytest.raises(ValueError, match="empty batch"):
-            model.loss_and_gradient(DatasetShard(np.zeros((0, 4)), np.zeros(0)))
-        with pytest.raises(ValueError, match="empty batch"):
-            sgd_batch_step(model, DatasetShard(np.zeros((0, 4)), np.zeros(0)))
 
-
-def finite_difference_gradient(model, batch, step=1e-5):
-    """Independent oracle: central differences of the batch loss."""
-    base = model.weights
-    numeric = np.zeros(len(base))
-    for i in range(len(base)):
+def finite_difference_gradient(config, w, batch, step=1e-5):
+    """Independent oracle: central differences of the batch loss at weights w."""
+    numeric = np.zeros(len(w))
+    for i in range(len(w)):
         for sign in (+1.0, -1.0):
-            shifted = base.values.copy()
+            shifted = w.copy()
             shifted[i] += sign * step
-            model.weights = base.with_values(shifted)
-            loss, _ = model.loss_and_gradient(batch)
-            numeric[i] += sign * loss
-    model.weights = base
+            numeric[i] += sign * loss_and_gradient(config, shifted, batch)[0]
     return numeric / (2 * step)
 
 
-class SquaredLossProbe(TrainableModel):
-    """Loss (w - 1)^2 in the first weight w alone, for checking the update rule."""
+class TestRequireFit:
+    CONFIG = ModelConfig(input_dim=4, class_count=3, seed=0)
 
-    def __init__(self, learning_rate):
-        cfg = ModelConfig(
-            input_dim=1, class_count=2, hidden_dim=0, learning_rate=learning_rate, seed=0
-        )
-        super().__init__(cfg)
-        self.weights = self.weights.with_values(np.zeros(len(self.weights)))
-
-    def loss_and_gradient(self, batch):
-        w = float(self.weights.values[0])
-        grad = np.zeros(len(self.weights))
-        grad[0] = 2.0 * (w - 1.0)
-        return (w - 1.0) ** 2, self.weights.with_values(grad)
+    @pytest.mark.parametrize("inputs, labels, message", [
+        (np.zeros((0, 5)), [], "batch must hold at least one sample"),
+        (np.zeros((2, 5)), [0, 3], "batch feature dimension 5 does not match input_dim 4"),
+        (np.zeros((2, 4)), [0, 3], "batch label 3 is not below class_count 3"),
+    ])
+    def test_a_shard_the_model_cannot_take_is_named_and_not_stepped_on(self, inputs, labels,
+                                                                        message):
+        shard = DatasetShard(inputs, labels)
+        with pytest.raises(ValueError) as info:
+            self.CONFIG.require_fit(shard, "batch")
+        assert str(info.value) == message
+        model = TrainableModel(self.CONFIG)
+        before = model.weights
+        with pytest.raises(ValueError) as info:
+            sgd_batch_step(model, shard)
+        assert str(info.value) == message
+        assert model.weights is before
 
 
 class TestSgdBatchStep:
-    def test_descends_hand_computed_parabola(self):
-        # loss (w-1)^2 at w=0 has slope -2; one step at lr 0.1 lands on 0.2
-        model = SquaredLossProbe(learning_rate=0.1)
-        batch = DatasetShard(np.zeros((1, 1)), np.array([0]))
-        new = sgd_batch_step(model, batch)
-        assert new.values[0] == pytest.approx(0.2, abs=1e-15)
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_one_step_is_w_minus_lr_times_the_allocating_gradient(self, hidden):
+        rng = np.random.default_rng(hidden)
+        cfg = ModelConfig(input_dim=3, class_count=4, hidden_dim=hidden, learning_rate=0.3,
+                          seed=1)
+        for _ in range(10):
+            w = rng.normal(0, 0.5, len(init_weights(cfg)))
+            batch = random_batch(rng, 3, 4, size=int(rng.integers(1, 9)))
+            model = TrainableModel(cfg, init_weights(cfg).with_values(w))
+            _, grad = frozen_loss_and_gradient(cfg, w, batch.inputs, batch.labels)
+            new = sgd_batch_step(model, batch)
+            assert new is model.weights
+            assert new.values.tobytes() == (w - cfg.learning_rate * grad).tobytes()
 
-    def test_zero_gradient_leaves_weights(self):
-        model = SquaredLossProbe(learning_rate=0.1)
-        model.weights = model.weights.with_values(np.array([1.0, 0.0, 0.0, 0.0]))  # stationary
-        batch = DatasetShard(np.zeros((1, 1)), np.array([0]))
-        new = sgd_batch_step(model, batch)
-        assert new.values[0] == 1.0
+    def test_a_non_finite_loss_is_a_floating_point_error_and_keeps_the_weights(self):
+        model = TrainableModel(ModelConfig(input_dim=2, class_count=2, seed=0))
+        before = model.weights
+        batch = DatasetShard([[np.inf, 0.0], [0.0, 0.0]], [0, 1])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="^non-finite loss$"):
+            sgd_batch_step(model, batch)
+        assert model.weights is before
 
     def test_loss_non_increasing_on_toy_batch(self):
         data = synth_classification(2, 2, 20, seed=4, noise_sigma=0.02)
         cfg = ModelConfig(input_dim=2, class_count=2, learning_rate=1e-3, seed=1)
         model = TrainableModel(cfg)
         batch = data
-        losses = [model.loss_and_gradient(batch)[0]]
+        losses = [loss_and_gradient(cfg, model.weights.values, batch)[0]]
         for _ in range(2):
             sgd_batch_step(model, batch)
-            losses.append(model.loss_and_gradient(batch)[0])
+            losses.append(loss_and_gradient(cfg, model.weights.values, batch)[0])
         assert losses[1] <= losses[0] and losses[2] <= losses[1]
 
 
@@ -265,6 +258,29 @@ class TestTrainEpochs:
         empty = DatasetShard(np.zeros((0, 4)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             train_alone(model, empty, epochs=1, batch_size=16)
+
+    @pytest.mark.parametrize("start_epoch, error, message", [
+        (-1, ValueError, "start_epoch must be non-negative, got -1"),
+        (1.5, TypeError, "start_epoch must be an integer, got 1.5"),
+        (True, TypeError, "start_epoch must be an integer, got True"),
+    ])
+    def test_a_bad_start_epoch_is_named(self, start_epoch, error, message):
+        model = TrainableModel(self.cfg)
+        before = model.weights
+        with pytest.raises(error) as info:
+            train_alone(model, self.data, 1, 16, start_epoch=start_epoch)
+        assert type(info.value) is error and str(info.value) == message
+        assert model.weights is before
+
+    def test_inputs_of_another_width_are_a_value_error(self):
+        model = TrainableModel(self.cfg)
+        narrow = DatasetShard(self.data.inputs[:, :3], self.data.labels)
+        message = "^inputs feature dimension 3 does not match input_dim 4$"
+        with pytest.raises(ValueError, match=message) as info:
+            train_alone(model, narrow, 1, 16)
+        assert type(info.value) is ValueError
+        with pytest.raises(ValueError, match=message):
+            centralized_reference_train([narrow], self.cfg, 1, 16)
 
     def test_replay_identical_deltas(self):
         d1 = train_alone(TrainableModel(self.cfg), self.data, 4, 16)
@@ -395,55 +411,6 @@ class TestGroupTraining:
         assert str(info.value) == "parameter values must be finite"
 
 
-def frozen_layers(config, w):
-    d, h, k = config.input_dim, config.hidden_dim, config.class_count
-    lead = w.shape[:-1]
-    out = h * (d + 1)
-    w2, b2 = w[..., out:-k].reshape(*lead, -1, k), w[..., None, -k:]
-    if h == 0:
-        return None, None, w2, b2
-    return w[..., : d * h].reshape(*lead, d, h), w[..., None, d * h : out], w2, b2
-
-
-def frozen_loss_and_gradient(config, w, x, y):
-    """The allocating stacked step that train_epochs first used, operation for
-    operation (_forward and _log_softmax inlined): fresh temporaries everywhere
-    and one np.concatenate of the segments."""
-    w1, b1, w2, b2 = frozen_layers(config, w)
-    hidden = x if w1 is None else np.tanh(x @ w1 + b1)
-    logits = hidden @ w2 + b2
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    pick = (*np.indices(y.shape, sparse=True), y)
-    loss = -log_probs[pick].mean(axis=-1)
-
-    d_logits = np.exp(log_probs)
-    d_logits[pick] -= 1.0
-    d_logits /= y.shape[-1]
-
-    grads = [np.swapaxes(hidden, -1, -2) @ d_logits, d_logits.sum(axis=-2)]
-    if config.hidden_dim > 0:
-        w2 = frozen_layers(config, w)[2]
-        d_hidden = (d_logits @ np.swapaxes(w2, -1, -2)) * (1.0 - hidden**2)
-        grads = [np.swapaxes(x, -1, -2) @ d_hidden, d_hidden.sum(axis=-2), *grads]
-    lead = w.shape[:-1]
-    return loss, np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
-
-
-def frozen_trained(config, before, inputs, labels, epochs, batch_size, start_epoch):
-    """The trained weights (G, P) of the allocating step's training loop over take batches."""
-    w = before.copy()
-    size = labels.shape[1]
-    for e in range(epochs):
-        order = np.random.default_rng([config.seed, start_epoch + e]).permutation(size)
-        for lo in range(0, size, batch_size):
-            idx = order[lo : lo + batch_size]
-            x, y = inputs.take(idx, axis=1), labels.take(idx, axis=1)
-            _, grad = frozen_loss_and_gradient(config, w, x, y)
-            w = w - config.learning_rate * grad
-    return w
-
-
 def frozen_train(config, before, inputs, labels, epochs, batch_size, start_epoch):
     """(weights, deltas) (G, P) of the allocating step's training loop over take batches."""
     deltas = frozen_trained(config, before, inputs, labels, epochs, batch_size,
@@ -509,12 +476,11 @@ class TestFrozenStep:
     @given(frozen_step_runs())
     def test_single_model_gradient_bitwise_equal_to_the_allocating_step(self, run):
         cfg, weights, inputs, labels, _ = run
-        model = TrainableModel(cfg, init_weights(cfg).with_values(weights[0]))
-        loss, grad = model.loss_and_gradient(DatasetShard(inputs[0], labels[0]))
+        loss, grad = loss_and_gradient(cfg, weights[0], DatasetShard(inputs[0], labels[0]))
         expected_loss, expected_grad = frozen_loss_and_gradient(cfg, weights[0], inputs[0],
                                                                 labels[0])
         assert loss == float(expected_loss)
-        assert grad.values.tobytes() == expected_grad.tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
 
 
 class TestRewrap:
@@ -655,9 +621,10 @@ class TestEvaluate:
 
     def test_dimension_and_label_mismatch_rejected(self):
         model = TrainableModel(ModelConfig(input_dim=4, class_count=3, seed=0))
-        with pytest.raises(ValueError, match="feature dimension"):
+        with pytest.raises(ValueError, match="^dataset feature dimension 5 does not match "
+                                             "input_dim 4$"):
             evaluate(model, DatasetShard(np.zeros((2, 5)), [0, 1]))
-        with pytest.raises(ValueError, match="labels exceed"):
+        with pytest.raises(ValueError, match="^dataset label 3 is not below class_count 3$"):
             evaluate(model, DatasetShard(np.zeros((2, 4)), [0, 3]))
 
 

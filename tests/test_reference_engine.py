@@ -1,10 +1,11 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 from hypothesis import seed as hypothesis_seed
 
-from deltagossip import gossipsim
+from deltagossip import gossipsim, model
 from deltagossip.aggregation import STRATEGY_KINDS, IntegrationStrategy, LambdaSchedule
 from deltagossip.dataset import ShardPlan, shard_equal, synth_classification
 from deltagossip.gossipsim import Forwarding, SimConfig, SimSchedule, run_simulation
@@ -106,6 +107,34 @@ class TestReferenceEngine:
         skipped = 2 * len(per_node) * (config.schedule.integrate_every - 1)
         assert records == expected_records
         assert evaluated == expected_evaluated[skipped:]
+
+    def test_a_one_ulp_change_in_the_training_kernel_is_seen(self, monkeypatch):
+        # The reference trains through its own allocating step, so a kernel
+        # that moves each gradient's first entry up one ulp is not its own.
+        kernel = model._loss_and_gradient
+
+        def nudged(config, w, x, y, out):
+            loss = kernel(config, w, x, y, out)
+            np.nextafter(out[..., 0], np.inf, out=out[..., 0])
+            return loss
+
+        config = SimConfig(
+            topology=generate_semi_random(6, TopologyConstraints(target_avg_degree=2.5), seed=5),
+            strategy=IntegrationStrategy("standard_averaging"),
+            schedule=SimSchedule(train_epochs=4, integrate_every=2, convergence_until_round=5,
+                                 batch_size=4),
+            model_config=ModelConfig(input_dim=4, class_count=3, hidden_dim=3,
+                                     learning_rate=0.1, seed=0),
+            shard_plan=ShardPlan(node_count=6, seed=2),
+        )
+        data = synth_classification(3, 4, 20, seed=3)
+        per_node, gval = shard_equal(data, config.shard_plan)
+        _, plain = logged_run(config, data, None)
+        assert plain == run_reference(config, per_node, gval)[1]
+        monkeypatch.setattr(model, "_loss_and_gradient", nudged)
+        _, evaluated = logged_run(config, data, None)
+        assert evaluated != plain
+        assert evaluated != run_reference(config, per_node, gval)[1]
 
 
 def logged_run(config, data, global_val, start=None):
