@@ -349,8 +349,11 @@ def run_simulation(
     records: list[MetricsRecord] = list(start.records)
 
     def record_all(index: int) -> None:
-        local = [evaluate(state.model, state.local_val) for state in states]
-        shared = evaluate_population([state.model for state in states], gval)
+        # Finite weights can give logits whose shifts overflow; the count
+        # then takes the definition, so the warnings would add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            local = [evaluate(state.model, state.local_val) for state in states]
+            shared = evaluate_population([state.model for state in states], gval)
         records.extend(MetricsRecord(state.node_id, index, local_acc, global_acc)
                        for state, local_acc, global_acc in zip(states, local, shared))
 

@@ -96,21 +96,6 @@ def _layers(config: ModelConfig, w: np.ndarray):
     return w[..., : d * h].reshape(*lead, d, h), w[..., None, d * h : out], w2, b2
 
 
-def _forward(config: ModelConfig, w: np.ndarray, x: np.ndarray):
-    """(hidden activations, logits) for inputs x (..., n, d) under weights w (..., P).
-
-    Leading axes pair each model with its own inputs; a single model is the
-    2-d case. The hidden layer is x itself at hidden_dim=0. Bias and tanh
-    act in place on the fresh matmul results, with the same roundings as
-    ``tanh(x @ w1 + b1)`` and ``hidden @ w2 + b2``.
-    """
-    w1, b1, w2, b2 = _layers(config, w)
-    hidden = _hidden_layer(x, w1, b1)
-    logits = hidden @ w2
-    logits += b2
-    return hidden, logits
-
-
 def _hidden_layer(x: np.ndarray, w1, b1) -> np.ndarray:
     """``tanh(x @ w1 + b1)``, bias and tanh in place on the matmul result; x at hidden_dim=0."""
     if w1 is None:
@@ -123,11 +108,12 @@ def _hidden_layer(x: np.ndarray, w1, b1) -> np.ndarray:
 def _class_planes(config: ModelConfig, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One model's logits on x (n, d) as C-contiguous class planes (k, n): row j is class j.
 
-    The matmuls are ``_forward``'s, on the same operands. The output bias is
-    added as a (k, 1) column to the transposed product, not as a (1, k) row
-    over (n, k) logits; the add is elementwise, so every entry is bitwise
-    the logit ``_forward`` gives, and the output is written in plane order
-    without a copy.
+    This is evaluation's forward pass. Its matmuls are ``tanh(x @ w1 + b1)``
+    and ``hidden @ w2`` on ``_layers`` views, as in ``_loss_and_gradient``.
+    The output bias is added as a (k, 1) column to the transposed product,
+    not as a (1, k) row over (n, k) logits; the add is elementwise, so every
+    entry is bitwise the logit ``hidden @ w2 + b2``, and the output is
+    written in plane order without a copy.
     """
     w1, b1, w2, b2 = _layers(config, w)
     return np.add((_hidden_layer(x, w1, b1) @ w2).T, b2.T, order="C")
@@ -151,7 +137,8 @@ def _loss_and_gradient(config: ModelConfig, w: np.ndarray, x: np.ndarray, y: np.
     out_b) is written straight into its ``_layers`` view of ``out``, so a
     step allocates nothing of size P. The matmuls and bias sums into these
     views are bitwise equal to the same operations into fresh arrays. The
-    forward pass is ``_forward``'s, on one set of ``_layers`` views of w.
+    forward pass is training's own, logits (..., n, k) on one set of
+    ``_layers`` views of w; evaluation's is ``_class_planes``.
     """
     w1, b1, w2, b2 = _layers(config, w)
     hidden = _hidden_layer(x, w1, b1)
@@ -350,12 +337,12 @@ def centralized_reference_train(
     return model.weights
 
 
-def _count_hits(planes: np.ndarray, dataset: DatasetShard, logits) -> int:
-    """How many samples of ``dataset`` predict their label, from class planes (k, n).
+def _count_hits(planes: np.ndarray, dataset: DatasetShard) -> int | None:
+    """How many samples of ``dataset`` predict their label, from class planes (k, n);
+    None when the tie bound below cannot decide.
 
     ``planes`` holds the logits as ``_class_planes`` lays them out and is
-    overwritten. ``logits()`` returns the same logits as an (n, k) array; it
-    is called only when the tie bound below cannot decide.
+    overwritten.
 
     Each sample's shifts are s_j = z_j - max(z) <= 0, its top class has s = 0,
     and its log-softmax is fl(s_j - lse) with lse = log(sum(exp(s))). A
@@ -366,9 +353,7 @@ def _count_hits(planes: np.ndarray, dataset: DatasetShard, logits) -> int:
     that class is the argmax, and a sample is a hit when its label's entry,
     read through ``dataset.label_index``, is above -T. Otherwise (a
     near-tie, or a sample with a NaN or +inf logit or with every logit
-    -inf) the count takes the definition, ``np.argmax(_log_softmax(
-    logits()), axis=-1)``, whose NaN rows predict class 0 as ``np.argmax``
-    does.
+    -inf) the count is None, and the caller takes the definition.
     """
     k, n = planes.shape
     top = planes.max(axis=0)
@@ -378,7 +363,7 @@ def _count_hits(planes: np.ndarray, dataset: DatasetShard, logits) -> int:
     # in all means exactly one per sample: its top class, whose shift is 0.
     if np.isfinite(top).all() and np.count_nonzero(above) == n:
         return np.count_nonzero(above.take(dataset.label_index))
-    return np.count_nonzero(np.argmax(_log_softmax(logits()), axis=-1) == dataset.labels)
+    return None
 
 
 def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
@@ -393,14 +378,17 @@ def evaluate(model: TrainableModel, dataset: DatasetShard) -> float:
     ``_class_planes``: NumPy reduces a narrow last axis row by row, slowly,
     and the planes put each reduction on a long axis. ``_count_hits`` counts
     the hits on them with an exact tie bound. Where the bound cannot decide
-    (a near-tie or a non-finite max) it takes the definition, on logits
-    recomputed by ``_forward``. What depends on the dataset alone is
-    computed once per DatasetShard, whose labels are read-only: the largest
-    label, for the range check, and the flat index of each sample's label
-    entry in its planes.
+    (a near-tie or a non-finite max) the count takes the definition, on the
+    planes rebuilt and copied to C-contiguous logits (n, k); its NaN rows
+    predict class 0, as ``np.argmax`` does. What depends on the dataset
+    alone is computed once per DatasetShard, whose labels are read-only:
+    the largest label, for the range check, and the flat index of each
+    sample's label entry in its planes.
     """
     cfg, w, inputs = model.config, model.weights.values, dataset.inputs
     cfg.require_fit(dataset, "dataset")
-    hits = _count_hits(_class_planes(cfg, w, inputs), dataset,
-                       lambda: _forward(cfg, w, inputs)[1])
+    hits = _count_hits(_class_planes(cfg, w, inputs), dataset)
+    if hits is None:
+        logits = np.ascontiguousarray(_class_planes(cfg, w, inputs).T)
+        hits = np.count_nonzero(np.argmax(_log_softmax(logits), axis=-1) == dataset.labels)
     return float(hits / dataset.size)

@@ -43,8 +43,8 @@ def frozen_layers(config, w):
 
 def frozen_loss_and_gradient(config, w, x, y):
     """The allocating stacked step that train_epochs first used, operation for
-    operation (_forward and _log_softmax inlined): fresh temporaries everywhere
-    and one np.concatenate of the segments."""
+    operation (its forward pass and _log_softmax inlined): fresh temporaries
+    everywhere and one np.concatenate of the segments."""
     w1, b1, w2, b2 = frozen_layers(config, w)
     hidden = x if w1 is None else np.tanh(x @ w1 + b1)
     logits = hidden @ w2 + b2
@@ -104,12 +104,16 @@ def segments(config):
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def accuracy(config, w, shard):
+def reference_logits(config, w, x):
+    """One model's logits (n, k) on inputs x (n, d) under its flat weights w (P,)."""
     d, h, k = config.input_dim, config.hidden_dim, config.class_count
-    x = shard.inputs
     if h:
         x = np.tanh(x @ w[: d * h].reshape(d, h) + w[d * h : d * h + h])
-    logits = x @ w[d * h + h : -k].reshape(-1, k) + w[-k:]
+    return x @ w[d * h + h : -k].reshape(-1, k) + w[-k:]
+
+
+def accuracy(config, w, shard):
+    logits = reference_logits(config, w, shard.inputs)
     return float(np.count_nonzero(log_softmax_argmax(logits) == shard.labels) / shard.size)
 
 

@@ -737,13 +737,15 @@ class TestFailureContext:
 
     @pytest.mark.parametrize("kind, learning_rate", [
         ("fedavg", 1e306), ("sample_weighted", 1e306), ("variance_corrected", 1e306),
-        ("standard_averaging", 3e307), ("delta_sum", 3e307),
+        ("standard_averaging", 3e307), ("delta_sum", 3e307), ("fedavg", 4.7e307),
     ])
     def test_an_overflowing_merge_is_a_simulation_error_without_a_warning(self, kind,
                                                                            learning_rate):
         # Steps this large train to finite weights whose first merge
         # overflows. Tier-1 turns a RuntimeWarning into an error, so a
         # warning from the merge would end the run before its SimulationError.
+        # At 4.7e307 the logits of epoch 1's weights overflow evaluate's
+        # shifts before that merge.
         config = SimConfig(
             topology=generate_semi_random(6, TopologyConstraints(target_avg_degree=2.5), seed=5),
             strategy=IntegrationStrategy(kind, LambdaSchedule() if kind == "delta_sum" else None),
@@ -781,7 +783,13 @@ class TestDeltaSumAtOneOverK:
     """On a d-regular graph with first-hop forwarding every node merges k = d + 1
     updates, and delta_sum at a constant lambda of 1/k is full-model averaging
     (delta_sum_integrate's docstring). Both rules round differently, so the
-    records agree through the decision margins, not through equal bits."""
+    records agree through the decision margins, not through equal bits.
+
+    The margin is the smallest top-1 minus top-2 log-prob gap of any sample
+    in any evaluation of either run, on the reference engine's weights. At
+    (8, 3), (24, 3) and (24, 4) it is 2.7e-7, 2.2e-7 and 2.2e-7; from epoch
+    10, the first merge, on it is 2.7e-7, 2.0e-6 and 9.6e-7. The two rules'
+    log-probs there differ by at most 1.8e-15, 8.9e-16 and 8.9e-16."""
 
     @pytest.mark.parametrize("nodes, degree", [(8, 3), (24, 3), (24, 4)])
     def test_records_equal_standard_averaging(self, nodes, degree):

@@ -25,6 +25,7 @@ from reference_engine import (
     frozen_trained,
     log_softmax_argmax,
     loss_and_gradient,
+    reference_logits,
 )
 
 
@@ -662,11 +663,16 @@ def adversarial_logits(draw):
 
 
 def kernel_hits(logits, labels):
-    """The hits evaluate's kernel counts on logits (n, k): ``_count_hits`` on
-    their class planes, with the definition's fallback on the same logits."""
+    """The hits evaluate counts on logits (n, k): ``_count_hits`` on their class
+    planes and, where it returns None, the definition through the library's
+    ``_log_softmax`` on the same logits."""
     n = logits.shape[0]
     shard = DatasetShard(np.zeros((n, 1)), labels)
-    return model_module._count_hits(logits.T.copy(), shard, lambda: logits)
+    hits = model_module._count_hits(logits.T.copy(), shard)
+    if hits is None:
+        predicted = np.argmax(model_module._log_softmax(logits), axis=-1)
+        hits = np.count_nonzero(predicted == shard.labels)
+    return hits
 
 
 def evaluates_like_the_reference(logits):
@@ -678,6 +684,19 @@ def evaluates_like_the_reference(logits):
         hit = kernel_hits(logits, expected)
         miss = kernel_hits(logits, (expected + 1) % k)
     return (hit, miss) == (n, 0)
+
+
+def log_softmax_calls(monkeypatch):
+    """A list that collects the shape of every logits array passed to the library's
+    ``_log_softmax`` from here on."""
+    calls, log_softmax = [], model_module._log_softmax
+
+    def spy(logits):
+        calls.append(logits.shape)
+        return log_softmax(logits)
+
+    monkeypatch.setattr(model_module, "_log_softmax", spy)
+    return calls
 
 
 def tie_bound(k):
@@ -739,13 +758,7 @@ class TestPlaneKernel:
         assert log_softmax_argmax(logits)[2] == 0
 
     def test_definition_runs_only_on_a_near_tie(self, monkeypatch):
-        calls, log_softmax = [], model_module._log_softmax
-
-        def spy(logits):
-            calls.append(logits.shape)
-            return log_softmax(logits)
-
-        monkeypatch.setattr(model_module, "_log_softmax", spy)
+        calls = log_softmax_calls(monkeypatch)
         for k in (2, 10, 300):
             assert evaluates_like_the_reference(runner_up_logits(k, 1e-3))
             assert evaluates_like_the_reference(runner_up_logits(k, tie_bound(k)))
@@ -788,7 +801,7 @@ class TestClassPlanes:
     def test_planes_and_accuracy_bitwise_equal_the_definition(self, case):
         cfg, w, x, labels = case
         planes = model_module._class_planes(cfg, w, x)
-        logits = model_module._forward(cfg, w, x)[1]
+        logits = reference_logits(cfg, w, x)
         assert planes.shape == logits.T.shape and planes.flags.c_contiguous
         assert planes.tobytes() == np.ascontiguousarray(logits.T).tobytes()
 
@@ -797,3 +810,24 @@ class TestClassPlanes:
         assert type(accuracy) is float
         expected = np.count_nonzero(log_softmax_argmax(logits) == labels)
         assert accuracy == float(expected / len(labels))
+
+    @pytest.mark.parametrize("out_w, out_b, accuracy", [
+        # every sample ties classes 0 and 1 exactly: class 0 wins each
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.5, 0.5, 0.0], 0.25),
+        # sample 0's class 2 logit overflows to +inf (a NaN row, class 0),
+        # sample 1's to -inf, and sample 2 ties classes 0 and 2
+        ([[0.0, 0.0, 1e308], [0.0, 1.0, 0.0]], [0.0, 0.0, 0.0], 0.75),
+    ])
+    def test_evaluate_takes_the_definition_where_the_tie_bound_cannot_decide(
+            self, monkeypatch, out_w, out_b, accuracy):
+        calls = log_softmax_calls(monkeypatch)
+        cfg = ModelConfig(input_dim=2, class_count=3)
+        w = np.concatenate([np.ravel(out_w), out_b])
+        x = np.array([[10.0, 0.5], [-10.0, 2.0], [0.0, -1.0], [1e-300, 0.0]])
+        labels = np.array([0, 1, 2, 2])
+        model = TrainableModel(cfg, init_weights(cfg).with_values(w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = log_softmax_argmax(reference_logits(cfg, w, x))
+            assert evaluate(model, DatasetShard(x, labels)) == accuracy
+        assert calls == [(4, 3)]
+        assert accuracy == np.count_nonzero(expected == labels) / len(labels)
