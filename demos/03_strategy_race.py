@@ -35,8 +35,8 @@ for nodes in (8, 24):
         )
         for kind in STRATEGIES
     ]
-    # The strategies differ from the first integration on; before it they share one
-    # start, which the first run advances to that epoch.
+    # The strategies differ from the first integration on; start_run trains the
+    # epochs before it once, and every run goes on from that start.
     start = dg.start_run(configs[0], data)
     for kind, config in zip(STRATEGIES, configs):
         records = dg.run_simulation(config, data, start=start)

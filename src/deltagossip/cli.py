@@ -5,13 +5,13 @@ training/convergence experiment from a JSON config, one metrics CSV per
 strategy plus a summary), netmodel (analytical throughput table).
 All randomness flows from config seeds, and every run executes serially in
 this process, so run's --threads never changes output. The runs of one
-topology differ only in strategy, so they share one gossipsim.start_run:
-each after the first goes on from the first's state at epoch
-integrate_every, with the same records as a run from epoch 1, and the
-start is dropped after the topology's last run. run's --seed,
---strategy and --out each replace the config's seed, strategies and
-output_dir before the config is read. A run that raises a SimulationError
-is reported on stderr and in the summary, the other runs go on, and run
+topology differ only in strategy, so they share one gossipsim.start_run,
+which trains their epochs before integrate_every once; each run goes on
+from it with the records of a run from epoch 1, and the start is dropped
+after the topology's last run. run's --seed, --strategy and --out each
+replace the config's seed, strategies and output_dir before the config
+is read. A run that raises a SimulationError, or whose start does, is
+reported on stderr and in the summary, the other runs go on, and run
 exits 1. A file that cannot be read or written (an OSError) stops any
 command with an ``error:`` line and exit 1.
 
@@ -242,12 +242,17 @@ def cmd_run(args) -> int:
     final_by_strategy: dict[str, dict[int, float]] = {}
     failed = 0
     for topology_runs in runs:
-        # A topology's runs share their epochs before the first integration.
-        start = start_run(topology_runs[0], dataset, global_val)
+        # A topology's runs share their epochs before the first integration,
+        # so a failure in those epochs is each of its runs' failure.
+        try:
+            start = start_run(topology_runs[0], dataset, global_val)
+        except SimulationError as err:
+            start, start_error = None, err
         for sim in topology_runs:
-            n = sim.topology.node_count
-            name = sim.strategy.kind
+            n, name = sim.topology.node_count, sim.strategy.kind
             try:
+                if start is None:
+                    raise start_error
                 records = run_simulation(sim, dataset, global_val=global_val, start=start)
             except SimulationError as err:
                 failed += 1

@@ -10,33 +10,33 @@ models with neighbors until the cluster agrees. After every epoch and
 every convergence round each node records two accuracies: on its local
 validation shard and on the shared global validation set.
 
-run_simulation calls one module global per phase, looked up at call time:
-train_epochs trains a group in place, package_round returns the nodes'
-ModelUpdates in node order, integrate_round makes each node's merge from
-integration_step its weights and base snapshot and returns the deliveries,
-convergence_round averages in place and evaluate_population returns each
-model's accuracy on the global set.
+The engine's one index loop calls one module global per phase, looked up
+at call time: train_epochs trains a group in place, package_round returns
+the nodes' ModelUpdates in node order, integrate_round makes each node's
+merge from integration_step its weights and base snapshot and returns the
+deliveries, convergence_round averages in place and evaluate_population
+returns each model's accuracy on the global set.
 
 Rounds are barriers: all sends are computed from pre-round state, and every
-node is at the same epoch or round, so run_simulation's loop counters are
-the only record of where a run is. Nodes share ModelConfig.seed, so nodes
-with equal train-shard size draw the same batches every epoch; the shards
-of each such group are stacked once per run and trained as one stacked SGD
+node is at the same epoch or round, so the loop's index is the only
+record of where a run is. Nodes share ModelConfig.seed, so nodes with
+equal train-shard size draw the same batches every epoch; the shards of
+each such group are stacked once per start and trained as one stacked SGD
 step per batch, bitwise equal to training its nodes one by one. Packaging,
 integration and evaluation go one node at a time in ascending node order,
 so a run is a bit-reproducible function of its config and data. A failure
 in any step is a SimulationError naming the node.
 
 Runs that differ only in strategy and forwarding compute the same epochs
-1..integrate_every - 1. Given one RunStart from start_run, the first such
-run advances it to the start of epoch integrate_every and the others go on
-from there, in the same epoch loop, with the same records.
+1..integrate_every - 1. start_run computes them once, in the same epoch
+loop, and returns a frozen RunStart at epoch integrate_every; every run
+given it trains from there, with the records of a run from epoch 1.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -251,52 +251,90 @@ def prepare_inputs(config: SimConfig, dataset: DatasetShard,
     return per_node, gval
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RunStart:
-    """Where the runs of one topology start: start_run makes it, run_simulation advances it.
+    """The runs of one topology at epoch ``integrate_every``: start_run makes it, no run changes it.
 
-    Until epoch ``integrate_every``, the first integration, nothing a run
-    computes depends on its strategy or forwarding. A start holds a run's
-    state at the start of ``epoch``: its checked inputs, every node's
-    weights and base snapshot, and its records so far. It serves only runs
-    of the topology, schedule, model_config and shard_plan it was made for,
-    on the same dataset and global_val objects. It shares those inputs and
-    the immutable weight vectors, so it is only valid while the dataset and
-    global_val are not changed.
+    Until epoch integrate_every, the first integration, nothing a run
+    computes depends on its strategy or forwarding. A start holds that part:
+    the config it was made for, its checked inputs, each node's weights at
+    the start of epoch integrate_every, the one base snapshot they all have
+    until the first merge, and the records of the epochs before it. It
+    serves only runs of its config's topology, schedule, model_config and
+    shard_plan on the same dataset and global_val objects, and it shares
+    them, so it is only valid while those two are not changed.
     """
 
-    topology: TopologyGraph
-    schedule: SimSchedule
-    model_config: ModelConfig
-    shard_plan: ShardPlan
+    config: SimConfig
     dataset: DatasetShard
     global_val: DatasetShard | None
     gval: DatasetShard  # prepare_inputs' global validation set
-    nodes: list  # (train size, local_val) per node
-    # One (node indices, stacked inputs, stacked labels) per train-shard size.
-    groups: list
-    weights: list  # (weights, base snapshot) per node
-    epoch: int = 1
-    records: tuple = ()  # the records of the indices before epoch
+    nodes: tuple  # (train size, local_val) per node
+    groups: tuple  # (node indices, stacked inputs, stacked labels) per train-shard size
+    base: ParameterVector  # init_weights
+    weights: tuple  # per node
+    records: tuple
 
     def check(self, config: SimConfig, dataset: DatasetShard,
               global_val: DatasetShard | None) -> None:
         """A ValueError naming what differs unless this start serves ``config`` on
         ``dataset`` and ``global_val``."""
         differ = [name for name in ("topology", "schedule", "model_config", "shard_plan")
-                  if getattr(self, name) != getattr(config, name)]
+                  if getattr(self.config, name) != getattr(config, name)]
         differ += [name for name, given in (("dataset", dataset), ("global_val", global_val))
                    if getattr(self, name) is not given]
         if differ:
             raise ValueError(f"this start was made for another {', '.join(differ)}")
 
 
+def _advance(config: SimConfig, start: RunStart, indices: range):
+    """(weights, records): ``start``'s nodes taken through ``indices``, and the start's
+    records followed by theirs. At an epoch every group trains and the nodes integrate
+    when the schedule says; at a convergence round they average with their neighbors.
+    Every node is recorded at every index."""
+    schedule, kind = config.schedule, config.strategy.kind
+    states = [NodeState(i, TrainableModel(config.model_config, weights), start.base, size, lval)
+              for i, ((size, lval), weights) in enumerate(zip(start.nodes, start.weights))]
+    groups = [([states[i] for i in rows], inputs, labels)
+              for rows, inputs, labels in start.groups]
+    records = list(start.records)
+    for index in indices:
+        if index > schedule.train_epochs:
+            convergence_round(states, config.topology, f"convergence round {index} ({kind})")
+        else:
+            failures = []
+            for members, inputs, labels in groups:
+                try:
+                    train_epochs([s.model for s in members], inputs, labels, 1,
+                                 schedule.batch_size, start_epoch=index - 1)
+                except TrainingError as err:  # err.row indexes members
+                    failures.append((members[err.row].node_id, err))
+            if failures:
+                node_id, err = min(failures, key=lambda failure: failure[0])
+                raise SimulationError(f"node {node_id} epoch {index}: {err}") from err
+            if index % schedule.integrate_every == 0:
+                updates = package_round(states, schedule.integrate_every)
+                integrate_round(states, updates, config, index,
+                                f"integration round {index // schedule.integrate_every} ({kind})")
+        # Finite weights can give logits whose shifts overflow; the count
+        # then takes the definition, so the warnings would add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            local = [evaluate(state.model, state.local_val) for state in states]
+            shared = evaluate_population([state.model for state in states], start.gval)
+        records.extend(MetricsRecord(state.node_id, index, local_acc, global_acc)
+                       for state, local_acc, global_acc in zip(states, local, shared))
+    return tuple(state.model.weights for state in states), records
+
+
 def start_run(config: SimConfig, dataset: DatasetShard,
               global_val: DatasetShard | None = None) -> RunStart:
-    """A run's start at epoch 1: checked inputs, one shared start model.
+    """The start of ``config``'s topology at epoch integrate_every.
 
     Inputs that prepare_inputs rejects are a ValueError. Each train-shard
-    size's training rows are stacked once; a node keeps only its train size.
+    size's training rows are stacked once; a node keeps only its train
+    size. Epochs 1..integrate_every - 1 are trained and recorded once,
+    from one shared start model; a failure in them is the SimulationError
+    a lone run of ``config`` raises.
     """
     per_node, gval = prepare_inputs(config, dataset, global_val)
     by_size: dict[int, list[int]] = {}
@@ -309,10 +347,12 @@ def start_run(config: SimConfig, dataset: DatasetShard,
         inputs.setflags(write=False)  # the runs of a start share them
         labels.setflags(write=False)
         groups.append((rows, inputs, labels))
-    weights = init_weights(config.model_config)
-    return RunStart(config.topology, config.schedule, config.model_config, config.shard_plan,
-                    dataset, global_val, gval, [(train.size, lval) for train, lval in per_node],
-                    groups, [(weights, weights)] * len(per_node))
+    base = init_weights(config.model_config)
+    at_epoch_1 = RunStart(config, dataset, global_val, gval,
+                          tuple((train.size, lval) for train, lval in per_node), tuple(groups),
+                          base, (base,) * len(per_node), ())
+    weights, records = _advance(config, at_epoch_1, range(1, config.schedule.integrate_every))
+    return replace(at_epoch_1, weights=weights, records=tuple(records))
 
 
 def run_simulation(
@@ -329,57 +369,12 @@ def run_simulation(
     them, are a ValueError before training.
     Without a ``start`` the run makes its own with start_run; a given one
     that does not serve this config, dataset and global_val is a ValueError.
-    The first run to reach epoch integrate_every advances its start there,
-    and every later run of that start goes on from that epoch; the records
-    are the same either way.
+    Either way the run trains from epoch integrate_every on, after the
+    start's records, and its records are the same.
     """
     if start is None:
         start = start_run(config, dataset, global_val)
     else:
         start.check(config, dataset, global_val)
-    schedule = config.schedule
-    first_merge = schedule.integrate_every
-    gval = start.gval
-    states = [NodeState(i, TrainableModel(config.model_config, weights), base, size, lval)
-              for i, ((size, lval), (weights, base)) in enumerate(zip(start.nodes, start.weights))]
-    groups = [([states[i] for i in rows], inputs, labels)
-              for rows, inputs, labels in start.groups]
-
-    kind = config.strategy.kind
-    records: list[MetricsRecord] = list(start.records)
-
-    def record_all(index: int) -> None:
-        # Finite weights can give logits whose shifts overflow; the count
-        # then takes the definition, so the warnings would add nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            local = [evaluate(state.model, state.local_val) for state in states]
-            shared = evaluate_population([state.model for state in states], gval)
-        records.extend(MetricsRecord(state.node_id, index, local_acc, global_acc)
-                       for state, local_acc, global_acc in zip(states, local, shared))
-
-    for epoch in range(start.epoch, schedule.train_epochs + 1):
-        if epoch == first_merge and start.epoch < epoch:
-            start.epoch, start.records = epoch, tuple(records)
-            start.weights = [(s.model.weights, s.base_snapshot) for s in states]
-        failures = []
-        for members, inputs, labels in groups:
-            try:
-                train_epochs([s.model for s in members], inputs, labels, 1,
-                             schedule.batch_size, start_epoch=epoch - 1)
-            except TrainingError as err:  # err.row indexes members
-                failures.append((members[err.row].node_id, err))
-        if failures:
-            node_id, err = min(failures, key=lambda failure: failure[0])
-            raise SimulationError(f"node {node_id} epoch {epoch}: {err}") from err
-
-        if epoch % schedule.integrate_every == 0:
-            updates = package_round(states, schedule.integrate_every)
-            integrate_round(states, updates, config, epoch,
-                            f"integration round {epoch // schedule.integrate_every} ({kind})")
-        record_all(epoch)
-
-    for rnd in range(schedule.train_epochs + 1, schedule.convergence_until_round + 1):
-        convergence_round(states, config.topology, f"convergence round {rnd} ({kind})")
-        record_all(rnd)
-
-    return records
+    until = config.schedule.convergence_until_round
+    return _advance(config, start, range(config.schedule.integrate_every, until + 1))[1]

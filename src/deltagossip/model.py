@@ -71,7 +71,6 @@ def init_weights(config: ModelConfig) -> ParameterVector:
     return ParameterVector(values, layout)
 
 
-LABELS_EXCEED = "batch labels exceed the model class count"
 NON_FINITE_LOSS = "non-finite loss"
 NON_FINITE_WEIGHTS = "parameter values must be finite"
 
@@ -249,13 +248,14 @@ def train_epochs(
     whole block alive. The caller's inputs, labels and ParameterVectors are
     not written.
 
-    A failing model (non-finite loss or weights, labels beyond the class
-    count) raises TrainingError for the lowest failing row of the first
-    epoch in which any row fails; no model is updated then. The loss is
-    checked after every step and the weights once per epoch; a row is
-    labelled by whichever went non-finite first. Weights that stay finite
-    but move too far for their delta to be finite are ParameterVector's
-    ValueError, and no model is updated then either.
+    Labels that reach the class count are a ValueError naming the lowest
+    such row, before any step. A failing model (non-finite loss or weights)
+    raises TrainingError for the lowest failing row of the first epoch in
+    which any row fails; no model is updated then. The loss is checked
+    after every step and the weights once per epoch; a row is labelled by
+    whichever went non-finite first. Weights that stay finite but move too
+    far for their delta to be finite are ParameterVector's ValueError, and
+    no model is updated then either.
     """
     models = list(models)
     require_ints(1, epochs=epochs, batch_size=batch_size)
@@ -276,13 +276,13 @@ def train_epochs(
         raise ValueError(f"inputs feature dimension {inputs.shape[2]} does not match "
                          f"input_dim {cfg.input_dim}")
 
-    # Rows with out-of-range labels fail in the first epoch; they train on
-    # class 0 meanwhile so that the other rows' failures can still be found.
     out_of_range = np.flatnonzero(labels.max(axis=1) >= cfg.class_count)
-    failures = {int(r): LABELS_EXCEED for r in out_of_range}
-    if failures:
-        labels = np.where(labels < cfg.class_count, labels, 0)
+    if out_of_range.size:
+        row = int(out_of_range[0])
+        raise ValueError(f"labels row {row}: label {labels[row].max()} is not below "
+                         f"class_count {cfg.class_count}")
 
+    failures = {}
     values = [m.weights.values for m in models]
     w = np.array(values)  # private: updated in place
     grad = np.empty(w.shape)

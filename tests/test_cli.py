@@ -137,22 +137,23 @@ class TestRun:
 
     def test_one_start_per_topology_and_its_later_runs_train_from_epoch_i(
             self, tmp_path, monkeypatch):
-        # integrate_every is 5: a topology's first run trains from epoch 1
-        # (start_epoch 0), and the runs after it from epoch 5 (start_epoch
-        # 4), where the first run left their start.
-        made, run_epochs = [], []
+        # integrate_every is 5: a topology's start trains epochs 1-4
+        # (start_epoch 0-3) once, and each of its runs epochs 5-10 (start_epoch
+        # 4-9) from there.
+        made, trained = [], []  # trained: (caller, start epochs) per call
         start_run, train_epochs = cli.start_run, gossipsim.train_epochs
 
         def counting_start(sim, *args, **kwargs):
             made.append(sim.topology.node_count)
+            trained.append(("start_run", set()))
             return start_run(sim, *args, **kwargs)
 
         def spy(sim, *args, **kwargs):
-            run_epochs.append(set())
+            trained.append(("run_simulation", set()))
             return run_simulation(sim, *args, **kwargs)
 
         def logged_train(*args, start_epoch, **kwargs):
-            run_epochs[-1].add(start_epoch)
+            trained[-1][1].add(start_epoch)
             return train_epochs(*args, start_epoch=start_epoch, **kwargs)
 
         monkeypatch.setattr(cli, "start_run", counting_start)
@@ -165,7 +166,8 @@ class TestRun:
         config_path.write_text(json.dumps(config))
         assert main(["run", "--config", str(config_path)]) == 0
         assert made == [4, 6]
-        assert [min(epochs) for epochs in run_epochs] == [0, 4, 4] * 2
+        assert trained == ([("start_run", set(range(4)))]
+                           + [("run_simulation", set(range(4, 10)))] * 3) * 2
 
         monkeypatch.undo()
         assert main(["run", "--config", str(config_path), "--strategy", "fedavg",
@@ -173,6 +175,33 @@ class TestRun:
         for csv in ("4nodes_fedavg.csv", "6nodes_fedavg.csv"):
             assert (tmp_path / "alone" / csv).read_bytes() == (
                 tmp_path / "out" / csv).read_bytes()
+
+    def test_a_failure_before_the_first_integration_fails_each_run_of_its_topology(
+            self, tmp_path, capsys):
+        # At learning rate 1e308 node 0's first step overflows, in epoch 1,
+        # before the first integration at epoch 5.
+        config = {
+            "seed": 3,
+            "dataset": {"kind": "synthetic", "classes": 3, "dim": 4, "per_class": 60,
+                        "seed": 3},
+            "topologies": [{"nodes": 6, "target_avg_degree": 2.5, "seed": 5}],
+            "model": {"learning_rate": 1e308, "seed": 0},
+            "shards": {"seed": 2},
+            "schedule": {"train_epochs": 10, "integrate_every": 5,
+                         "convergence_until_round": 11, "batch_size": 1},
+            "strategies": ["fedavg", "delta_sum", "standard_averaging"],
+        }
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        failure = "node 0 epoch 1: non-finite loss"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: 6 nodes {kind}: {failure}" for kind in config["strategies"]]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["runs"] == [{"nodes": 6, "strategy": kind, "error": failure}
+                                   for kind in config["strategies"]]
+        assert list(out_dir.glob("*.csv")) == []
 
     def test_failed_run_is_reported_and_the_others_go_on(self, tmp_path, capsys, monkeypatch):
         def fail_24_node_averaging(sim, *args, **kwargs):

@@ -847,30 +847,46 @@ class TestRunStart:
     @pytest.mark.parametrize("every", [1, 4])
     @pytest.mark.parametrize("max_hops", [1, 2])
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-    def test_records_equal_a_lone_run_whichever_strategy_advanced_the_start(
-            self, kind, max_hops, every, hidden):
+    def test_one_start_serves_every_strategy_in_either_order(self, kind, max_hops, every,
+                                                             hidden):
+        # The start is made for ``kind`` at the other forwarding; every run
+        # from it has the records of its lone run, whatever ran before it.
         data = tiny_shard(per_class=40)
-        config = start_config(kind, max_hops, every, hidden)
-        expected = run_simulation(config, data)
-        for filler in STRATEGY_KINDS:
-            filling = start_config(filler, 3 - max_hops, every, hidden)
-            start = start_run(filling, data)
-            assert run_simulation(filling, data, start=start) == run_simulation(filling, data)
-            assert start.epoch == every
-            assert run_simulation(config, data, start=start) == expected
+        configs = [start_config(other, max_hops, every, hidden) for other in STRATEGY_KINDS]
+        alone = [run_simulation(config, data) for config in configs]
+        start = start_run(start_config(kind, 3 - max_hops, every, hidden), data)
+        weights, records = start.weights, start.records
+        assert len(records) == 7 * (every - 1)
+        for order in (slice(None), slice(None, None, -1)):
+            for config, expected in zip(configs[order], alone[order]):
+                assert run_simulation(config, data, start=start) == expected
+        assert start.weights is weights and start.records is records
 
-    def test_an_advanced_start_skips_prepare_inputs_and_trains_from_epoch_i(
-            self, monkeypatch):
+    def test_a_start_is_frozen(self):
+        start = start_run(start_config("delta_sum"), tiny_shard(per_class=40))
+        for name in ("config", "base", "weights", "records"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(start, name, getattr(start, name))
+        assert not hasattr(start, "epoch")
+        assert all(weights is not start.base for weights in start.weights)
+
+    @pytest.mark.parametrize("every", [1, 2, 4])
+    def test_start_run_trains_the_shared_epochs_and_each_run_the_rest(self, monkeypatch,
+                                                                      every):
+        # Two train-shard sizes: one train_epochs call per group and epoch.
         data = tiny_shard(per_class=40)
-        start = start_run(start_config("delta_sum"), data)
-        run_simulation(start_config("delta_sum"), data, start=start)
-        assert start.epoch == 4 and len(start.records) == 7 * 3
         prepared = counting(monkeypatch, "prepare_inputs")
         trained = counting(monkeypatch, "train_epochs")
-        run_simulation(start_config("standard_averaging"), data, start=start)
-        assert prepared == []
-        # Two train-shard sizes: one call per group and epoch, from epoch 4 on.
-        assert [kwargs["start_epoch"] for _, kwargs in trained] == [3, 3]
+        start = start_run(start_config("delta_sum", every=every), data)
+        assert len(prepared) == 1
+        assert [kwargs["start_epoch"] for _, kwargs in trained] == [
+            epoch for epoch in range(every - 1) for _ in range(2)]
+        for kind in ("standard_averaging", "fedavg"):
+            trained.clear()
+            run_simulation(start_config(kind, every=every), data, start=start)
+            assert len(prepared) == 1
+            assert [kwargs["start_epoch"] for _, kwargs in trained] == [
+                epoch for epoch in range(every - 1, 4) for _ in range(2)]
 
     @pytest.mark.parametrize("change, named", [
         ("topology", "topology"), ("schedule", "schedule"), ("model_seed", "model_config"),
@@ -908,13 +924,12 @@ class TestRunStart:
         message = f"this start was made for another {named}$"
         with pytest.raises(ValueError, match=message):
             run_simulation(other, other_data, other_gval, start=start)
-        assert start.epoch == 1 and start.records == ()
-        run_simulation(config, data, gval, start=start)
-        assert start.epoch == 4
+        assert run_simulation(config, data, gval, start=start) == run_simulation(
+            config, data, gval)
         with pytest.raises(ValueError, match=message):
             run_simulation(other, other_data, other_gval, start=start)
 
-    def test_a_failure_before_epoch_i_leaves_the_start_at_epoch_1(self, monkeypatch):
+    def test_a_failure_before_epoch_i_is_raised_once_by_start_run(self, monkeypatch):
         data = tiny_shard(per_class=40)
         inputs = data.inputs.copy()
         inputs[0] *= 3e155
@@ -924,13 +939,13 @@ class TestRunStart:
         assert str(alone.value) == "node 6 epoch 2: non-finite loss"
 
         prepared = counting(monkeypatch, "prepare_inputs")
-        start = start_run(start_config("delta_sum"), hot)
-        for kind in STRATEGY_KINDS:
-            with pytest.raises(SimulationError) as info:
-                run_simulation(start_config(kind), hot, start=start)
-            assert str(info.value) == str(alone.value)
-            assert start.epoch == 1 and start.records == ()
+        trained = counting(monkeypatch, "train_epochs")
+        with pytest.raises(SimulationError) as info:
+            start_run(start_config("fedavg"), hot)
+        assert str(info.value) == str(alone.value)
         assert len(prepared) == 1
+        # Epochs 1 and 2, each group once: both groups train in epoch 2.
+        assert [kwargs["start_epoch"] for _, kwargs in trained] == [0, 0, 1, 1]
 
 
 class TestScheduleValidation:

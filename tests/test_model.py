@@ -371,21 +371,23 @@ class TestGroupTraining:
         # Huge inputs overflow the logits once the weights have grown: row 3
         # (all samples) at its second batch of epoch 0, row 1 (one sample,
         # labelled against the start model's prediction so that it moves the
-        # weights) at that sample's second visit, in epoch 1. Row 2 holds a
-        # label beyond the class count, which fails it in epoch 0.
+        # weights) at that sample's second visit, in epoch 1. Labels beyond
+        # the class count, in rows 2 and 3, are a ValueError for row 2
+        # before any step.
         inputs[3, :, :] *= 3e155
         inputs[1, 0, :] *= 1e156
         labels[1, 0] = 1
-        labels[2, 0] = 2
+        beyond = labels.copy()
+        beyond[2, 0], beyond[3, 5] = 2, 3
         models = [TrainableModel(cfg) for _ in range(4)]
         start = [m.weights for m in models]
-        with pytest.raises(TrainingError) as info:
-            train_epochs(models, inputs, labels, 3, 4, start_epoch=0)
-        assert (info.value.row, info.value.epoch) == (2, 0)
-        assert str(info.value) == "batch labels exceed the model class count"
+        with pytest.raises(ValueError) as info:
+            train_epochs(models, inputs, beyond, 3, 4, start_epoch=0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "labels row 2: label 2 is not below class_count 2"
         assert all(m.weights is w for m, w in zip(models, start))
 
-        labels[2, 0] = 0  # now row 1 is lower but fails an epoch later than row 3
+        # Row 1 is lower than row 3 but fails an epoch later.
         with pytest.raises(TrainingError) as info:
             train_epochs(models, inputs, labels, 3, 4, start_epoch=0)
         assert (info.value.row, info.value.epoch) == (3, 0)

@@ -92,15 +92,16 @@ class TestReferenceEngine:
     @hypothesis_seed(20261020)
     @settings(max_examples=40, deadline=None, database=None)
     @given(runs(), strategies(), st.integers(1, 3))
-    def test_a_run_from_a_start_another_strategy_advanced_equals_the_reference(
+    def test_a_run_from_a_start_made_for_another_strategy_equals_the_reference(
             self, run, filler, filler_hops):
-        # The advancing run differs in strategy and forwarding only; the run
-        # after it evaluates from epoch integrate_every on.
+        # The start is made for a run that differs in strategy and forwarding
+        # only, and another run from it goes first; the run after it
+        # evaluates from epoch integrate_every on.
         config, data, global_val = run
-        advancing = dataclasses.replace(config, strategy=filler,
-                                        forwarding=Forwarding(max_hops=filler_hops))
-        start = gossipsim.start_run(advancing, data, global_val)
-        run_simulation(advancing, data, global_val, start=start)
+        other = dataclasses.replace(config, strategy=filler,
+                                    forwarding=Forwarding(max_hops=filler_hops))
+        start = gossipsim.start_run(other, data, global_val)
+        run_simulation(other, data, global_val, start=start)
         records, evaluated = logged_run(config, data, global_val, start)
         per_node, gval = shard_equal(data, config.shard_plan, global_val=global_val)
         expected_records, expected_evaluated = run_reference(config, per_node, gval)
